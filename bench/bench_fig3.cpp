@@ -22,11 +22,19 @@ int main() {
   };
   constexpr std::size_t kN = 4;
 
-  std::vector<std::vector<double>> slow(kN);
+  // One flat batch over (workload x {Ideal, kinds}), executed concurrently.
+  std::vector<RunSpec> specs;
   for (const auto& w : trace::spec2006_workloads()) {
-    const RunResult ideal = run_scheme(readduo::SchemeKind::kIdeal, w);
+    specs.push_back({readduo::SchemeKind::kIdeal, w});
+    for (auto kind : kinds) specs.push_back({kind, w});
+  }
+  const std::vector<RunResult> results = run_schemes(specs);
+
+  std::vector<std::vector<double>> slow(kN);
+  for (std::size_t idx = 0; idx < results.size(); idx += kN + 1) {
+    const RunResult& ideal = results[idx];
     for (std::size_t i = 0; i < kN; ++i) {
-      const RunResult r = run_scheme(kinds[i], w);
+      const RunResult& r = results[idx + 1 + i];
       slow[i].push_back(static_cast<double>(r.summary.exec_time.v) /
                         static_cast<double>(ideal.summary.exec_time.v));
     }

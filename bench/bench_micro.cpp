@@ -4,7 +4,7 @@
 //
 // The BM_Kernel_* benchmarks time each rewritten hot-path kernel in all
 // its implementations — `_ref` (straight-line reference), `_opt`
-// (table-driven / memoized / batched) and `_vec` (SoA + SIMD lanes,
+// (table-driven / batched) and `_vec` (SoA + SIMD lanes,
 // dispatched at the level READDUO_SIMD / the host allows) — in one
 // binary, so every run is a self-contained before/after measurement.
 // run_all_benches.sh extracts the triples into BENCH_pr6.json (see README
@@ -208,25 +208,6 @@ BENCHMARK_CAPTURE(BM_KernelBchDecode8, opt, KernelMode::kOptimized)
     ->Name("Kernel_bch_decode8_opt");
 BENCHMARK_CAPTURE(BM_KernelBchDecode8, vec, KernelMode::kVectorized)
     ->Name("Kernel_bch_decode8_vec");
-
-void BM_KernelDriftLerTail(benchmark::State& state, KernelMode mode) {
-  // Re-evaluating a Table III point, the access pattern of the (E, S, W)
-  // grids: the memoized model pays the quadrature once per distinct
-  // (state, t), the reference pays it on every call.
-  const drift::LerCalculator calc{
-      drift::ErrorModel(drift::r_metric(), mode)};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(calc.ler(8, 640.0));
-  }
-}
-BENCHMARK_CAPTURE(BM_KernelDriftLerTail, ref, KernelMode::kReference)
-    ->Name("Kernel_drift_ler_tail_ref");
-BENCHMARK_CAPTURE(BM_KernelDriftLerTail, opt, KernelMode::kOptimized)
-    ->Name("Kernel_drift_ler_tail_opt");
-// No SIMD lanes in the closed-form LER model — _vec pins the contract
-// that kVectorized keeps the memoized path (≈ _opt, never ≈ _ref).
-BENCHMARK_CAPTURE(BM_KernelDriftLerTail, vec, KernelMode::kVectorized)
-    ->Name("Kernel_drift_ler_tail_vec");
 
 void BM_KernelMlcLineRead(benchmark::State& state, KernelMode mode) {
   Rng rng(23);

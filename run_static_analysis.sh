@@ -32,8 +32,11 @@ set -u
 cd "$(dirname "$0")"
 BUILD=${1:-build}
 failures=0
+skipped=0
 
 step() { printf '\n== %s\n' "$*"; }
+# Print why a stage did not run and count it; skips never fail the gate.
+skip() { printf '%s\n' "$@"; skipped=$((skipped + 1)); }
 
 step "readduo_lint: repo-wide invariant scan"
 if [ ! -x "$BUILD/tools/readduo_lint" ]; then
@@ -58,7 +61,7 @@ if [ -n "$TIDY" ]; then
     failures=$((failures + 1))
   fi
 else
-  echo "clang-tidy not installed — skipping (lint + annotations still run)"
+  skip "clang-tidy not installed — skipping (lint + annotations still run)"
 fi
 
 step "clang thread-safety analysis (-Werror=thread-safety)"
@@ -90,8 +93,8 @@ if [ -n "$CLANGXX" ]; then
     echo "-- negative probe bad_guarded.cpp rejected, as it must be"
   fi
 else
-  echo "clang++ not installed — skipping (annotations compile as no-ops"
-  echo "under GCC; the TSan soak below still checks the locking at runtime)"
+  skip "clang++ not installed — skipping (annotations compile as no-ops" \
+    "under GCC; the TSan soak below still checks the locking at runtime)"
 fi
 
 if [ "${SKIP_SANITIZER_SMOKE:-0}" != "1" ]; then
@@ -122,7 +125,7 @@ if [ "${SKIP_SANITIZER_SMOKE:-0}" != "1" ]; then
     fi
     rm -rf "$soak_dir"
   else
-    echo "READDUO_TSAN_SOAK=0 — skipping the TSan service soak"
+    skip "READDUO_TSAN_SOAK=0 — skipping the TSan service soak"
   fi
 
   step "sanitizer smoke: UBSan bench_fig9 at a small instruction budget"
@@ -139,7 +142,11 @@ if [ "${SKIP_SANITIZER_SMOKE:-0}" != "1" ]; then
   cmake --build build-ubsan --target test_wire -j \
     && ./build-ubsan/tests/test_wire --gtest_brief=1 \
     || failures=$((failures + 1))
+else
+  step "sanitizer matrix"
+  skip "SKIP_SANITIZER_SMOKE=1 — skipping the TSan soak and both UBSan smokes"
+  skipped=$((skipped + 2))
 fi
 
-step "static analysis: $failures failing stage(s)"
+step "static analysis: $failures failing, $skipped skipped stage(s)"
 exit "$((failures > 0))"

@@ -52,8 +52,11 @@ cd "$(dirname "$0")"
 BUILD=${1:-build}
 FILTER=${2:-}
 failures=0
+skipped=0
 
 step() { printf '\n== %s\n' "$*"; }
+# Print why a stage did not run and count it; skips never fail the sweep.
+skip() { printf '%s\n' "$@"; skipped=$((skipped + 1)); }
 
 if [ ! -f "$BUILD/CTestTestfile.cmake" ]; then
   cmake -B "$BUILD" -S . && cmake --build "$BUILD" -j || exit 1
@@ -154,7 +157,7 @@ if [ "${READDUO_TSAN_SOAK:-1}" != "0" ]; then
   fi
   rm -rf "$tsan_dir"
 else
-  echo "READDUO_TSAN_SOAK=0 — skipping the TSan service soak"
+  skip "READDUO_TSAN_SOAK=0 — skipping the TSan service soak"
 fi
 
 step "socket soak: readduo_serve + readduo_load --connect, THREADS=1 vs =4"
@@ -215,7 +218,7 @@ if [ "${READDUO_TSAN_SOAK:-1}" != "0" ]; then
     failures=$((failures + 1))
   fi
 else
-  echo "READDUO_TSAN_SOAK=0 — skipping the TSan socket soak"
+  skip "READDUO_TSAN_SOAK=0 — skipping the TSan socket soak"
 fi
 rm -rf "$net_dir"
 
@@ -249,5 +252,5 @@ then
 fi
 rm -rf "$dev_dir"
 
-step "test sweep: $failures failing stage(s)"
+step "test sweep: $failures failing, $skipped skipped stage(s)"
 exit "$((failures > 0))"

@@ -1,7 +1,7 @@
 // Kernel implementation selection: vectorized vs optimized vs reference.
 //
-// Every hot-path kernel rewritten for speed (BCH syndromes/Chien, drift
-// error-model memoization, batched MLC line reads) keeps its original
+// Every hot-path kernel rewritten for speed (BCH syndromes/Chien,
+// batched MLC line reads, the Monte-Carlo drift scan) keeps its original
 // straight-line implementation compiled in and selectable, so the test
 // suite — and any suspicious user — can run the whole system on the
 // reference path and demand bit-identical outputs. Selection happens at
@@ -38,7 +38,7 @@ namespace rd {
 enum class KernelMode {
   kAuto,        ///< defer to READDUO_KERNELS (default: optimized)
   kReference,   ///< original straight-line implementation
-  kOptimized,   ///< table-driven / memoized / batched implementation
+  kOptimized,   ///< table-driven / batched implementation
   kVectorized,  ///< SoA + SIMD lanes; scalar hosts fall back to kOptimized
 };
 

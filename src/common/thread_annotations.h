@@ -3,7 +3,7 @@
 // The repo's headline concurrency guarantee — bit-identical readout
 // decisions and metrics across READDUO_THREADS — is carried by a small
 // set of locking disciplines (per-shard q_mu/sim_mu in src/service/, the
-// pool mutex in common/parallel.cpp, the memo caches). This header makes
+// pool mutex in common/parallel.cpp, the sampler cache). This header makes
 // those disciplines *compiler-checked*: under Clang the RD_* macros
 // expand to the thread-safety-analysis attributes, and
 // run_static_analysis.sh builds the tree with

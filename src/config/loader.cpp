@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -266,6 +267,56 @@ DeviceConfig device_from_raw(const RawConfig& raw) {
   d.r_metric = metric_from_raw(raw, "r_metric", "R-metric");
   d.m_metric = metric_from_raw(raw, "m_metric", "M-metric");
   return d;
+}
+
+namespace {
+
+/// The device-config key that owns run-file key `key`, or "" when none
+/// does. Schema keys own themselves; the [memory]/[energy] spellings run
+/// files once accepted map onto the keys that replaced them.
+std::string device_owner(const std::string& key) {
+  static const std::map<std::string, std::string> kRenamed = {
+      {"memory.capacity_gb", "memory.capacity"},
+      {"energy.r_read_pj", "energy.r_read"},
+      {"energy.m_read_pj", "energy.m_read"},
+      {"energy.cell_write_pj", "energy.cell_write"},
+  };
+  if (find_key(key) != nullptr) return key;
+  const auto it = kRenamed.find(key);
+  return it == kRenamed.end() ? "" : it->second;
+}
+
+}  // namespace
+
+void apply_cpu_overrides(const RawConfig& raw, pcm::CpuParams& cpu) {
+  // Documented in docs/DEVICE_CONFIGS.md "Run files".
+  static const KeySpec kCores{"cpu.cores", ValueType::kInt, Unit::kNone,
+                              false, 1, 1024, "Cores issuing requests."};
+  static const KeySpec kClock{"cpu.clock_ghz", ValueType::kDouble,
+                              Unit::kNone, false, 0.01, 100.0,
+                              "Core clock, GHz."};
+  static const KeySpec kStall{"cpu.read_stall_fraction", ValueType::kDouble,
+                              Unit::kNone, false, 0.0, 1.0,
+                              "Share of reads the core blocks on."};
+  for (const auto& [key, entry] : raw.entries()) {
+    if (key == kCores.key) {
+      cpu.num_cores = static_cast<unsigned>(
+          std::llround(numeric_value(raw, kCores, entry)));
+    } else if (key == kClock.key) {
+      cpu.clock_ghz = numeric_value(raw, kClock, entry);
+    } else if (key == kStall.key) {
+      cpu.read_stall_fraction = numeric_value(raw, kStall, entry);
+    } else if (const std::string owner = device_owner(key); !owner.empty()) {
+      fail_at(raw, entry,
+              "key '" + key + "' is a device setting: set '" + owner +
+                  "' in a device config (--device; see "
+                  "docs/DEVICE_CONFIGS.md)");
+    } else {
+      fail_at(raw, entry,
+              "unknown key '" + key + "' (run files accept " + kCores.key +
+                  ", " + kClock.key + ", " + kStall.key + ")");
+    }
+  }
 }
 
 DeviceConfig parse_device(std::istream& in, const std::string& source) {

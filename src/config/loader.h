@@ -26,6 +26,14 @@ DeviceConfig parse_device(std::istream& in, const std::string& source);
 /// Parse + validate a device config file.
 DeviceConfig load_device(const std::string& path);
 
+/// Overlay a run file (readduo_sim --config) on `cpu`. Run files share the
+/// device-file grammar and the typed-value checks, but may set only the
+/// system keys the device schema deliberately does not own (apply.h):
+/// cpu.cores, cpu.clock_ghz and cpu.read_stall_fraction; absent keys leave
+/// `cpu` unchanged. Any other key throws ConfigError naming it, and a
+/// device setting also names the device-config key that owns it.
+void apply_cpu_overrides(const RawConfig& raw, pcm::CpuParams& cpu);
+
 /// The process-wide device every default-constructed simulation object
 /// uses (chip metric configs, scheme drift models, make_scheme_env's
 /// timing/energy). Resolved once: READDUO_DEVICE=<path> loads that file;

@@ -95,7 +95,7 @@ RawConfig RawConfig::parse(std::istream& in, const std::string& source) {
 RawConfig RawConfig::load(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
-    throw ConfigError(path + ": cannot open device config file");
+    throw ConfigError(path + ": cannot open config file");
   }
   return parse(in, path);
 }

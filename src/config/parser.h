@@ -1,4 +1,5 @@
-// Strict section/key/value parser for device config files.
+// Strict section/key/value parser for config files: device configs and
+// readduo_sim --config run files share it.
 //
 // Grammar (DESIGN.md §13):
 //   file     := line*
@@ -7,13 +8,11 @@
 //   section  := '[' name ']'
 //   pair     := key '=' value
 //
-// Unlike the permissive rd::Config INI loader (common/config.h, kept for
-// ad-hoc system overrides), this parser is built for validated device
-// schemas: every entry retains its source line so the schema layer can
-// report unknown keys, unit mistakes, and range violations as
-// "<file>:<line>: ..." diagnostics, and structural mistakes (duplicate
-// keys, junk after a section header, pairs before any section) are hard
-// errors instead of silent acceptance.
+// The parser is built for validated schemas: every entry retains its
+// source line so the schema layer can report unknown keys, unit mistakes,
+// and range violations as "<file>:<line>: ..." diagnostics, and
+// structural mistakes (duplicate keys, junk after a section header, pairs
+// before any section) are hard errors instead of silent acceptance.
 #pragma once
 
 #include <cstddef>

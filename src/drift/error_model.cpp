@@ -8,14 +8,7 @@
 
 namespace rd::drift {
 
-ErrorModel::ErrorModel(MetricConfig config, KernelMode mode)
-    : config_(std::move(config)),
-      mode_(resolve_kernel_mode(mode)),
-      // Any non-reference tier memoizes — kVectorized inherits the cache
-      // (this model has no SIMD lanes of its own; vectorized is "at least
-      // as fast as optimized" here, not a third evaluation path).
-      memo_(mode_ != KernelMode::kReference ? std::make_shared<Memo>()
-                                            : nullptr) {
+ErrorModel::ErrorModel(MetricConfig config) : config_(std::move(config)) {
   for (const auto& s : config_.states) {
     RD_CHECK(s.sigma > 0.0);
     RD_CHECK(s.sigma_alpha >= 0.0);
@@ -30,28 +23,6 @@ double ErrorModel::cell_error_prob(std::size_t state, double t_seconds) const {
 
 double ErrorModel::log_cell_error_prob(std::size_t state,
                                        double t_seconds) const {
-  if (memo_ == nullptr) return log_cell_error_prob_direct(state, t_seconds);
-  const std::pair<std::size_t, double> key{state, t_seconds};
-  {
-    MutexLock g(memo_->memo_mu);
-    auto it = memo_->values.find(key);
-    if (it != memo_->values.end()) return it->second;
-  }
-  // Evaluate outside the lock: grid workers computing different points
-  // must not serialize on each other's quadrature. Two threads racing on
-  // the same point store the same double (the evaluation is pure).
-  const double lp = log_cell_error_prob_direct(state, t_seconds);
-  {
-    MutexLock g(memo_->memo_mu);
-    if (memo_->values.size() < Memo::kMaxEntries) {
-      memo_->values.emplace(key, lp);
-    }
-  }
-  return lp;
-}
-
-double ErrorModel::log_cell_error_prob_direct(std::size_t state,
-                                              double t_seconds) const {
   RD_CHECK(state < kNumStates);
   // The top state has no higher state to drift into.
   if (state == kNumStates - 1) return kNegInf;

@@ -7,26 +7,19 @@
 //
 // Performance note (DESIGN.md §10): a single log_cell_error_prob
 // evaluation integrates a truncated-normal tail over the alpha
-// distribution (7 Gauss-Legendre panels x 64 points), and the Table III-V
-// grids, the scrub-age samplers, and the CellErrorTable all re-evaluate
-// the same (state, t) points many times over. The optimized kernel
-// therefore memoizes log_cell_error_prob keyed by (state, t_seconds) — the
-// remaining model inputs (mu, sigma, mu_alpha, sigma_alpha, boundaries)
-// are fixed per ErrorModel instance, so the key is complete. The memo is
-// value-transparent: it stores exactly the double the direct evaluation
-// produced, so results are bit-identical with the memo on or off
-// (cross-checked by tests/test_kernels.cpp). A mutex guards the map; the
-// model stays safe to share across the READDUO_THREADS grid workers.
+// distribution (7 Gauss-Legendre panels x 64 points). It is evaluated
+// directly on every call: the Table III-V grids touch a few hundred
+// (state, t) points and the scrub-age samplers use each of theirs once,
+// so a result cache bought no measurable time. Callers that need O(1)
+// lookups (the simulator's per-read sampling) tabulate once through
+// CellErrorTable. The model is immutable and every query is a pure
+// function of (config, state, t), so one instance is safe to share across
+// the READDUO_THREADS grid workers without a lock.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "common/kernels.h"
-#include "common/thread_annotations.h"
 #include "drift/metric.h"
 
 namespace rd::drift {
@@ -44,23 +37,15 @@ struct LineGeometry {
 };
 
 /// Analytic drift-error model for one readout metric.
-///
-/// Copies of a model share one memo cache (they share the config that keys
-/// it), so passing models by value stays cheap and warm.
 class ErrorModel {
  public:
-  /// Build the model for `config`. `mode` selects the evaluation kernel
-  /// (kAuto: READDUO_KERNELS): kReference evaluates every probability
-  /// directly; kOptimized and kVectorized both memoize per (state, t) —
-  /// this model is closed-form, so the vectorized tier has no SIMD lanes
-  /// here and simply keeps the memo. Identical values in every mode.
-  explicit ErrorModel(MetricConfig config, KernelMode mode = KernelMode::kAuto);
+  /// Build the model for `config`. READDUO_KERNELS does not apply: the
+  /// model is closed-form quadrature with one evaluation path in every
+  /// kernel tier.
+  explicit ErrorModel(MetricConfig config);
 
   /// The metric configuration this model evaluates.
   const MetricConfig& config() const { return config_; }
-
-  /// The kernel implementation this instance runs (never kAuto).
-  KernelMode kernel_mode() const { return mode_; }
 
   /// P(a cell programmed to state `state` at time 0 has drifted past its
   /// upper read boundary by time t). Monotone nondecreasing in t. The top
@@ -68,8 +53,8 @@ class ErrorModel {
   /// Deterministic: a pure function of (config, state, t).
   double cell_error_prob(std::size_t state, double t_seconds) const;
 
-  /// log of cell_error_prob, accurate for probabilities down to ~1e-200.
-  /// Thread-safe; memoized per (state, t) in the optimized kernel.
+  /// log of cell_error_prob, accurate for probabilities down to ~1e-200:
+  /// the panelled quadrature over the alpha distribution.
   double log_cell_error_prob(std::size_t state, double t_seconds) const;
 
   /// Average over states under uniform data (log space).
@@ -78,23 +63,7 @@ class ErrorModel {
   double avg_cell_error_prob(double t_seconds) const;
 
  private:
-  /// The straight-line evaluation (panelled quadrature over the alpha
-  /// distribution); the memo stores exactly its results.
-  double log_cell_error_prob_direct(std::size_t state, double t_seconds) const;
-
-  /// Memo shared by all copies of a model. Bounded: past kMaxEntries the
-  /// cache stops growing and further misses evaluate directly (the paper
-  /// grids need a few thousand entries at most).
-  struct Memo {
-    static constexpr std::size_t kMaxEntries = 1u << 15;
-    Mutex memo_mu;
-    std::map<std::pair<std::size_t, double>, double> values
-        RD_GUARDED_BY(memo_mu);
-  };
-
   MetricConfig config_;
-  KernelMode mode_;
-  std::shared_ptr<Memo> memo_;
 };
 
 /// Line-error-rate calculator for an (E, S) efficient-scrubbing setting.

@@ -1,10 +1,8 @@
-// Tests for the permissive INI loader (common/config.h) and the strict
-// device-config subsystem (src/config/): parser grammar, schema
-// validation diagnostics, unit suffixes, and the golden paper configs —
-// including the default-equivalence guarantee that
-// configs/pcm_readduo_t1.cfg reproduces builtin_device() bit-for-bit.
-#include "common/config.h"
-
+// Tests for the strict config subsystem (src/config/): parser grammar,
+// schema validation diagnostics, unit suffixes, readduo_sim --config run
+// files, and the golden paper configs — including the default-equivalence
+// guarantee that configs/pcm_readduo_t1.cfg reproduces builtin_device()
+// bit-for-bit.
 #include <cctype>
 #include <fstream>
 #include <set>
@@ -18,88 +16,141 @@
 #include "config/loader.h"
 #include "config/parser.h"
 #include "config/schema.h"
+#include "memsim/env.h"
+#include "readduo/schemes.h"
+#include "trace/workload.h"
 
 namespace rd {
 namespace {
 
-Config parse(const std::string& text) {
+// =====================================================================
+// readduo_sim --config run files (config::apply_cpu_overrides).
+
+/// Default CPU parameters with run file `text` (named "run.ini") applied.
+pcm::CpuParams with_run_file(const std::string& text) {
   std::istringstream in(text);
-  return Config::parse(in);
+  pcm::CpuParams cpu;
+  config::apply_cpu_overrides(config::RawConfig::parse(in, "run.ini"), cpu);
+  return cpu;
+}
+
+/// The ConfigError message run file `text` raises.
+std::string run_file_error(const std::string& text) {
+  try {
+    with_run_file(text);
+  } catch (const config::ConfigError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected ConfigError for:\n" << text;
+  return "";
+}
+
+/// IPC of a short Ideal-scheme mcf run on `cpu`, set up as readduo_sim
+/// sets up a run.
+double short_run_ipc(const pcm::CpuParams& cpu) {
+  const trace::Workload& w = trace::workload_by_name("mcf");
+  memsim::SimConfig cfg;
+  config::apply_device(config::active_device(), cfg);
+  cfg.cpu = cpu;
+  cfg.instructions_per_core = 20000;
+  const readduo::SchemeEnv env = memsim::make_scheme_env(w, cfg.cpu, cfg.seed);
+  const auto scheme = readduo::make_scheme(readduo::SchemeKind::kIdeal, env);
+  memsim::Simulator sim(cfg, *scheme, w);
+  return sim.run().ipc(cfg.cpu);
 }
 
 TEST(Config, ParsesSectionsAndKeys) {
-  const Config c = parse(
-      "top = 1\n"
+  const pcm::CpuParams cpu = with_run_file(
       "[cpu]\n"
-      "cores = 4\n"
-      "clock_ghz = 2.0\n"
-      "[memory]\n"
-      "banks = 8\n");
-  EXPECT_TRUE(c.has("top"));
-  EXPECT_EQ(c.get_int("cpu.cores", 0), 4);
-  EXPECT_DOUBLE_EQ(c.get_double("cpu.clock_ghz", 0.0), 2.0);
-  EXPECT_EQ(c.get_int("memory.banks", 0), 8);
+      "cores = 2\n"
+      "clock_ghz = 3.5\n"
+      "read_stall_fraction = 0.5\n");
+  EXPECT_EQ(cpu.num_cores, 2u);
+  EXPECT_EQ(cpu.clock_ghz, 3.5);
+  EXPECT_EQ(cpu.read_stall_fraction, 0.5);
+  EXPECT_NE(short_run_ipc(pcm::CpuParams{}), short_run_ipc(cpu));
 }
 
 TEST(Config, CommentsAndWhitespace) {
-  const Config c = parse(
+  const pcm::CpuParams cpu = with_run_file(
       "  # full-line comment\n"
-      "  key =   spaced value   ; trailing comment\n"
       "\n"
-      "[ sec ]\n"
-      "k=v\n");
-  EXPECT_EQ(c.get_string("key"), "spaced value");
-  EXPECT_EQ(c.get_string("sec.k"), "v");
+      "[ cpu ]\n"
+      "  cores   =   8   ; trailing comment\n");
+  EXPECT_EQ(cpu.num_cores, 8u);
 }
 
 TEST(Config, DefaultsWhenAbsent) {
-  const Config c = parse("");
-  EXPECT_EQ(c.get_int("nope", 7), 7);
-  EXPECT_DOUBLE_EQ(c.get_double("nope", 1.5), 1.5);
-  EXPECT_TRUE(c.get_bool("nope", true));
-  EXPECT_EQ(c.get_string("nope", "d"), "d");
-  EXPECT_FALSE(c.has("nope"));
-}
-
-TEST(Config, BooleanSpellings) {
-  const Config c = parse(
-      "a = true\nb = FALSE\nc = 1\nd = off\ne = Yes\n");
-  EXPECT_TRUE(c.get_bool("a", false));
-  EXPECT_FALSE(c.get_bool("b", true));
-  EXPECT_TRUE(c.get_bool("c", false));
-  EXPECT_FALSE(c.get_bool("d", true));
-  EXPECT_TRUE(c.get_bool("e", false));
-}
-
-TEST(Config, IntegerBases) {
-  const Config c = parse("hex = 0x10\ndec = 42\nneg = -3\n");
-  EXPECT_EQ(c.get_int("hex", 0), 16);
-  EXPECT_EQ(c.get_int("dec", 0), 42);
-  EXPECT_EQ(c.get_int("neg", 0), -3);
+  const pcm::CpuParams def;
+  const pcm::CpuParams cpu = with_run_file("# nothing set\n");
+  EXPECT_EQ(cpu.num_cores, def.num_cores);
+  EXPECT_EQ(cpu.clock_ghz, def.clock_ghz);
+  EXPECT_EQ(cpu.read_stall_fraction, def.read_stall_fraction);
 }
 
 TEST(Config, MalformedInputThrows) {
-  EXPECT_THROW(parse("[unterminated\n"), CheckFailure);
-  EXPECT_THROW(parse("[]\n"), CheckFailure);
-  EXPECT_THROW(parse("no equals sign\n"), CheckFailure);
-  EXPECT_THROW(parse("= value\n"), CheckFailure);
+  EXPECT_EQ(run_file_error("[cpu\n"),
+            "run.ini:1: unterminated section header (missing ']')");
+  EXPECT_EQ(run_file_error("cores = 4\n"),
+            "run.ini:1: key 'cores' appears before any [section] header");
+  EXPECT_EQ(run_file_error("[cpu]\nno equals sign\n"),
+            "run.ini:2: expected 'key = value', got 'no equals sign'");
 }
 
 TEST(Config, TypeErrorsThrow) {
-  const Config c = parse("k = notanumber\nj = 12abc\n");
-  EXPECT_THROW(c.get_int("k", 0), CheckFailure);
-  EXPECT_THROW(c.get_int("j", 0), CheckFailure);
-  EXPECT_THROW(c.get_double("k", 0.0), CheckFailure);
-  EXPECT_THROW(c.get_bool("k", false), CheckFailure);
+  EXPECT_EQ(run_file_error("[cpu]\ncores = many\n"),
+            "run.ini:2: key 'cpu.cores': expected a number, got 'many'");
+  EXPECT_EQ(run_file_error("[cpu]\ncores = 2.5\n"),
+            "run.ini:2: key 'cpu.cores': expected an integral value (in base "
+            "units), got '2.5'");
+  EXPECT_EQ(run_file_error("[cpu]\ncores = 0\n"),
+            "run.ini:2: key 'cpu.cores': value 0 out of range [1, 1024]");
+  EXPECT_EQ(run_file_error("[cpu]\nclock_ghz = 2 GHz\n"),
+            "run.ini:2: key 'cpu.clock_ghz': unknown unit suffix 'GHz' — "
+            "expected " + config::unit_family_name(config::Unit::kNone));
+  EXPECT_EQ(run_file_error("[cpu]\nread_stall_fraction = 1.5\n"),
+            "run.ini:2: key 'cpu.read_stall_fraction': value 1.5 out of "
+            "range [0, 1]");
 }
 
-TEST(Config, LastValueWins) {
-  const Config c = parse("k = 1\nk = 2\n");
-  EXPECT_EQ(c.get_int("k", 0), 2);
+TEST(Config, UnknownKeyFailsNamingIt) {
+  EXPECT_EQ(run_file_error("[cpu]\ncores = 4\nturbo = on\n"),
+            "run.ini:3: unknown key 'cpu.turbo' (run files accept "
+            "cpu.cores, cpu.clock_ghz, cpu.read_stall_fraction)");
+  EXPECT_EQ(run_file_error("[row_buffer]\nenabled = 1\n"),
+            "run.ini:2: unknown key 'row_buffer.enabled' (run files accept "
+            "cpu.cores, cpu.clock_ghz, cpu.read_stall_fraction)");
+}
+
+TEST(Config, DeviceKeyFailsNamingItsOwner) {
+  // The [memory]/[energy] spellings run files once took, and device keys
+  // written directly, each point at the device-config key that owns them.
+  const std::pair<std::string, std::string> cases[] = {
+      {"[memory]\nbanks = 7\n", "memory.banks"},
+      {"[memory]\ncapacity_gb = 8\n", "memory.capacity"},
+      {"[energy]\nr_read_pj = 99999\n", "energy.r_read"},
+      {"[energy]\nm_read_pj = 1\n", "energy.m_read"},
+      {"[energy]\ncell_write_pj = 1\n", "energy.cell_write"},
+      {"[timing]\nwrite = 900\n", "timing.write"},
+  };
+  for (const auto& [text, owner] : cases) {
+    const std::string err = run_file_error(text);
+    EXPECT_EQ(err.rfind("run.ini:2: key '", 0), 0u) << err;
+    EXPECT_NE(err.find("is a device setting: set '" + owner +
+                       "' in a device config"),
+              std::string::npos)
+        << err;
+  }
+}
+
+TEST(Config, DuplicateKeyFailsWithFirstLine) {
+  EXPECT_EQ(run_file_error("[cpu]\ncores = 2\n\ncores = 4\n"),
+            "run.ini:4: duplicate key 'cpu.cores' (first set on line 2)");
 }
 
 TEST(Config, MissingFileThrows) {
-  EXPECT_THROW(Config::load("/nonexistent/readduo.ini"), CheckFailure);
+  EXPECT_THROW(config::RawConfig::load("/nonexistent/readduo.ini"),
+               config::ConfigError);
 }
 
 // =====================================================================
@@ -206,7 +257,7 @@ TEST(RawConfigGrammar, MissingFileNamesThePath) {
     ADD_FAILURE() << "expected ConfigError";
   } catch (const config::ConfigError& e) {
     EXPECT_STREQ(e.what(),
-                 "/nonexistent/dev.cfg: cannot open device config file");
+                 "/nonexistent/dev.cfg: cannot open config file");
   }
 }
 

@@ -8,12 +8,14 @@
 // observable behavior and must be fixed before anything else.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "common/kernels.h"
+#include "common/math.h"
 #include "common/rng.h"
 #include "drift/error_model.h"
 #include "ecc/bch.h"
@@ -134,59 +136,97 @@ TEST_F(BchKernelEquivalence, DecodeOutcomesMatchForEveryWeight) {
   }
 }
 
-// --- Drift model: memoized quadrature ------------------------------------
+// --- Drift model: pinned quadrature --------------------------------------
+
+// Both tests keep the names they had when a memo sat in front of the
+// quadrature and was compared against the direct path; the values below
+// were recorded from that build, so they pin what the memo returned.
 
 TEST(DriftKernelEquivalence, MemoMatchesDirectAcrossPaperGrids) {
   // The (state, t) points the Tables III-V style grids actually touch:
-  // every programmable state crossed with scrub-relevant ages, for both
-  // readout metrics and a heated variant. Exact double equality — the
-  // memo must be value-transparent.
+  // every state crossed with scrub-relevant ages, for both readout metrics
+  // and a heated variant. Exact double equality against recorded hex-float
+  // values, so a change to the quadrature, its panels or the math helpers
+  // it calls shows up here bit for bit, under every READDUO_KERNELS tier.
   const std::vector<drift::MetricConfig> configs = {
       drift::r_metric(), drift::m_metric(),
       drift::at_temperature(drift::r_metric(), 55.0)};
-  const std::vector<double> ages = {1e-3, 0.1,   1.0,    64.0,  640.0,
-                                    1280.0, 6400.0, 86400.0, 2.6e6};
-  for (const auto& cfg : configs) {
-    const drift::ErrorModel direct(cfg, KernelMode::kReference);
-    const drift::ErrorModel memo(cfg, KernelMode::kOptimized);
-    ASSERT_EQ(direct.kernel_mode(), KernelMode::kReference);
-    ASSERT_EQ(memo.kernel_mode(), KernelMode::kOptimized);
+  const double ages[] = {1e-3,   0.1,    1.0,     64.0, 640.0,
+                         1280.0, 6400.0, 86400.0, 2.6e6};
+  constexpr std::size_t kAges = std::size(ages);
+  using StateRows = std::array<std::array<double, kAges>, drift::kNumStates>;
+  const StateRows want[] = {
+    {{
+      {kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf,
+       -0x1.2ac1802dad87p+9, -0x1.5a8de95a620b7p+8, -0x1.8fcaec90a1ee5p+7},
+      {kNegInf, kNegInf, kNegInf, -0x1.47652335c5547p+3, -0x1.d57adf80eba24p+2,
+       -0x1.b99147319242ap+2, -0x1.89c6271d79fd1p+2, -0x1.54ad489e47887p+2,
+       -0x1.221d5d9bd548ap+2},
+      {kNegInf, kNegInf, kNegInf, -0x1.429b3f57ca452p+2, -0x1.d9db999c26375p+1,
+       -0x1.b114026150915p+1, -0x1.5f416e587826fp+1, -0x1.f3ac25af0ab8fp+0,
+       -0x1.41e2784aee157p+0},
+      {kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf,
+       kNegInf},
+    }},
+    {{
+      {kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf,
+       kNegInf},
+      {kNegInf, kNegInf, kNegInf, -0x1.3bb928d5e45dbp+8, -0x1.f55494a5b8832p+6,
+       -0x1.95b091ff4f069p+6, -0x1.0bcae53c358f8p+6, -0x1.414364d886cfdp+5,
+       -0x1.90826821ac64cp+4},
+      {kNegInf, kNegInf, kNegInf, -0x1.0dedc8fcebef8p+5, -0x1.06919924f8e6cp+4,
+       -0x1.ca1591f52edcap+3, -0x1.6a0dc0a11b882p+3, -0x1.1dc2d61e76633p+3,
+       -0x1.db866be6e82b9p+2},
+      {kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf,
+       kNegInf},
+    }},
+    {{
+      {kNegInf, kNegInf, kNegInf, kNegInf, -0x1.605108083052bp+9,
+       -0x1.1cc7fc8ecca5ap+9, -0x1.745a67c16c21dp+8, -0x1.af5377c257eap+7,
+       -0x1.f2679ed534016p+6},
+      {kNegInf, kNegInf, kNegInf, -0x1.0f58a1bfa1f24p+3, -0x1.9b6b9394610edp+2,
+       -0x1.84d422d3509ep+2, -0x1.5b63049a59783p+2, -0x1.2914bcb34f5b1p+2,
+       -0x1.ec1aaefffb1ebp+1},
+      {kNegInf, kNegInf, kNegInf, -0x1.1717dfc4814bdp+2, -0x1.7f173c8d44b3dp+1,
+       -0x1.560ed3128fd7ep+1, -0x1.06a875b19c221p+1, -0x1.58168703ce4d5p+0,
+       -0x1.972d6b63cb832p-1},
+      {kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf, kNegInf,
+       kNegInf},
+    }},
+  };
+  ASSERT_EQ(std::size(want), configs.size());
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const drift::ErrorModel model(configs[c]);
     for (std::size_t s = 0; s < drift::kNumStates; ++s) {
-      for (double t : ages) {
-        const double want = direct.log_cell_error_prob(s, t);
-        // Twice: the second call is a guaranteed cache hit and must
-        // return the stored — identical — value.
-        EXPECT_EQ(want, memo.log_cell_error_prob(s, t)) << s << " " << t;
-        EXPECT_EQ(want, memo.log_cell_error_prob(s, t)) << s << " " << t;
+      for (std::size_t i = 0; i < kAges; ++i) {
+        EXPECT_EQ(want[c][s][i], model.log_cell_error_prob(s, ages[i]))
+            << "config " << c << " state " << s << " t " << ages[i];
       }
     }
   }
 }
 
 TEST(DriftKernelEquivalence, DerivedQuantitiesMatch) {
-  // The aggregates built on the memoized primitive (averages and LER
-  // tails) inherit exact equality.
-  const drift::ErrorModel direct(drift::r_metric(), KernelMode::kReference);
-  const drift::ErrorModel memo(drift::r_metric(), KernelMode::kOptimized);
-  const drift::LerCalculator calc_d(direct);
-  const drift::LerCalculator calc_m(memo);
-  for (double t : {64.0, 640.0, 6400.0}) {
-    EXPECT_EQ(direct.log_avg_cell_error_prob(t),
-              memo.log_avg_cell_error_prob(t));
-    EXPECT_EQ(direct.avg_cell_error_prob(t), memo.avg_cell_error_prob(t));
-    for (unsigned e : {0u, 4u, 8u}) {
-      EXPECT_EQ(calc_d.log_ler(e, t), calc_m.log_ler(e, t));
-    }
+  // The aggregates built on the pinned primitive (averages and LER tails),
+  // bit for bit. R-metric: t, log avg p, avg p, log LER at E = 0, 4, 8.
+  const double derived[][6] = {
+      {64.0, -0x1.9af94a1cabb7p+2, 0x1.aa5138634e98fp-10, -0x1.ec4ce464d3933p-1,
+       -0x1.1bd19bb768f17p+3, -0x1.3ec8e6b4fbc85p+4},
+      {640.0, -0x1.43fb974bfc12fp+2, 0x1.9eef9592c595ep-8,
+       -0x1.5311491ca3f18p-3, -0x1.976109bd3abddp+1, -0x1.1cb24746af27p+3},
+      {6400.0, -0x1.064465ef32936p+2, 0x1.10173eab6fa6bp-6,
+       -0x1.ce9e7b7530a14p-8, -0x1.35ddb82d21a9ap-1, -0x1.65b9a5ab1fa23p+1},
+  };
+  const drift::ErrorModel r(drift::r_metric());
+  const drift::LerCalculator calc(r);
+  for (const auto& row : derived) {
+    const double t = row[0];
+    EXPECT_EQ(row[1], r.log_avg_cell_error_prob(t)) << t;
+    EXPECT_EQ(row[2], r.avg_cell_error_prob(t)) << t;
+    EXPECT_EQ(row[3], calc.log_ler(0, t)) << t;
+    EXPECT_EQ(row[4], calc.log_ler(4, t)) << t;
+    EXPECT_EQ(row[5], calc.log_ler(8, t)) << t;
   }
-}
-
-TEST(DriftKernelEquivalence, CopiesShareTheMemo) {
-  // Copying a memoized model must keep the warm cache (shared_ptr), and
-  // copies must agree with the original exactly.
-  const drift::ErrorModel a(drift::m_metric(), KernelMode::kOptimized);
-  const double want = a.log_cell_error_prob(1, 640.0);
-  const drift::ErrorModel b = a;  // shares a's memo
-  EXPECT_EQ(want, b.log_cell_error_prob(1, 640.0));
 }
 
 // --- MLC line: batched per-line readout ----------------------------------

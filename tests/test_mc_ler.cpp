@@ -4,18 +4,27 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace rd::pcm {
 namespace {
 
+// gtest prints a Point as its raw bytes, and ctest names each case after
+// that print. `tag` fills what would otherwise be uninitialised padding
+// between `e` and `s`, so the names are the same on every build; its values
+// reproduce the names the cases were first registered under.
 struct Point {
   unsigned e;
+  std::uint32_t tag;
   double s;
 };
+static_assert(sizeof(Point) == 16, "no padding left for the name to vary on");
 
 class McVsAnalytic : public ::testing::TestWithParam<Point> {};
 
 TEST_P(McVsAnalytic, RMetricTableIIIEntriesReproduce) {
-  const auto [e, s] = GetParam();
+  const unsigned e = GetParam().e;
+  const double s = GetParam().s;
   const drift::MetricConfig cfg = drift::r_metric();
   const drift::LineGeometry geom;
   drift::LerCalculator calc{drift::ErrorModel(cfg), geom};
@@ -31,9 +40,11 @@ TEST_P(McVsAnalytic, RMetricTableIIIEntriesReproduce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Points, McVsAnalytic,
-                         ::testing::Values(Point{0, 8.0}, Point{0, 64.0},
-                                           Point{1, 64.0}, Point{1, 640.0},
-                                           Point{2, 1024.0}));
+                         ::testing::Values(Point{0, 0, 8.0},
+                                           Point{0, 0x00091E03, 64.0},
+                                           Point{1, 0xCAD00000, 64.0},
+                                           Point{1, 0, 640.0},
+                                           Point{2, 0, 1024.0}));
 
 TEST(McLer, FailureCountsAreDeterministic) {
   const drift::MetricConfig cfg = drift::r_metric();

@@ -9,15 +9,16 @@
 // execution time, read-mode mix, energy decomposition, endurance, and
 // reliability events. A positional <device.cfg> (or --device=<file>)
 // selects a device from the zoo (configs/; schema in
-// docs/DEVICE_CONFIGS.md); --config INI overrides remain for ad-hoc
-// system (CPU / row-buffer) parameters.
+// docs/DEVICE_CONFIGS.md); a --config run file, in the same strict
+// grammar, sets the CPU parameters the device schema does not own.
+#include <cerrno>
+#include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <string>
 
-#include "common/config.h"
 #include "config/apply.h"
 #include "config/loader.h"
 #include "memsim/env.h"
@@ -62,16 +63,16 @@ void usage(const char* argv0) {
       "                         Scrubbing-BCH10 | M-metric | Hybrid | LWT |"
       " Select\n"
       "  --workload=<name>      one of the 14 SPEC2006 workloads (--list)\n"
-      "  --instructions=<n>     per-core instruction budget (default 2M)\n"
+      "  --instructions=<n>     per-core instruction budget, > 0 (default 2M)\n"
       "  --seed=<n>             RNG seed (default 42)\n"
-      "  --k=<n> --s=<n>        LWT sub-intervals / Select window\n"
+      "  --k=<n> --s=<n>        LWT sub-intervals / Select window, > 0\n"
       "  --no-conversion        disable R-M-read -> write conversion\n"
       "  --row-buffer           enable the open-page row-buffer model\n"
       "  --json                 emit a machine-readable JSON report\n"
-      "  --config=<file>        INI overrides: [cpu] cores, clock_ghz,\n"
-      "                         read_stall_fraction; [memory] capacity_gb,\n"
-      "                         banks; [energy] r_read_pj, m_read_pj,\n"
-      "                         cell_write_pj\n"
+      "  --config=<file>        run file in the device-config grammar with\n"
+      "                         only [cpu] cores, clock_ghz and\n"
+      "                         read_stall_fraction; memory and energy\n"
+      "                         belong in the device config\n"
       "  --list                 list workloads and exit\n"
       "\n"
       "environment:\n"
@@ -89,18 +90,56 @@ bool parse_flag(const char* arg, const char* name, std::string& out) {
   return false;
 }
 
+/// Parse `value` of numeric flag `flag` into `out`: base-10 digits only
+/// (no sign, space or trailing text) and within [lo, hi]. Prints why and
+/// returns false otherwise.
+bool parse_count(const char* flag, const std::string& value, std::uint64_t lo,
+                 std::uint64_t hi, std::uint64_t& out) {
+  errno = 0;
+  const unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
+  if (value.empty() ||
+      value.find_first_not_of("0123456789") != std::string::npos ||
+      errno == ERANGE || v < lo || v > hi) {
+    std::fprintf(stderr,
+                 "%s: expected a base-10 integer in [%llu, %llu], got '%s'\n",
+                 flag, static_cast<unsigned long long>(lo),
+                 static_cast<unsigned long long>(hi), value.c_str());
+    return false;
+  }
+  out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string scheme_name, workload_name = "mcf", config_path, value;
   std::string device_path;
-  std::uint64_t instructions = 2'000'000, seed = 42;
   readduo::ReadDuoOptions opts;
+  std::uint64_t instructions = 2'000'000, seed = 42, k = opts.k,
+                select_s = opts.select_s;
+  const struct {
+    const char* flag;
+    std::uint64_t lo, hi;
+    std::uint64_t* out;
+  } numeric_flags[] = {
+      {"--instructions", 1, ULLONG_MAX, &instructions},
+      {"--seed", 0, ULLONG_MAX, &seed},
+      {"--k", 1, UINT_MAX, &k},
+      {"--s", 1, UINT_MAX, &select_s},
+  };
   bool row_buffer = false;
   bool json = false;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
+    bool numeric = false;
+    for (const auto& f : numeric_flags) {
+      if (!parse_flag(a, f.flag, value)) continue;
+      if (!parse_count(f.flag, value, f.lo, f.hi, *f.out)) return 2;
+      numeric = true;
+    }
+    if (numeric) continue;
     if (std::strcmp(a, "--list") == 0) {
       for (const auto& w : trace::spec2006_workloads()) {
         std::printf("%-12s rpki=%.2f wpki=%.2f\n", w.name.c_str(), w.rpki,
@@ -124,21 +163,15 @@ int main(int argc, char** argv) {
     } else if (a[0] != '-' && std::strlen(a) > 4 &&
                std::strcmp(a + std::strlen(a) - 4, ".cfg") == 0) {
       device_path = a;  // positional device config
-    } else if (parse_flag(a, "--instructions", value)) {
-      instructions = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(a, "--seed", value)) {
-      seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (parse_flag(a, "--k", value)) {
-      opts.k = static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
-    } else if (parse_flag(a, "--s", value)) {
-      opts.select_s =
-          static_cast<unsigned>(std::strtoul(value.c_str(), nullptr, 10));
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a);
       usage(argv[0]);
       return 2;
     }
   }
+
+  opts.k = static_cast<unsigned>(k);
+  opts.select_s = static_cast<unsigned>(select_s);
 
   const auto it = scheme_names().find(scheme_name);
   if (it == scheme_names().end()) {
@@ -164,30 +197,12 @@ int main(int argc, char** argv) {
     cfg.seed = seed;
     cfg.row_buffer.enabled = row_buffer;
     cfg.trace_events = stats::trace_ring_capacity_from_env();
-    readduo::SchemeEnv env = memsim::make_scheme_env(w, cfg.cpu, seed);
-
     if (!config_path.empty()) {
-      const Config ini = Config::load(config_path);
-      cfg.cpu.num_cores = static_cast<unsigned>(
-          ini.get_int("cpu.cores", cfg.cpu.num_cores));
-      cfg.cpu.clock_ghz = ini.get_double("cpu.clock_ghz", cfg.cpu.clock_ghz);
-      cfg.cpu.read_stall_fraction = ini.get_double(
-          "cpu.read_stall_fraction", cfg.cpu.read_stall_fraction);
-      cfg.org.capacity_bytes =
-          static_cast<std::uint64_t>(ini.get_int(
-              "memory.capacity_gb",
-              static_cast<std::int64_t>(cfg.org.capacity_bytes >> 30)))
-          << 30;
-      cfg.org.num_banks = static_cast<unsigned>(
-          ini.get_int("memory.banks", cfg.org.num_banks));
-      env.energy.r_read =
-          Pj{ini.get_double("energy.r_read_pj", env.energy.r_read.v)};
-      env.energy.m_read =
-          Pj{ini.get_double("energy.m_read_pj", env.energy.m_read.v)};
-      env.energy.cell_write =
-          Pj{ini.get_double("energy.cell_write_pj", env.energy.cell_write.v)};
-      env = memsim::make_scheme_env(w, cfg.cpu, seed);  // rate from cpu
+      config::apply_cpu_overrides(config::RawConfig::load(config_path),
+                                  cfg.cpu);
     }
+    // After the overrides: the scheme's write rate follows the clock.
+    const readduo::SchemeEnv env = memsim::make_scheme_env(w, cfg.cpu, seed);
 
     auto scheme = readduo::make_scheme(it->second, env, opts);
     memsim::Simulator sim(cfg, *scheme, w);
