@@ -18,16 +18,18 @@
 #   4. Sanitizer matrix: the fixed-seed readduo_load service soak under
 #      TSan (100k requests), with its virtual-time metrics diffed
 #      bit-for-bit against the plain build's run — instrumentation must
-#      not change results. READDUO_TSAN_SOAK=0 skips just this soak
-#      (e.g. on hosts where TSan is unavailable); the UBSan bench smoke
-#      then still runs.
+#      not change results — and the sampler-cache race test
+#      (Schemes.ConcurrentSamplerBuildsFinishAndAgree: a plain thread and
+#      pool shards build one sampler at once) under TSan.
+#      READDUO_TSAN_SOAK=0 skips just these TSan runs (e.g. on hosts where
+#      TSan is unavailable); the UBSan bench smoke then still runs.
 #
 # CI and the verify skill both run exactly this.
 #
 # Usage: ./run_static_analysis.sh [build-dir]          (default: build)
 #   SKIP_SANITIZER_SMOKE=1   skip the whole sanitizer matrix (e.g. when
 #                            the caller already ran a sanitized suite)
-#   READDUO_TSAN_SOAK=0      skip only the TSan service soak
+#   READDUO_TSAN_SOAK=0      skip only the TSan service soak and race test
 set -u
 cd "$(dirname "$0")"
 BUILD=${1:-build}
@@ -105,7 +107,7 @@ if [ "${SKIP_SANITIZER_SMOKE:-0}" != "1" ]; then
       cmake --build "$BUILD" --target readduo_load -j || exit 1
     fi
     cmake -B build-tsan -S . -DREADDUO_SANITIZE=thread > /dev/null \
-      && cmake --build build-tsan --target readduo_load -j \
+      && cmake --build build-tsan --target readduo_load test_readduo -j \
       || failures=$((failures + 1))
     for run in plain:"$BUILD" tsan:build-tsan; do
       name=${run%%:*}; tree=${run#*:}
@@ -124,8 +126,14 @@ if [ "${SKIP_SANITIZER_SMOKE:-0}" != "1" ]; then
       failures=$((failures + 1))
     fi
     rm -rf "$soak_dir"
+
+    step "sanitizer matrix: TSan sampler-cache race (test_readduo)"
+    # The timeout turns a deadlock into a failure instead of a hang.
+    timeout 600 ./build-tsan/tests/test_readduo --gtest_brief=1 \
+      --gtest_filter=Schemes.ConcurrentSamplerBuildsFinishAndAgree \
+      || failures=$((failures + 1))
   else
-    skip "READDUO_TSAN_SOAK=0 — skipping the TSan service soak"
+    skip "READDUO_TSAN_SOAK=0 — skipping the TSan service soak and race test"
   fi
 
   step "sanitizer smoke: UBSan bench_fig9 at a small instruction budget"

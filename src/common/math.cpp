@@ -17,11 +17,23 @@ double log_add(double a, double b) {
   return a + std::log1p(std::exp(b - a));
 }
 
+namespace {
+
+/// log Gamma(x) for x > 0. lgamma_r, not std::lgamma: std::lgamma also
+/// writes the global signgam, a data race when pool threads evaluate
+/// binomials at once. glibc computes both with the same kernel.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double log_choose(std::uint64_t n, std::uint64_t k) {
   RD_CHECK(k <= n);
-  return std::lgamma(static_cast<double>(n) + 1.0) -
-         std::lgamma(static_cast<double>(k) + 1.0) -
-         std::lgamma(static_cast<double>(n - k) + 1.0);
+  return log_gamma(static_cast<double>(n) + 1.0) -
+         log_gamma(static_cast<double>(k) + 1.0) -
+         log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
 double normal_cdf(double x) { return 0.5 * std::erfc(-x * M_SQRT1_2); }
@@ -40,19 +52,28 @@ double log_normal_sf(double x) {
          std::log(series);
 }
 
-double truncated_normal_tail(double mu, double sigma, double c, double t) {
+TruncatedNormalTail::TruncatedNormalTail(double mu, double sigma, double c)
+    : mu_(mu), sigma_(sigma), c_(c) {
   RD_CHECK(sigma > 0.0);
   RD_CHECK(c > 0.0);
-  const double z = (t - mu) / sigma;
-  if (z >= c) return 0.0;
-  if (z <= -c) return 1.0;
+  sf_c_ = normal_sf(c);
+  mass_ = 1.0 - 2.0 * sf_c_;
+}
+
+double TruncatedNormalTail::operator()(double t) const {
+  const double z = (t - mu_) / sigma_;
+  if (z >= c_) return 0.0;
+  if (z <= -c_) return 1.0;
   // Difference of survival functions: erfc keeps good relative accuracy for
   // large positive arguments, which matters in the guard-band sliver where
   // z is close to c.
-  const double mass = 1.0 - 2.0 * normal_sf(c);
-  const double tail = normal_sf(z) - normal_sf(c);
-  const double p = tail / mass;
+  const double tail = normal_sf(z) - sf_c_;
+  const double p = tail / mass_;
   return std::clamp(p, 0.0, 1.0);
+}
+
+double truncated_normal_tail(double mu, double sigma, double c, double t) {
+  return TruncatedNormalTail(mu, sigma, c)(t);
 }
 
 double log_binomial_pmf(std::uint64_t n, std::uint64_t k, double log_p) {

@@ -31,7 +31,24 @@ double normal_sf(double x);
 double log_normal_sf(double x);
 
 /// P(X > t) for X ~ Normal(mu, sigma^2) truncated to [mu - c*sigma,
-/// mu + c*sigma]. Requires sigma > 0, c > 0. Returns a probability in [0,1].
+/// mu + c*sigma], with the terms that depend only on (mu, sigma, c)
+/// computed once at construction. Quadratures that evaluate many t for
+/// one distribution build one of these per call.
+class TruncatedNormalTail {
+ public:
+  /// Requires sigma > 0, c > 0.
+  TruncatedNormalTail(double mu, double sigma, double c);
+
+  /// A probability in [0, 1].
+  double operator()(double t) const;
+
+ private:
+  double mu_, sigma_, c_;
+  double sf_c_;  ///< normal_sf(c): the mass beyond either truncation point
+  double mass_;  ///< 1 - 2 * sf_c_: the mass kept by the truncation
+};
+
+/// TruncatedNormalTail(mu, sigma, c)(t), for one-off evaluations.
 double truncated_normal_tail(double mu, double sigma, double c, double t);
 
 /// log P(Binomial(n, p) > k), where log_p = log(p) may be very negative.

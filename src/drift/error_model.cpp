@@ -36,10 +36,12 @@ double ErrorModel::log_cell_error_prob(std::size_t state,
   // (boundary - program-range top). Below alpha0 the tail is exactly zero.
   const double guard = (config_.boundary_halfwidth - c) * sp.sigma;
   const double alpha0 = guard / big_l;
+  // Hoisted out of the 448-node quadrature below: the truncation terms
+  // depend only on the state, not on alpha.
+  const TruncatedNormalTail program_tail(sp.mu, sp.sigma, c);
 
   if (sp.sigma_alpha == 0.0) {
-    const double tail = truncated_normal_tail(
-        sp.mu, sp.sigma, c, boundary - sp.mu_alpha * big_l);
+    const double tail = program_tail(boundary - sp.mu_alpha * big_l);
     return tail > 0.0 ? std::log(tail) : kNegInf;
   }
 
@@ -53,8 +55,7 @@ double ErrorModel::log_cell_error_prob(std::size_t state,
 
   auto integrand = [&](double z) {
     const double alpha = sp.mu_alpha + z * sp.sigma_alpha;
-    const double tail =
-        truncated_normal_tail(sp.mu, sp.sigma, c, boundary - alpha * big_l);
+    const double tail = program_tail(boundary - alpha * big_l);
     const double pdf = std::exp(-0.5 * z * z) / std::sqrt(2.0 * M_PI);
     return pdf * tail;
   };

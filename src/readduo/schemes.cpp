@@ -14,11 +14,19 @@ namespace rd::readduo {
 
 namespace {
 
-/// Shared steady-state samplers: pure functions of (metric, interval, nu)
-/// and ~0.5 s to build, so scheme instances share them per process.
-/// Mutex-guarded: concurrent bench runs (bench::run_schemes) construct
-/// schemes from pool threads. Entries are never erased and the map keeps
-/// node addresses stable, so the returned reference outlives the lock.
+/// Shared steady-state samplers: pure functions of (metric, interval, nu),
+/// so scheme instances share them per process. The Scrubbing key (R-metric,
+/// S = 8 s, W = 1) costs ~2 s at 4 threads to build; the M-metric keys cost
+/// tens of milliseconds.
+///
+/// A sampler is built outside g_sampler_mu and published under it. The
+/// build runs its grid on the pool, and holding the lock across that
+/// would deadlock: a caller outside the pool would wait on the pool's
+/// current job while that job's shards wait on the lock. Two threads that
+/// miss the same key both build it; the first insert wins and the other,
+/// bit-identical by purity, is dropped. Entries are never erased and the
+/// map keeps node addresses stable, so the returned reference outlives the
+/// lock.
 Mutex g_sampler_mu;
 std::map<std::tuple<bool, unsigned, double, unsigned>,
          std::unique_ptr<ScrubAgeSampler>>
@@ -27,18 +35,16 @@ std::map<std::tuple<bool, unsigned, double, unsigned>,
 const ScrubAgeSampler& shared_sampler(bool m_metric, unsigned cells,
                                       double interval, unsigned nu) {
   const auto key = std::make_tuple(m_metric, cells, interval, nu);
-  MutexLock lock(g_sampler_mu);
-  auto& cache = g_sampler_cache;
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    const drift::ErrorModel& model =
-        m_metric ? SchemeBase::m_model() : SchemeBase::r_model();
-    it = cache
-             .emplace(key, std::make_unique<ScrubAgeSampler>(model, cells,
-                                                             interval, nu))
-             .first;
+  {
+    MutexLock lock(g_sampler_mu);
+    const auto it = g_sampler_cache.find(key);
+    if (it != g_sampler_cache.end()) return *it->second;
   }
-  return *it->second;
+  const drift::ErrorModel& model =
+      m_metric ? SchemeBase::m_model() : SchemeBase::r_model();
+  auto built = std::make_unique<ScrubAgeSampler>(model, cells, interval, nu);
+  MutexLock lock(g_sampler_mu);
+  return *g_sampler_cache.try_emplace(key, std::move(built)).first->second;
 }
 
 /// BCH-8 correction/detection thresholds with decoupled detect/correct

@@ -26,6 +26,12 @@ class ScrubAgeSampler {
   /// @param nu        rewrite threshold (W): rewrite when errors >= nu;
   ///                  nu == 0 means rewrite at every scrub
   /// @param max_age   cap on the modelled age (renewal tail truncation)
+  ///
+  /// interval and max_age must be finite and positive, and max_age /
+  /// interval (the number of modelled scrubs) at most 2^22; anything else
+  /// throws CheckFailure naming both values. The per-scrub error
+  /// probabilities are evaluated on the parallel_for_shards pool, so
+  /// callers must not hold a lock a pool shard may need.
   ScrubAgeSampler(const drift::ErrorModel& model, unsigned cells,
                   double interval, unsigned nu, double max_age = 1.0e6);
 

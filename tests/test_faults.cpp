@@ -23,6 +23,7 @@
 #include "net/frame.h"
 #include "pcm/chip.h"
 #include "readduo/schemes.h"
+#include "scoped_env.h"
 #include "trace/trace_io.h"
 #include "trace/workload.h"
 
@@ -32,33 +33,6 @@ namespace {
 using faults::FaultClass;
 using faults::FaultEngine;
 using faults::FaultPlan;
-
-/// Scoped environment-variable override; restores the old value on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = env_cstr(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 /// Scoped process fault engine built from a spec; restores "off" on exit.
 class ScopedFaultEngine {

@@ -23,37 +23,11 @@
 #include "common/env.h"
 #include "harness.h"
 #include "readduo/schemes.h"
+#include "scoped_env.h"
 #include "trace/workload.h"
 
 namespace rd {
 namespace {
-
-/// Scoped environment-variable override; restores the old value on exit.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = env_cstr(name);
-    had_old_ = old != nullptr;
-    if (had_old_) old_ = old;
-    if (value) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_old_) {
-      ::setenv(name_.c_str(), old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_.c_str());
-    }
-  }
-
- private:
-  std::string name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 // --- a minimal JSON flattener ----------------------------------------------
 // Good enough for the repo's own JsonWriter output: objects, arrays,

@@ -2,10 +2,21 @@
 // controller, and the six schemes' decision logic.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <chrono>
+#include <cmath>
+#include <limits>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "common/check.h"
+#include "common/parallel.h"
 #include "readduo/conversion.h"
 #include "readduo/scheme_base.h"
 #include "readduo/schemes.h"
 #include "readduo/steady_state.h"
+#include "scoped_env.h"
 
 namespace rd::readduo {
 namespace {
@@ -83,6 +94,135 @@ TEST(ScrubAgeSampler, StrongerThresholdRewritesLess) {
   ScrubAgeSampler nu1(model, 296, 8.0, 1);
   ScrubAgeSampler nu3(model, 296, 8.0, 3);
   EXPECT_LT(nu3.rewrite_probability(), nu1.rewrite_probability());
+}
+
+/// A sampler's outputs, as hex floats recorded from the one-point-at-a-time
+/// survival loop that the pooled p(j*S) grid replaced.
+struct SamplerPin {
+  bool m_metric;
+  double interval;
+  unsigned nu;
+  double rewrite_probability;
+  double mean_rewrite_interval;
+  std::array<double, 64> draws;  ///< sample() from Rng(2024)
+};
+
+const SamplerPin kSamplerPins[] = {
+    // R-metric, S = 8 s, W = 1: the paper's Scrubbing.
+    {false, 8.0, 1, 0x1.26845cb8a43f2p-6, 0x1.bd0a5bd625f68p+8,
+     {0x1.e41bf9f7453dp+4, 0x1.0a38c8e9aaf8ap+5, 0x1.323eaff0863cdp+11,
+      0x1.920e59d299e29p+8, 0x1.ac33e2311cc1fp+9, 0x1.cfdd0ba45c113p+10,
+      0x1.39aee3bb20453p+12, 0x1.32309db314cb4p+11, 0x1.538c91094a537p+4,
+      0x1.7a66e46b97785p+11, 0x1.469ba4714a67cp+10, 0x1.06b2d7e8e1d53p+7,
+      0x1.3002cfde5d29fp+9, 0x1.50f61fd606ce7p+9, 0x1.5e5734da992fp+9,
+      0x1.9fa026d926886p+13, 0x1.2426a57011b6ep+6, 0x1.dbd865ade43e1p+11,
+      0x1.dd2657013eebap+4, 0x1.4f43d6d2ffc8p+7, 0x1.2e4a522e09acfp+12,
+      0x1.28aa47a8801bbp+6, 0x1.2b3e86e69abb7p+8, 0x1.0c5892fc4956bp+11,
+      0x1.4934aaa96d5fcp+12, 0x1.5ba8f981ce2e8p+8, 0x1.b8b61d9c6d667p+3,
+      0x1.ff6318c087c78p+11, 0x1.14be6e14d1a9ep+10, 0x1.ea08d1dcb71cdp+10,
+      0x1.41fab2820d9dap+6, 0x1.63c43245be246p+9, 0x1.8651890f92a93p+12,
+      0x1.de744f8e65859p+6, 0x1.c640eb0c3fdbcp+11, 0x1.1751ea1ff2847p+4,
+      0x1.1b7f004130d0dp+11, 0x1.ca6eae029a8cbp+9, 0x1.3cddf18917bbfp+8,
+      0x1.218cfbe70dde3p+4, 0x1.4816a408f47a9p+12, 0x1.d64f2105dd022p+8,
+      0x1.a58fc97ae764bp+10, 0x1.9d10925929e83p+9, 0x1.9e12699795a5ap+5,
+      0x1.d32418527879bp+5, 0x1.a10656516c96ap+6, 0x1.c778dc2ca3208p+4,
+      0x1.a39d53e00bf7ep+13, 0x1.149a348853e18p+10, 0x1.1e30922777cfap+12,
+      0x1.09b33b9f06b09p+5, 0x1.51b4af1ee2b92p+10, 0x1.e85d3aabc891fp+9,
+      0x1.496b19d11b93ep+8, 0x1.bae4c94178655p+9, 0x1.87158446a7142p+8,
+      0x1.1daf02ae0b538p+12, 0x1.4aaf1a7810e08p+8, 0x1.135738d9846a9p+7,
+      0x1.97ae712920795p+4, 0x1.18ff80c879907p+8, 0x1.a2e5148fd4632p+13,
+      0x1.006a41bf58d3cp+10}},
+    // R-metric, S = 8 s, W = 3.
+    {false, 8.0, 3, 0x1.0c90099d0f3c9p-17, 0x1.e80cccde75452p+19,
+     {0x1.b3ec837f3ee8ap+15, 0x1.197147191d356p+16, 0x1.79c33eaff0864p+19,
+      0x1.8118839674a68p+18, 0x1.0fde0cf88c473p+19, 0x1.5fbbee85d22e1p+19,
+      0x1.aeaa5dc776409p+19, 0x1.79a4309db314dp+19, 0x1.4eca719221295p+15,
+      0x1.8b8966e46b978p+19, 0x1.3cff4dd238a53p+19, 0x1.7c35acb5fa387p+17,
+      0x1.d4c60167ef2e9p+18, 0x1.ea8a7b0feb036p+18, 0x1.f2bb2b9a6d4c9p+18,
+      0x1.d669809b649a2p+19, 0x1.00a484d4ae023p+17, 0x1.9cb2d865ade44p+19,
+      0x1.bd9ba4cae027ep+15, 0x1.c373d0f5b4bffp+17, 0x1.ac7494a45c136p+19,
+      0x1.f30a2a91ea2p+16, 0x1.440ccfa1b9a6bp+18, 0x1.6df75892fc495p+19,
+      0x1.b171695552dacp+19, 0x1.6046ea3e60739p+18, 0x1.ddb716c3b38dbp+14,
+      0x1.a1b36318c087cp+19, 0x1.2aee5f370a68dp+19, 0x1.655f0468ee5b9p+19,
+      0x1.1c583f565041bp+17, 0x1.f4efe21922df1p+18, 0x1.ba9ea3121f255p+19,
+      0x1.593bce89f1ccbp+17, 0x1.996e40eb0c3fep+19, 0x1.88a2ea3d43fe5p+15,
+      0x1.72f17f004130dp+19, 0x1.16c79bab80a6ap+19, 0x1.4e47377c6245fp+18,
+      0x1.8764319f7ce1cp+15, 0x1.b1432d4811e8fp+19, 0x1.9e0f93c841774p+18,
+      0x1.56c6c7e4bd73bp+19, 0x1.0bdd4424964a8p+19, 0x1.70d3c24d32f2bp+16,
+      0x1.b9ca64830a4f1p+16, 0x1.57ec20caca2d9p+17, 0x1.f658ef1b85946p+15,
+      0x1.d6a2754f802fep+19, 0x1.2af74d1a4429fp+19, 0x1.a91a61244eefap+19,
+      0x1.0cc9366773e0dp+16, 0x1.3fbada578f716p+19, 0x1.1e3c174eaaf22p+19,
+      0x1.5a2c5ac67446ep+18, 0x1.1262b932505e2p+19, 0x1.758dc56111a9cp+18,
+      0x1.a8f95e055c16ap+19, 0x1.5820abc69e044p+18, 0x1.9654d5ce36612p+17,
+      0x1.e252f5ce25241p+15, 0x1.3a623fe0321e6p+18, 0x1.d69894523f519p+19,
+      0x1.22ed3520dfac7p+19}},
+    // M-metric, S = 640 s, W = 1.
+    {true, 640.0, 1, 0x1.56f1ceda49951p-11, 0x1.ddbeaec1a13b2p+19,
+     {0x1.ace917c3a8b47p+15, 0x1.136637d920adcp+16, 0x1.78f396fb29f3p+19,
+      0x1.7e091f047405cp+18, 0x1.0e540dabd63f2p+19, 0x1.5eea89d1ae62ap+19,
+      0x1.ae1d4e54f42b4p+19, 0x1.789f3147f67f8p+19, 0x1.48437daa5ce74p+15,
+      0x1.8ad027619f559p+19, 0x1.3bb851b1b3a03p+19, 0x1.7785f8de31a4ap+17,
+      0x1.d1a0707abe8e9p+18, 0x1.e7a674f971104p+18, 0x1.effda04227ef6p+18,
+      0x1.d678308f702a8p+19, 0x1.f95304ecc1625p+16, 0x1.9c239fc657536p+19,
+      0x1.b6a37f660c754p+15, 0x1.bf714cc87bfbap+17, 0x1.abfe735cc60c2p+19,
+      0x1.eaad4d992a023p+16, 0x1.40e0e28a0416ap+18, 0x1.6d1badeed6eb2p+19,
+      0x1.b0f0eaa9e45bep+19, 0x1.5da9337e241bap+18, 0x1.d3371d281c46p+14,
+      0x1.a14ef7bc2a6e6p+19, 0x1.299dc13340c29p+19, 0x1.644160ca7c9c8p+19,
+      0x1.1813caf914883p+17, 0x1.f2b6a7dae5b5bp+18, 0x1.ba62f5a9bba9cp+19,
+      0x1.55308b1b8ff74p+17, 0x1.98d44973d3f4bp+19, 0x1.81e933253f792p+15,
+      0x1.7227b0145f414p+19, 0x1.1560a5983413p+19, 0x1.4ba156deb5dabp+18,
+      0x1.7d4f81d7068abp+15, 0x1.b0de268598ccap+19, 0x1.9b1e2e9475442p+18,
+      0x1.55ce777b3427bp+19, 0x1.0a554b6ef7462p+19, 0x1.6bacb81febd88p+16,
+      0x1.b3bf68f338b4cp+16, 0x1.52ca3f5f2e3dep+17, 0x1.eccab899be5f4p+15,
+      0x1.d674a8d80ef5ep+19, 0x1.299818354d1b4p+19, 0x1.a87e5b58aae1cp+19,
+      0x1.06e100543642fp+16, 0x1.3eb43b5cd36cep+19, 0x1.1cb748956bab6p+19,
+      0x1.573c5e0456279p+18, 0x1.1109dfb91d67fp+19, 0x1.732dae55850d9p+18,
+      0x1.a87d61acc7143p+19, 0x1.5575ae1161519p+18, 0x1.9182d070fe586p+17,
+      0x1.d6ecd06b9b44cp+15, 0x1.3753f60fa97f5p+18, 0x1.d67e59b3c97bep+19,
+      0x1.21709a45e5e11p+19}},
+};
+
+TEST(ScrubAgeSampler, BitsPinnedAtOneAndFourThreads) {
+  // The grid is evaluated on the pool; the values must not depend on how
+  // many threads evaluate it. Built directly, bypassing the scheme cache.
+  for (const char* threads : {"1", "4"}) {
+    const ScopedEnv env("READDUO_THREADS", threads);
+    for (const SamplerPin& pin : kSamplerPins) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads=" << threads << " m_metric=" << pin.m_metric
+                   << " S=" << pin.interval << " W=" << pin.nu);
+      const drift::ErrorModel model(pin.m_metric ? drift::m_metric()
+                                                 : drift::r_metric());
+      const ScrubAgeSampler sampler(model, 296, pin.interval, pin.nu);
+      EXPECT_EQ(sampler.rewrite_probability(), pin.rewrite_probability);
+      EXPECT_EQ(sampler.mean_rewrite_interval(), pin.mean_rewrite_interval);
+      Rng rng(2024);
+      for (std::size_t i = 0; i < pin.draws.size(); ++i) {
+        EXPECT_EQ(sampler.sample(rng), pin.draws[i]) << "draw " << i;
+      }
+    }
+  }
+}
+
+TEST(ScrubAgeSampler, RunawayStepCountFailsFast) {
+  const drift::ErrorModel model(drift::r_metric());
+  // lint: allow(no-wallclock) "fails fast" is a wall-time bound
+  const auto start = std::chrono::steady_clock::now();
+  // 1e6 s / 1 us = 1e12 scrub steps: rejected before any quadrature.
+  try {
+    ScrubAgeSampler sampler(model, 296, 1e-6, /*nu=*/1);
+    FAIL() << "a 1 us scrub interval must be rejected";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("interval=1e-06"), std::string::npos) << what;
+    EXPECT_NE(what.find("max_age=1e+06"), std::string::npos) << what;
+  }
+  // lint: allow(no-wallclock) "fails fast" is a wall-time bound
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ScrubAgeSampler(model, 296, inf, 1), CheckFailure);
+  EXPECT_THROW(ScrubAgeSampler(model, 296, std::nan(""), 1), CheckFailure);
+  EXPECT_THROW(ScrubAgeSampler(model, 296, 8.0, 1, inf), CheckFailure);
 }
 
 // ------------------------------------------------ ConversionController ---
@@ -204,6 +344,43 @@ TEST(Schemes, ScrubIntervalsMatchPaperSettings) {
             640.0);
   EXPECT_EQ(make_scheme(SchemeKind::kHybrid, env)->scrub_interval_seconds(),
             640.0);
+}
+
+TEST(Schemes, ConcurrentSamplerBuildsFinishAndAgree) {
+  // A thread outside the pool and the shards of a running pool job build
+  // the same sampler (S = 256 s: a key no other test builds). The outside
+  // thread starts first; its build evaluates the grid on the pool, so it
+  // waits for this job to finish. Had it taken the cache lock before that
+  // wait, the shards would block on the lock forever: ctest's TIMEOUT
+  // turns such a deadlock into a failure.
+  const ScopedEnv threads("READDUO_THREADS", "4");
+  const SchemeEnv env = test_env();
+  const ScrubSettings scrub{.r_interval_s = 256.0};
+  std::unique_ptr<Scheme> outside;
+  std::thread builder;
+  std::vector<std::unique_ptr<Scheme>> pooled(8);
+  parallel_for_shards(pooled.size(), [&](std::size_t i) {
+    if (i == 0) {
+      builder = std::thread([&] {
+        outside = make_scheme(SchemeKind::kScrubbing, env, {}, scrub);
+      });
+    }
+    // Let the outside thread reach the sampler cache first.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    pooled[i] = make_scheme(SchemeKind::kScrubbing, env, {}, scrub);
+  });
+  builder.join();
+
+  // Same env seed, so equal samplers give equal rewrite draws.
+  const auto rewrites = [](Scheme& s) {
+    std::vector<unsigned> r;
+    for (int i = 0; i < 64; ++i) {
+      r.push_back(s.on_scrub(Ns{0}, 4096).rewrites);
+    }
+    return r;
+  };
+  const std::vector<unsigned> expect = rewrites(*outside);
+  for (const auto& s : pooled) EXPECT_EQ(rewrites(*s), expect);
 }
 
 TEST(Schemes, IdealReadIs150ns) {
