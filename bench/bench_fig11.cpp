@@ -22,13 +22,10 @@ int main() {
 
   std::printf("Cells per 64 B line (normalized to TLC = 384):\n");
   stats::Table dt({"Scheme", "cells/line", "vs TLC"});
-  {
-    readduo::SchemeEnv env;
-    for (auto kind : kinds) {
-      auto s = readduo::make_scheme(kind, env, opts);
-      dt.add_row({s->name(), stats::fmt("%.0f", s->cells_per_line()),
-                  stats::fmt("%.3f", s->cells_per_line() / 384.0)});
-    }
+  for (auto kind : kinds) {
+    const double cells = readduo::cells_per_line(kind, opts);
+    dt.add_row({readduo::scheme_name(kind, opts), stats::fmt("%.0f", cells),
+                stats::fmt("%.3f", cells / 384.0)});
   }
   dt.print();
 

@@ -42,9 +42,8 @@ int main() {
 
   stats::Table t({"Scheme", "Perf degradation", "Density penalty",
                   "Trade-off"});
-  readduo::SchemeEnv env;
   const double ideal_cells =
-      readduo::make_scheme(readduo::SchemeKind::kIdeal, env)->cells_per_line();
+      readduo::cells_per_line(readduo::SchemeKind::kIdeal);
   const char* notes[] = {
       "wastes bandwidth on 8 s scrubs (W=1: not DRAM-reliable)",
       "W=0 rewrite-at-every-scrub: the reliable R-only setting",
@@ -52,11 +51,10 @@ int main() {
       "needs 384 cells per 64 B line",
   };
   for (std::size_t i = 0; i < kN; ++i) {
-    auto s = readduo::make_scheme(kinds[i], env);
-    t.add_row({s->name(),
+    const double cells = readduo::cells_per_line(kinds[i]);
+    t.add_row({readduo::scheme_name(kinds[i]),
                stats::fmt("%+.1f%%", 100.0 * (geomean(slow[i]) - 1.0)),
-               stats::fmt("%+.1f%%",
-                          100.0 * (s->cells_per_line() / ideal_cells - 1.0)),
+               stats::fmt("%+.1f%%", 100.0 * (cells / ideal_cells - 1.0)),
                notes[i]});
   }
   t.print();

@@ -262,7 +262,7 @@ RunResult run_fresh(readduo::SchemeKind kind, const trace::Workload& w,
   result.summary.exec_time = result.sim.exec_time;
   result.summary.dynamic_energy_pj = result.counters.dynamic_energy_pj();
   result.summary.static_watts = env.energy.static_watts;
-  result.summary.cells_per_line = scheme->cells_per_line();
+  result.summary.cells_per_line = readduo::cells_per_line(kind, opts);
   result.summary.cell_writes =
       static_cast<double>(result.counters.cell_writes);
   return result;

@@ -402,6 +402,20 @@ void Simulator::dispatch(unsigned b, Ns now) {
     sample_queue_gauge(b);
     const readduo::ScrubOutcome s =
         scheme_.on_scrub(now, cfg_.org.lines_per_scrub);
+    // A row sense no shorter than the per-row period lets the backlog only
+    // grow; past scrub_priority_backlog it starves writes for good, and
+    // the run never finishes.
+    RD_CHECK_MSG(s.sense_latency < scrub_period_,
+                 "infeasible scrub: "
+                     << scheme_.name() << " senses a row in "
+                     << s.sense_latency.v << " ns, but scrub interval "
+                     << scheme_.scrub_interval_seconds()
+                     << " s over the rows of a bank (memory.capacity = "
+                     << cfg_.org.capacity_bytes
+                     << " B, memory.banks = " << cfg_.org.num_banks
+                     << ", memory.lines_per_scrub = "
+                     << cfg_.org.lines_per_scrub << ") leaves "
+                     << scrub_period_.v << " ns per row");
     note_reliability(now);
     --bank.scrub_backlog;
     bank.busy = true;

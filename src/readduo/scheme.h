@@ -55,10 +55,6 @@ class Scheme {
 
   virtual const std::string& name() const = 0;
 
-  /// Cells needed to store one 64 B line, including ECC and (SLC) flag
-  /// bits — the density input of the EDAP metric (Figure 11).
-  virtual double cells_per_line() const = 0;
-
   /// Scrub interval S in seconds (how often each line is scrubbed);
   /// 0 disables scrubbing (Ideal).
   virtual double scrub_interval_seconds() const = 0;

@@ -1,5 +1,6 @@
 #include "readduo/scheme_base.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -8,11 +9,27 @@
 
 namespace rd::readduo {
 
-SchemeBase::SchemeBase(std::string name, SchemeEnv env)
+namespace {
+
+/// BCH-8 correction/detection thresholds with decoupled detect/correct
+/// (Section III-B): correct up to 8, detect up to 17, silent beyond.
+constexpr unsigned kCorrectable = 8;
+constexpr unsigned kDetectable = 17;
+
+}  // namespace
+
+SchemeBase::SchemeBase(std::string name, SchemeEnv env, SchemePolicy policy,
+                       const ScrubAgeSampler* ages)
     : name_(std::move(name)),
       env_(env),
+      policy_(policy),
+      ages_(ages),
       faults_(env.faults != nullptr ? env.faults : faults::engine()),
-      rng_(env.seed) {}
+      rng_(env.seed) {
+  RD_CHECK_MSG(ages_ != nullptr || policy_.nu == 0,
+               name_ << ": W = " << policy_.nu
+                     << " scrubbing needs a steady-state sampler");
+}
 
 // The shared models latch the process-wide device (READDUO_DEVICE /
 // --device) on first use; under the builtin device the configurations are
@@ -37,10 +54,26 @@ const drift::CellErrorTable& SchemeBase::m_table() {
   return table;
 }
 
+double SchemeBase::sample_initial_age(std::uint64_t line, bool archive,
+                                      FirstTouch touch) {
+  if (policy_.read == ReadPolicy::kDriftFree) return 0.0;
+  // Two draws, sequenced: the scrub bound first, then the workload age
+  // (the order every recorded output was drawn in). A W = 1 sampler bounds
+  // the age by the scrub process's renewal steady state; M-metric W = 1
+  // almost never rewrites, so the workload's write recency dominates and
+  // archive lines stay old, which is what LWT exists for. W = 0 without a
+  // sampler rewrites every line each scrub: the age is uniform in [0, S).
+  const double scrubbed = ages_ != nullptr
+                              ? ages_->sample(rng_)
+                              : rng_.uniform() * policy_.scrub_interval_s;
+  const double workload = sample_workload_age(line, archive, touch);
+  return std::min(workload, scrubbed);
+}
+
 double SchemeBase::sample_workload_age(std::uint64_t line, bool archive,
-                                       FirstTouch touch, Rng& rng) const {
-  double u = rng.uniform();
-  while (u <= 0.0) u = rng.uniform();
+                                       FirstTouch touch) {
+  double u = rng_.uniform();
+  while (u <= 0.0) u = rng_.uniform();
   if (archive) {
     return std::min(-env_.archive_age_scale_s * std::log(u), env_.max_age_s);
   }
@@ -50,7 +83,7 @@ double SchemeBase::sample_workload_age(std::uint64_t line, bool archive,
     // many decades (streaming writes, cold allocations, periodic sweeps).
     const double lo = std::log(env_.write_age_min_s);
     const double hi = std::log(env_.write_age_max_s);
-    return std::exp(lo + rng.uniform() * (hi - lo));
+    return std::exp(lo + rng_.uniform() * (hi - lo));
   }
 
   double mean = env_.mean_working_age_s;
@@ -78,7 +111,7 @@ LineState& SchemeBase::state_of(std::uint64_t line, Ns now, bool archive,
   auto it = lines_.find(line);
   if (it == lines_.end()) {
     LineState st;
-    const double age = sample_initial_age(line, archive, touch, rng_);
+    const double age = sample_initial_age(line, archive, touch);
     st.last_write_s = now.seconds() - age;
     st.last_full_write_s = st.last_write_s;
     it = lines_.emplace(line, st).first;
@@ -138,19 +171,88 @@ WriteOutcome SchemeBase::on_converted_write(std::uint64_t line, Ns now) {
   return w;
 }
 
-void SchemeBase::add_read_energy(ReadMode mode) {
+ReadOutcome SchemeBase::serve(ReadMode mode) {
   switch (mode) {
     case ReadMode::kRRead:
+      ++counters_.r_reads;
       counters_.read_energy_pj += env_.energy.r_read.v;
-      break;
+      return ReadOutcome{mode, env_.timing.r_read, false};
     case ReadMode::kMRead:
+      ++counters_.m_reads;
       counters_.read_energy_pj += env_.energy.m_read.v;
-      break;
+      return ReadOutcome{mode, env_.timing.m_read, false};
     case ReadMode::kRMRead:
+      ++counters_.rm_reads;
       counters_.read_energy_pj +=
           env_.energy.r_read.v + env_.energy.m_read.v;
-      break;
+      return ReadOutcome{mode, env_.timing.rm_read, false};
   }
+  RD_CHECK_MSG(false, "unknown read mode");
+  return {};
+}
+
+ReadOutcome SchemeBase::r_then_m_read(std::uint64_t line,
+                                      const LineState& st, Ns now) {
+  const unsigned errors = sample_r_errors(line, st, now);
+  if (errors <= kCorrectable) return serve(ReadMode::kRRead);
+  if (errors <= kDetectable) return serve(ReadMode::kRMRead);
+  // More than 17 errors cannot be told apart from clean data: silent.
+  ++counters_.silent_corruptions;
+  return serve(ReadMode::kRRead);
+}
+
+ReadOutcome SchemeBase::on_read(std::uint64_t line, Ns now, bool archive) {
+  switch (policy_.read) {
+    case ReadPolicy::kDriftFree:
+      return serve(ReadMode::kRRead);
+    case ReadPolicy::kROnly: {
+      const unsigned errors =
+          sample_r_errors(line, state_of(line, now, archive), now);
+      if (errors > kDetectable) {
+        ++counters_.silent_corruptions;
+      } else if (errors > kCorrectable) {
+        ++counters_.detected_uncorrectable;
+      }
+      return serve(ReadMode::kRRead);
+    }
+    case ReadPolicy::kMOnly:
+      if (sample_m_errors(state_of(line, now, archive), now) > kCorrectable) {
+        ++counters_.detected_uncorrectable;
+      }
+      return serve(ReadMode::kMRead);
+    case ReadPolicy::kRThenM:
+      return r_then_m_read(line, state_of(line, now, archive), now);
+  }
+  RD_CHECK_MSG(false, "unknown read policy");
+  return {};
+}
+
+ScrubOutcome SchemeBase::on_scrub(Ns, unsigned lines) {
+  if (policy_.scrub_interval_s <= 0.0) return {};
+  const bool m = policy_.scrub_sense == ScrubSense::kM;
+  ++counters_.scrub_senses;
+  // One row activation senses `lines` lines worth of bits, internally.
+  counters_.scrub_energy_pj += (m ? env_.energy.m_read : env_.energy.r_read).v *
+                               env_.energy.internal_sense_scale *
+                               static_cast<double>(lines);
+  ScrubOutcome s;
+  s.sense_latency = m ? env_.timing.m_read : env_.timing.r_read;
+  s.rewrites = policy_.nu == 0
+                   ? lines
+                   : rng_.binomial(lines, ages_->rewrite_probability());
+  return s;
+}
+
+WriteOutcome SchemeBase::on_scrub_rewrite(Ns) {
+  if (policy_.scrub_interval_s <= 0.0) return {};
+  ++counters_.scrub_rewrites;
+  WriteOutcome w;
+  w.latency = env_.timing.write;
+  w.cells_written = env_.geometry.total_cells();
+  counters_.cell_writes += w.cells_written;
+  counters_.scrub_energy_pj +=
+      env_.energy.cell_write.v * static_cast<double>(w.cells_written);
+  return w;
 }
 
 }  // namespace rd::readduo

@@ -1,11 +1,15 @@
-// Shared machinery for the concrete schemes: per-line state, initial-age
-// sampling, drift-error sampling, and energy accounting.
+// The scheme core: per-line state, initial-age sampling, drift-error
+// sampling, energy accounting, and the read, scrub and rewrite bodies every
+// kind shares. A kind is a SchemePolicy (which metric reads and scrubs
+// sense with, S and W); only TLC's writes and LWT/Select's flag tracking
+// need a subclass (schemes.cpp).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "common/rng.h"
 #include "drift/error_model.h"
@@ -77,17 +81,58 @@ struct LineState {
   bool converted = false;
 };
 
-/// Base class implementing state management and stochastic drift
-/// sampling; concrete schemes supply the policy.
+/// How a scheme services a demand read (Section III-B thresholds: BCH-8
+/// corrects up to 8 errors and detects up to 17).
+enum class ReadPolicy {
+  /// Drift-free cells (Ideal, TLC): every read is an R-read, and no line
+  /// age or error count is ever sampled.
+  kDriftFree,
+  /// R-sensing with no fallback (Scrubbing): 9..17 errors are detected
+  /// but uncorrectable, more are silent.
+  kROnly,
+  /// M-sensing only: more than 8 errors are detected but uncorrectable.
+  kMOnly,
+  /// ReadDuo: R-sense, M retry (R-M-read) on 9..17 errors, silent beyond.
+  kRThenM,
+};
+
+/// Which metric a scrub senses with.
+enum class ScrubSense { kR, kM };
+
+/// What sets one scheme kind apart from another, apart from TLC's writes
+/// and LWT/Select's flag tracking.
+struct SchemePolicy {
+  ReadPolicy read = ReadPolicy::kDriftFree;
+  /// Scrub interval S in seconds; 0 never scrubs.
+  double scrub_interval_s = 0.0;
+  ScrubSense scrub_sense = ScrubSense::kR;
+  /// Rewrite threshold W: 0 rewrites every sensed line; otherwise each
+  /// line is rewritten at the steady-state sampler's rewrite rate.
+  unsigned nu = 0;
+};
+
+/// The one scheme core: state management, stochastic drift sampling and
+/// the shared read, scrub and rewrite bodies, driven by a SchemePolicy.
+/// Ideal, Scrubbing (all three), M-metric and Hybrid are plain instances.
 class SchemeBase : public Scheme {
  public:
-  SchemeBase(std::string name, SchemeEnv env);
+  /// `ages` is the steady-state sampler of the scrub process; it bounds
+  /// first-touch ages and sets the W = 1 rewrite rate. Without one, a
+  /// scrubbing scheme must have W = 0, and ages are uniform in [0, S).
+  SchemeBase(std::string name, SchemeEnv env, SchemePolicy policy,
+             const ScrubAgeSampler* ages = nullptr);
 
   const std::string& name() const override { return name_; }
+  double scrub_interval_seconds() const final {
+    return policy_.scrub_interval_s;
+  }
 
+  ReadOutcome on_read(std::uint64_t line, Ns now, bool archive) override;
   /// Default full-line demand write used by most schemes.
   WriteOutcome on_write(std::uint64_t line, Ns now) override;
   WriteOutcome on_converted_write(std::uint64_t line, Ns now) override;
+  ScrubOutcome on_scrub(Ns now, unsigned lines) final;
+  WriteOutcome on_scrub_rewrite(Ns now) final;
 
  protected:
   /// Fetch (creating and steady-state-initializing on first touch) the
@@ -104,24 +149,19 @@ class SchemeBase : public Scheme {
   /// Same under the M-metric (never fault-injected).
   unsigned sample_m_errors(const LineState& st, Ns now);
 
+  /// R-sense `line` with the M retry behind it (ReadPolicy::kRThenM).
+  ReadOutcome r_then_m_read(std::uint64_t line, const LineState& st, Ns now);
+
+  /// Count a read serviced in `mode`, charge its energy, and return it.
+  ReadOutcome serve(ReadMode mode);
+
   /// Record a full-line write of `line` (demand / conversion / rewrite).
   WriteOutcome full_write(LineState& st, Ns now);
-
-  /// Initial age of a never-before-seen line; concrete schemes override to
-  /// reflect their scrub hygiene (W = 0 bounds ages by S, etc.).
-  virtual double sample_initial_age(std::uint64_t line, bool archive,
-                                    FirstTouch touch, Rng& rng) = 0;
 
   /// Hook: initialize flags or other per-line metadata after the age was
   /// sampled (LWT replays the flag protocol).
   virtual void init_line(LineState& st, std::uint64_t line, Ns now,
                          bool archive);
-
-  /// Workload-recency component of the initial age: exponential with a
-  /// per-line rate from the line's Zipf popularity rank, so hot lines are
-  /// recently written and the tail is old (see DESIGN.md).
-  double sample_workload_age(std::uint64_t line, bool archive,
-                             FirstTouch touch, Rng& rng) const;
 
   Rng& rng() { return rng_; }
   const SchemeEnv& env() const { return env_; }
@@ -137,14 +177,22 @@ class SchemeBase : public Scheme {
   static const drift::ErrorModel& r_model();
   static const drift::ErrorModel& m_model();
 
- protected:
-
-  /// Account read energy by mode.
-  void add_read_energy(ReadMode mode);
-
  private:
+  /// Initial age of a never-before-seen line: the workload's own write
+  /// recency, bounded by the scrub process (see DESIGN.md).
+  double sample_initial_age(std::uint64_t line, bool archive,
+                            FirstTouch touch);
+
+  /// Workload-recency component of the initial age: exponential with a
+  /// per-line rate from the line's Zipf popularity rank, so hot lines are
+  /// recently written and the tail is old (see DESIGN.md).
+  double sample_workload_age(std::uint64_t line, bool archive,
+                             FirstTouch touch);
+
   std::string name_;
   SchemeEnv env_;
+  SchemePolicy policy_;
+  const ScrubAgeSampler* ages_;
   /// env_.faults, or the process engine when that is null; resolved once
   /// at construction so the hot path is a plain pointer test.
   const faults::FaultEngine* faults_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <tuple>
@@ -47,55 +48,28 @@ const ScrubAgeSampler& shared_sampler(bool m_metric, unsigned cells,
   return *g_sampler_cache.try_emplace(key, std::move(built)).first->second;
 }
 
-/// BCH-8 correction/detection thresholds with decoupled detect/correct
-/// (Section III-B): correct up to 8, detect up to 17, silent beyond.
-constexpr unsigned kCorrectable = 8;
-constexpr unsigned kDetectable = 17;
+/// Family names, in SchemeKind order: what scheme_kind_by_name parses and
+/// scheme_name prints (LWT and Select append their k and s).
+constexpr const char* kFamilyNames[] = {
+    "Ideal",    "TLC",    "Scrubbing", "Scrubbing-W0", "Scrubbing-BCH10",
+    "M-metric", "Hybrid", "LWT",       "Select",
+};
+static_assert(std::size(kFamilyNames) ==
+              static_cast<std::size_t>(SchemeKind::kSelect) + 1);
 
 /// MLC cells per 64 B line with BCH-8 (512 data + 80 parity bits).
 constexpr double kMlcCells = 296.0;
+/// MLC cells per 64 B line with BCH-10 (512 data + 100 parity bits).
+constexpr double kBch10Cells = 306.0;
 /// Tri-level cells per 64 B line with (72,64) SECDED.
 constexpr double kTlcCells = 384.0;
-
-// ---------------------------------------------------------------- Ideal --
-
-class IdealScheme : public SchemeBase {
- public:
-  explicit IdealScheme(const SchemeEnv& env) : SchemeBase("Ideal", env) {}
-
-  double cells_per_line() const override { return kMlcCells; }
-  double scrub_interval_seconds() const override { return 0.0; }
-
-  ReadOutcome on_read(std::uint64_t, Ns, bool) override {
-    ++counters_.r_reads;
-    add_read_energy(ReadMode::kRRead);
-    return ReadOutcome{ReadMode::kRRead, env().timing.r_read, false};
-  }
-
-  ScrubOutcome on_scrub(Ns, unsigned) override { return {}; }
-  WriteOutcome on_scrub_rewrite(Ns) override { return {}; }
-
- protected:
-  double sample_initial_age(std::uint64_t, bool, FirstTouch,
-                            Rng&) override {
-    return 0.0;
-  }
-};
 
 // ------------------------------------------------------------------ TLC --
 
 class TlcScheme : public SchemeBase {
  public:
-  explicit TlcScheme(const SchemeEnv& env) : SchemeBase("TLC", env) {}
-
-  double cells_per_line() const override { return kTlcCells; }
-  double scrub_interval_seconds() const override { return 0.0; }
-
-  ReadOutcome on_read(std::uint64_t, Ns, bool) override {
-    ++counters_.r_reads;
-    add_read_energy(ReadMode::kRRead);
-    return ReadOutcome{ReadMode::kRRead, env().timing.r_read, false};
-  }
+  explicit TlcScheme(const SchemeEnv& env)
+      : SchemeBase("TLC", env, SchemePolicy{}) {}
 
   WriteOutcome on_write(std::uint64_t line, Ns now) override {
     // A TLC line programs 384 tri-level cells; each costs tlc_write_scale
@@ -112,231 +86,28 @@ class TlcScheme : public SchemeBase {
     w.cells_written = static_cast<unsigned>(kTlcCells);
     return w;
   }
-
-  ScrubOutcome on_scrub(Ns, unsigned) override { return {}; }
-  WriteOutcome on_scrub_rewrite(Ns) override { return {}; }
-
- protected:
-  double sample_initial_age(std::uint64_t, bool, FirstTouch,
-                            Rng&) override {
-    return 0.0;
-  }
-};
-
-// ------------------------------------------------------ Scrubbing (R) ----
-
-class ScrubbingScheme : public SchemeBase {
- public:
-  ScrubbingScheme(const SchemeEnv& env, double interval_s, unsigned nu,
-                  std::string name, double cells_per_line = kMlcCells)
-      : SchemeBase(std::move(name), env),
-        interval_s_(interval_s),
-        nu_(nu),
-        cells_per_line_(cells_per_line),
-        age_sampler_(shared_sampler(false, env.geometry.total_cells(),
-                                    interval_s, nu)) {}
-
-  double cells_per_line() const override { return cells_per_line_; }
-  double scrub_interval_seconds() const override { return interval_s_; }
-
-  ReadOutcome on_read(std::uint64_t line, Ns now, bool archive) override {
-    LineState& st = state_of(line, now, archive);
-    const unsigned errors = sample_r_errors(line, st, now);
-    if (errors > kDetectable) {
-      ++counters_.silent_corruptions;
-    } else if (errors > kCorrectable) {
-      ++counters_.detected_uncorrectable;
-    }
-    ++counters_.r_reads;
-    add_read_energy(ReadMode::kRRead);
-    return ReadOutcome{ReadMode::kRRead, env().timing.r_read, false};
-  }
-
-  ScrubOutcome on_scrub(Ns, unsigned lines) override {
-    ++counters_.scrub_senses;
-    // One row activation senses `lines` lines worth of bits, internally.
-    counters_.scrub_energy_pj += env().energy.r_read.v *
-                                 env().energy.internal_sense_scale *
-                                 static_cast<double>(lines);
-    ScrubOutcome s;
-    s.sense_latency = env().timing.r_read;
-    s.rewrites =
-        nu_ == 0
-            ? lines
-            : rng().binomial(lines, age_sampler_.rewrite_probability());
-    return s;
-  }
-
-  WriteOutcome on_scrub_rewrite(Ns) override {
-    ++counters_.scrub_rewrites;
-    WriteOutcome w;
-    w.latency = env().timing.write;
-    w.cells_written = env().geometry.total_cells();
-    counters_.cell_writes += w.cells_written;
-    counters_.scrub_energy_pj +=
-        env().energy.cell_write.v * static_cast<double>(w.cells_written);
-    return w;
-  }
-
- protected:
-  double sample_initial_age(std::uint64_t line, bool archive,
-                            FirstTouch touch, Rng& r) override {
-    return std::min(sample_workload_age(line, archive, touch, r),
-                    age_sampler_.sample(r));
-  }
-
- private:
-  double interval_s_;
-  unsigned nu_;
-  double cells_per_line_;
-  const ScrubAgeSampler& age_sampler_;
-};
-
-// --------------------------------------------------------- M-metric ------
-
-class MMetricScheme : public SchemeBase {
- public:
-  MMetricScheme(const SchemeEnv& env, double interval_s)
-      : SchemeBase("M-metric", env),
-        interval_s_(interval_s),
-        age_sampler_(shared_sampler(true, env.geometry.total_cells(),
-                                    interval_s, /*nu=*/1)) {}
-
-  double cells_per_line() const override { return kMlcCells; }
-  double scrub_interval_seconds() const override { return interval_s_; }
-
-  ReadOutcome on_read(std::uint64_t line, Ns now, bool archive) override {
-    LineState& st = state_of(line, now, archive);
-    const unsigned errors = sample_m_errors(st, now);
-    if (errors > kCorrectable) ++counters_.detected_uncorrectable;
-    ++counters_.m_reads;
-    add_read_energy(ReadMode::kMRead);
-    return ReadOutcome{ReadMode::kMRead, env().timing.m_read, false};
-  }
-
-  ScrubOutcome on_scrub(Ns, unsigned lines) override {
-    ++counters_.scrub_senses;
-    counters_.scrub_energy_pj += env().energy.m_read.v *
-                                 env().energy.internal_sense_scale *
-                                 static_cast<double>(lines);
-    ScrubOutcome s;
-    s.sense_latency = env().timing.m_read;
-    s.rewrites = rng().binomial(lines, age_sampler_.rewrite_probability());
-    return s;
-  }
-
-  WriteOutcome on_scrub_rewrite(Ns) override {
-    ++counters_.scrub_rewrites;
-    WriteOutcome w;
-    w.latency = env().timing.write;
-    w.cells_written = env().geometry.total_cells();
-    counters_.cell_writes += w.cells_written;
-    counters_.scrub_energy_pj +=
-        env().energy.cell_write.v * static_cast<double>(w.cells_written);
-    return w;
-  }
-
- protected:
-  double sample_initial_age(std::uint64_t line, bool archive,
-                            FirstTouch touch, Rng& r) override {
-    return std::min(sample_workload_age(line, archive, touch, r),
-                    age_sampler_.sample(r));
-  }
-
- private:
-  double interval_s_;
-  const ScrubAgeSampler& age_sampler_;
-};
-
-// ----------------------------------------------------------- Hybrid ------
-
-class HybridScheme : public SchemeBase {
- public:
-  HybridScheme(const SchemeEnv& env, double interval_s)
-      : SchemeBase("Hybrid", env), interval_s_(interval_s) {}
-
-  double cells_per_line() const override { return kMlcCells; }
-  double scrub_interval_seconds() const override { return interval_s_; }
-
-  ReadOutcome on_read(std::uint64_t line, Ns now, bool archive) override {
-    LineState& st = state_of(line, now, archive);
-    const unsigned errors = sample_r_errors(line, st, now);
-    if (errors <= kCorrectable) {
-      ++counters_.r_reads;
-      add_read_energy(ReadMode::kRRead);
-      return ReadOutcome{ReadMode::kRRead, env().timing.r_read, false};
-    }
-    if (errors <= kDetectable) {
-      ++counters_.rm_reads;
-      add_read_energy(ReadMode::kRMRead);
-      return ReadOutcome{ReadMode::kRMRead, env().timing.rm_read, false};
-    }
-    // More than 17 errors cannot be told apart from clean data: silent.
-    ++counters_.silent_corruptions;
-    ++counters_.r_reads;
-    add_read_energy(ReadMode::kRRead);
-    return ReadOutcome{ReadMode::kRRead, env().timing.r_read, false};
-  }
-
-  ScrubOutcome on_scrub(Ns, unsigned lines) override {
-    // (BCH8, S=640, W=0): sense with M, rewrite every line of the row.
-    ++counters_.scrub_senses;
-    counters_.scrub_energy_pj += env().energy.m_read.v *
-                                 env().energy.internal_sense_scale *
-                                 static_cast<double>(lines);
-    ScrubOutcome s;
-    s.sense_latency = env().timing.m_read;
-    s.rewrites = lines;
-    return s;
-  }
-
-  WriteOutcome on_scrub_rewrite(Ns) override {
-    ++counters_.scrub_rewrites;
-    WriteOutcome w;
-    w.latency = env().timing.write;
-    w.cells_written = env().geometry.total_cells();
-    counters_.cell_writes += w.cells_written;
-    counters_.scrub_energy_pj +=
-        env().energy.cell_write.v * static_cast<double>(w.cells_written);
-    return w;
-  }
-
- protected:
-  double sample_initial_age(std::uint64_t line, bool archive,
-                            FirstTouch touch, Rng& r) override {
-    // W = 0 rewrites every line each scrub: age is uniform in [0, S),
-    // further bounded by the workload's own write recency.
-    return std::min(sample_workload_age(line, archive, touch, r),
-                    r.uniform() * interval_s_);
-  }
-
- private:
-  double interval_s_;
 };
 
 // -------------------------------------------------------------- LWT ------
 
 class LwtScheme : public SchemeBase {
  public:
-  LwtScheme(const SchemeEnv& env, const ReadDuoOptions& opts,
-            double interval_s, std::string name)
-      : SchemeBase(std::move(name), env),
+  LwtScheme(std::string name, const SchemeEnv& env,
+            const ReadDuoOptions& opts, double interval_s,
+            const ScrubAgeSampler& ages)
+      : SchemeBase(std::move(name), env,
+                   SchemePolicy{.read = ReadPolicy::kRThenM,
+                                .scrub_interval_s = interval_s,
+                                .scrub_sense = ScrubSense::kM,
+                                .nu = 1},
+                   &ages),
         opts_(opts),
-        interval_s_(interval_s),
         sub_interval_s_(interval_s / opts.k),
-        age_sampler_(shared_sampler(true, env.geometry.total_cells(),
-                                    interval_s, /*nu=*/1)),
         controller_([&] {
           ConversionController::Config c = opts.controller;
           c.enabled = opts.conversion;
           return c;
         }()) {}
-
-  double cells_per_line() const override {
-    // 296 MLC cells + (k + log2 k) SLC flag bits, one SLC cell each.
-    return kMlcCells + static_cast<double>(LwtFlags(opts_.k).flag_bits());
-  }
-  double scrub_interval_seconds() const override { return interval_s_; }
 
   ReadOutcome on_read(std::uint64_t line, Ns now, bool archive) override {
     LineState& st = state_of(line, now, archive);
@@ -356,31 +127,12 @@ class LwtScheme : public SchemeBase {
     }
     const bool tracked = st.flags.tracked_for_read(s);
     controller_.record_read(!tracked, tracked && st.converted);
-
-    if (tracked) {
-      const unsigned errors = sample_r_errors(line, st, now);
-      if (errors <= kCorrectable) {
-        ++counters_.r_reads;
-        add_read_energy(ReadMode::kRRead);
-        return ReadOutcome{ReadMode::kRRead, env().timing.r_read, false};
-      }
-      if (errors <= kDetectable) {
-        ++counters_.rm_reads;
-        add_read_energy(ReadMode::kRMRead);
-        return ReadOutcome{ReadMode::kRMRead, env().timing.rm_read, false};
-      }
-      ++counters_.silent_corruptions;
-      ++counters_.r_reads;
-      add_read_energy(ReadMode::kRRead);
-      return ReadOutcome{ReadMode::kRRead, env().timing.r_read, false};
-    }
+    if (tracked) return r_then_m_read(line, st, now);
 
     // Un-tracked: R-sensing unsafe; flag check aborts it and the M retry
     // services the read (R-M-read, 600 ns).
     ++counters_.untracked_reads;
-    ++counters_.rm_reads;
-    add_read_energy(ReadMode::kRMRead);
-    ReadOutcome out{ReadMode::kRMRead, env().timing.rm_read, false};
+    ReadOutcome out = serve(ReadMode::kRMRead);
     if (controller_.should_convert()) {
       ++counters_.converted_reads;
       controller_.record_conversion();
@@ -402,40 +154,7 @@ class LwtScheme : public SchemeBase {
     return w;
   }
 
-  ScrubOutcome on_scrub(Ns, unsigned lines) override {
-    ++counters_.scrub_senses;
-    counters_.scrub_energy_pj += env().energy.m_read.v *
-                                 env().energy.internal_sense_scale *
-                                 static_cast<double>(lines);
-    ScrubOutcome s;
-    s.sense_latency = env().timing.m_read;
-    s.rewrites = rng().binomial(lines, age_sampler_.rewrite_probability());
-    return s;
-  }
-
-  WriteOutcome on_scrub_rewrite(Ns) override {
-    ++counters_.scrub_rewrites;
-    WriteOutcome w;
-    w.latency = env().timing.write;
-    w.cells_written = env().geometry.total_cells();
-    counters_.cell_writes += w.cells_written;
-    counters_.scrub_energy_pj +=
-        env().energy.cell_write.v * static_cast<double>(w.cells_written);
-    return w;
-  }
-
-  unsigned t_percent() const { return controller_.t_percent(); }
-
  protected:
-  double sample_initial_age(std::uint64_t line, bool archive,
-                            FirstTouch touch, Rng& r) override {
-    // W = 1 M-metric scrubbing almost never rewrites: ages are bounded by
-    // the workload's write recency (archive lines stay old — the LWT
-    // mechanism exists precisely for them).
-    return std::min(sample_workload_age(line, archive, touch, r),
-                    age_sampler_.sample(r));
-  }
-
   void init_line(LineState& st, std::uint64_t line, Ns now, bool) override {
     st.flags = LwtFlags(opts_.k);
     replay_flags(st, line, now.seconds());
@@ -449,13 +168,15 @@ class LwtScheme : public SchemeBase {
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     z ^= z >> 31;
-    return static_cast<double>(z % 1000000ull) * 1e-6 * interval_s_;
+    return static_cast<double>(z % 1000000ull) * 1e-6 *
+           scrub_interval_seconds();
   }
 
   /// Sub-interval label of time t for this line (relative to its cycle).
   unsigned label_of(std::uint64_t line, double t_s) const {
-    double rel = std::fmod(t_s - phase_of(line), interval_s_);
-    if (rel < 0) rel += interval_s_;
+    const double interval_s = scrub_interval_seconds();
+    double rel = std::fmod(t_s - phase_of(line), interval_s);
+    if (rel < 0) rel += interval_s;
     unsigned label = static_cast<unsigned>(rel / sub_interval_s_);
     return std::min(label, opts_.k - 1);
   }
@@ -466,7 +187,8 @@ class LwtScheme : public SchemeBase {
     const double tw = st.last_full_write_s;
     const double phase = phase_of(line);
     const auto cycles_before = [&](double t) {
-      return static_cast<long long>(std::floor((t - phase) / interval_s_));
+      return static_cast<long long>(
+          std::floor((t - phase) / scrub_interval_seconds()));
     };
     const long long n_scrubs =
         std::max(0ll, cycles_before(now_s) - cycles_before(tw));
@@ -484,9 +206,7 @@ class LwtScheme : public SchemeBase {
   }
 
   const ReadDuoOptions opts_;
-  const double interval_s_;
   const double sub_interval_s_;
-  const ScrubAgeSampler& age_sampler_;
   ConversionController controller_;
 };
 
@@ -494,9 +214,7 @@ class LwtScheme : public SchemeBase {
 
 class SelectScheme : public LwtScheme {
  public:
-  SelectScheme(const SchemeEnv& env, const ReadDuoOptions& opts,
-               double interval_s, std::string name)
-      : LwtScheme(env, opts, interval_s, std::move(name)) {}
+  using LwtScheme::LwtScheme;
 
   WriteOutcome on_write(std::uint64_t line, Ns now) override {
     LineState& st = state_of(line, now, false, FirstTouch::kWrite);
@@ -530,53 +248,85 @@ class SelectScheme : public LwtScheme {
 }  // namespace
 
 std::string scheme_name(SchemeKind kind, const ReadDuoOptions& opts) {
+  const auto i = static_cast<std::size_t>(kind);
+  RD_CHECK_MSG(i < std::size(kFamilyNames), "unknown scheme kind");
+  const std::string family = kFamilyNames[i];
   switch (kind) {
-    case SchemeKind::kIdeal: return "Ideal";
-    case SchemeKind::kTlc: return "TLC";
-    case SchemeKind::kScrubbing: return "Scrubbing";
-    case SchemeKind::kScrubbingW0: return "Scrubbing-W0";
-    case SchemeKind::kScrubbingBch10: return "Scrubbing-BCH10";
-    case SchemeKind::kMMetric: return "M-metric";
-    case SchemeKind::kHybrid: return "Hybrid";
-    case SchemeKind::kLwt: return "LWT-" + std::to_string(opts.k);
+    case SchemeKind::kLwt:
+      return family + "-" + std::to_string(opts.k);
     case SchemeKind::kSelect:
-      return "Select-" + std::to_string(opts.k) + ":" +
+      return family + "-" + std::to_string(opts.k) + ":" +
              std::to_string(opts.select_s);
+    default:
+      return family;
+  }
+}
+
+std::optional<SchemeKind> scheme_kind_by_name(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kFamilyNames); ++i) {
+    if (name == kFamilyNames[i]) return static_cast<SchemeKind>(i);
+  }
+  return std::nullopt;
+}
+
+double cells_per_line(SchemeKind kind, const ReadDuoOptions& opts) {
+  switch (kind) {
+    case SchemeKind::kIdeal:
+    case SchemeKind::kScrubbing:
+    case SchemeKind::kScrubbingW0:
+    case SchemeKind::kMMetric:
+    case SchemeKind::kHybrid:
+      return kMlcCells;
+    case SchemeKind::kTlc:
+      return kTlcCells;
+    case SchemeKind::kScrubbingBch10:
+      return kBch10Cells;
+    case SchemeKind::kLwt:
+    case SchemeKind::kSelect:
+      // 296 MLC cells + (k + log2 k) SLC flag bits, one SLC cell each.
+      return kMlcCells + static_cast<double>(LwtFlags(opts.k).flag_bits());
   }
   RD_CHECK_MSG(false, "unknown scheme kind");
-  return {};
+  return 0.0;
 }
 
 std::unique_ptr<Scheme> make_scheme(SchemeKind kind, const SchemeEnv& env,
                                     const ReadDuoOptions& opts,
                                     const ScrubSettings& scrub) {
+  const std::string name = scheme_name(kind, opts);
+  const unsigned cells = env.geometry.total_cells();
+  const double r_s = scrub.r_interval_s;
+  const double m_s = scrub.m_interval_s;
+  const auto core = [&](SchemePolicy policy, const ScrubAgeSampler* ages) {
+    return std::make_unique<SchemeBase>(name, env, policy, ages);
+  };
   switch (kind) {
     case SchemeKind::kIdeal:
-      return std::make_unique<IdealScheme>(env);
+      return core(SchemePolicy{}, nullptr);
     case SchemeKind::kTlc:
       return std::make_unique<TlcScheme>(env);
     case SchemeKind::kScrubbing:
-      return std::make_unique<ScrubbingScheme>(env, scrub.r_interval_s,
-                                               /*nu=*/1, "Scrubbing");
-    case SchemeKind::kScrubbingW0:
-      return std::make_unique<ScrubbingScheme>(env, scrub.r_interval_s,
-                                               /*nu=*/0, "Scrubbing-W0");
     case SchemeKind::kScrubbingBch10:
-      // 512 data + 100 parity bits = 306 cells; W=1 is reliable with the
-      // stronger code (Table V).
-      return std::make_unique<ScrubbingScheme>(env, scrub.r_interval_s,
-                                               /*nu=*/1, "Scrubbing-BCH10",
-                                               306.0);
+      // (BCH8, S=8, W=1) R-metric scrubbing. BCH-10 makes W=1 reliable
+      // (Table V); its reads keep the BCH-8 thresholds.
+      return core({ReadPolicy::kROnly, r_s, ScrubSense::kR, 1},
+                  &shared_sampler(false, cells, r_s, 1));
+    case SchemeKind::kScrubbingW0:
+      return core({ReadPolicy::kROnly, r_s, ScrubSense::kR, 0},
+                  &shared_sampler(false, cells, r_s, 0));
     case SchemeKind::kMMetric:
-      return std::make_unique<MMetricScheme>(env, scrub.m_interval_s);
+      return core({ReadPolicy::kMOnly, m_s, ScrubSense::kM, 1},
+                  &shared_sampler(true, cells, m_s, 1));
     case SchemeKind::kHybrid:
-      return std::make_unique<HybridScheme>(env, scrub.m_interval_s);
+      // (BCH8, S=640, W=0) M-metric scrubbing rewrites every line of the
+      // row, so no sampler: ages are uniform in [0, S).
+      return core({ReadPolicy::kRThenM, m_s, ScrubSense::kM, 0}, nullptr);
     case SchemeKind::kLwt:
-      return std::make_unique<LwtScheme>(env, opts, scrub.m_interval_s,
-                                         scheme_name(kind, opts));
+      return std::make_unique<LwtScheme>(name, env, opts, m_s,
+                                         shared_sampler(true, cells, m_s, 1));
     case SchemeKind::kSelect:
-      return std::make_unique<SelectScheme>(env, opts, scrub.m_interval_s,
-                                            scheme_name(kind, opts));
+      return std::make_unique<SelectScheme>(
+          name, env, opts, m_s, shared_sampler(true, cells, m_s, 1));
   }
   RD_CHECK_MSG(false, "unknown scheme kind");
   return nullptr;

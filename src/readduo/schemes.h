@@ -13,6 +13,9 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
 
 #include "readduo/conversion.h"
 #include "readduo/scheme_base.h"
@@ -63,5 +66,15 @@ std::unique_ptr<Scheme> make_scheme(SchemeKind kind, const SchemeEnv& env,
 
 /// Human-readable scheme name ("LWT-4", "Select-4:2", ...).
 std::string scheme_name(SchemeKind kind, const ReadDuoOptions& opts = {});
+
+/// The kind a family name names ("Ideal", "Scrubbing-W0", "LWT", ...: the
+/// printed name without LWT's and Select's k and s); nullopt for any
+/// other string.
+std::optional<SchemeKind> scheme_kind_by_name(std::string_view name);
+
+/// Cells needed to store one 64 B line, including ECC and (SLC) flag
+/// bits: the density input of the EDAP metric (Figure 11). A property of
+/// the kind, so no scheme has to be built to know it.
+double cells_per_line(SchemeKind kind, const ReadDuoOptions& opts = {});
 
 }  // namespace rd::readduo

@@ -92,7 +92,7 @@ SystemRun run_system(readduo::SchemeKind kind, const trace::Workload& w,
   SystemRun out;
   out.sim = sim.run();
   out.counters = scheme->counters();
-  out.cells_per_line = scheme->cells_per_line();
+  out.cells_per_line = readduo::cells_per_line(kind, opts);
   return out;
 }
 

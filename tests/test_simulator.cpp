@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/check.h"
 #include "memsim/env.h"
 #include "readduo/schemes.h"
 #include "trace/workload.h"
@@ -446,6 +449,34 @@ TEST(SimulatorMetrics, DeterministicAcrossIdenticalRuns) {
   const SimResult a = run(readduo::SchemeKind::kScrubbing, w, cfg);
   const SimResult b = run(readduo::SchemeKind::kScrubbing, w, cfg);
   EXPECT_TRUE(a.metrics == b.metrics);
+}
+
+TEST(Simulator, InfeasibleScrubFailsFastNamingTheKeys) {
+  // NAND-like: a 3 us R-sense against an 8 s scrub over 32 GB / 64 B /
+  // 8 banks / 16 lines = 4.19 M rows per bank, i.e. ~1.9 us per row. The
+  // backlog could only grow, so the first scrub sense must throw instead
+  // of the run starving its writes forever.
+  const auto& w = trace::workload_by_name("mcf");
+  SimConfig cfg = small_config();
+  cfg.org.capacity_bytes = 32ull << 30;
+  readduo::SchemeEnv env = make_scheme_env(w, cfg.cpu, cfg.seed);
+  env.timing.r_read = Ns{3000};
+  const auto scheme =
+      readduo::make_scheme(readduo::SchemeKind::kScrubbingW0, env);
+  Simulator sim(cfg, *scheme, w);
+  try {
+    sim.run();
+    FAIL() << "an infeasible scrub ran to completion";
+  } catch (const CheckFailure& e) {
+    const std::string msg = e.what();
+    for (const char* part :
+         {"Scrubbing-W0", "3000 ns", "scrub interval 8 s",
+          "memory.capacity = 34359738368 B", "memory.banks = 8",
+          "memory.lines_per_scrub = 16", "1907 ns per row"}) {
+      EXPECT_NE(msg.find(part), std::string::npos) << part << " in " << msg;
+    }
+  }
+  EXPECT_EQ(scheme->counters().scrub_senses, 1u);
 }
 
 }  // namespace

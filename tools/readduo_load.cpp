@@ -33,6 +33,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -44,6 +45,7 @@
 #include "net/client.h"
 #include "net/frame.h"
 #include "net/wire_stats.h"
+#include "readduo/schemes.h"
 #include "service/memory_service.h"
 #include "stats/histogram.h"
 #include "stats/json.h"
@@ -61,8 +63,9 @@ void usage(const char* argv0) {
       "options:\n"
       "  --requests=<n>         requests to complete (default 1000000)\n"
       "  --rps=<r>              virtual arrival rate, req/s (default 2e6)\n"
-      "  --scheme=<name>        Ideal | Scrubbing | M-metric | Hybrid |\n"
-      "                         LWT | Select (default Hybrid)\n"
+      "  --scheme=<name>        Ideal | TLC | Scrubbing | Scrubbing-W0 |\n"
+      "                         Scrubbing-BCH10 | M-metric | Hybrid | LWT |\n"
+      "                         Select (default Hybrid)\n"
       "  --workload=<name>      locality/write-mix template (default mcf)\n"
       "  --device=<file>        device config (overrides READDUO_DEVICE;\n"
       "                         see configs/ and docs/DEVICE_CONFIGS.md)\n"
@@ -96,18 +99,6 @@ bool parse_flag(const char* arg, const char* name, std::string& out) {
     return true;
   }
   return false;
-}
-
-readduo::SchemeKind scheme_by_name(const std::string& s) {
-  if (s == "Ideal") return readduo::SchemeKind::kIdeal;
-  if (s == "TLC") return readduo::SchemeKind::kTlc;
-  if (s == "Scrubbing") return readduo::SchemeKind::kScrubbing;
-  if (s == "M-metric") return readduo::SchemeKind::kMMetric;
-  if (s == "Hybrid") return readduo::SchemeKind::kHybrid;
-  if (s == "LWT") return readduo::SchemeKind::kLwt;
-  if (s == "Select") return readduo::SchemeKind::kSelect;
-  RD_CHECK_MSG(false, "unknown scheme: " + s);
-  return readduo::SchemeKind::kHybrid;
 }
 
 /// {"count":..,"mean_ns":..,"p50_ns":..,...} for one latency class.
@@ -521,7 +512,10 @@ int main(int argc, char** argv) {
 
   service::ServiceConfig cfg;
   cfg.sim.seed = seed;
-  cfg.scheme = scheme_by_name(scheme);
+  const std::optional<readduo::SchemeKind> kind =
+      readduo::scheme_kind_by_name(scheme);
+  RD_CHECK_MSG(kind.has_value(), "unknown scheme: " + scheme);
+  cfg.scheme = *kind;
   cfg.workload = w;
   service::apply_service_env(cfg);  // env defaults, flags override
   if (!shards_flag.empty()) {

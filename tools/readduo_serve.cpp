@@ -19,11 +19,13 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include "common/check.h"
 #include "config/loader.h"
 #include "net/server.h"
+#include "readduo/schemes.h"
 #include "trace/workload.h"
 
 using namespace rd;
@@ -44,8 +46,9 @@ void usage(const char* argv0) {
       "options:\n"
       "  --listen=<addr>   unix:<path> or tcp:<host>:<port> (port 0 =\n"
       "                    kernel-assigned; default unix:/tmp/rd.sock)\n"
-      "  --scheme=<name>   Ideal | Scrubbing | M-metric | Hybrid |\n"
-      "                    LWT | Select (default Hybrid)\n"
+      "  --scheme=<name>   Ideal | TLC | Scrubbing | Scrubbing-W0 |\n"
+      "                    Scrubbing-BCH10 | M-metric | Hybrid | LWT |\n"
+      "                    Select (default Hybrid)\n"
       "  --workload=<name> locality/write-mix template (default mcf)\n"
       "  --device=<file>   device config (overrides READDUO_DEVICE; a\n"
       "                    client hello naming another device is refused)\n"
@@ -73,18 +76,6 @@ bool parse_flag(const char* arg, const char* name, std::string& out) {
     return true;
   }
   return false;
-}
-
-readduo::SchemeKind scheme_by_name(const std::string& s) {
-  if (s == "Ideal") return readduo::SchemeKind::kIdeal;
-  if (s == "TLC") return readduo::SchemeKind::kTlc;
-  if (s == "Scrubbing") return readduo::SchemeKind::kScrubbing;
-  if (s == "M-metric") return readduo::SchemeKind::kMMetric;
-  if (s == "Hybrid") return readduo::SchemeKind::kHybrid;
-  if (s == "LWT") return readduo::SchemeKind::kLwt;
-  if (s == "Select") return readduo::SchemeKind::kSelect;
-  RD_CHECK_MSG(false, "unknown scheme: " + s);
-  return readduo::SchemeKind::kHybrid;
 }
 
 }  // namespace
@@ -134,7 +125,10 @@ int main(int argc, char** argv) {
   cfg.listen = listen;
   net::apply_server_env(cfg);
   cfg.service.sim.seed = seed;
-  cfg.service.scheme = scheme_by_name(scheme);
+  const std::optional<readduo::SchemeKind> kind =
+      readduo::scheme_kind_by_name(scheme);
+  RD_CHECK_MSG(kind.has_value(), "unknown scheme: " + scheme);
+  cfg.service.scheme = *kind;
   cfg.service.workload = trace::workload_by_name(workload);
   service::apply_service_env(cfg.service);  // env defaults, flags override
   if (!shards_flag.empty()) {

@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
+#include <optional>
 #include <string>
 
 #include "config/apply.h"
@@ -32,21 +32,6 @@
 using namespace rd;
 
 namespace {
-
-const std::map<std::string, readduo::SchemeKind>& scheme_names() {
-  static const std::map<std::string, readduo::SchemeKind> kMap = {
-      {"Ideal", readduo::SchemeKind::kIdeal},
-      {"TLC", readduo::SchemeKind::kTlc},
-      {"Scrubbing", readduo::SchemeKind::kScrubbing},
-      {"Scrubbing-W0", readduo::SchemeKind::kScrubbingW0},
-      {"Scrubbing-BCH10", readduo::SchemeKind::kScrubbingBch10},
-      {"M-metric", readduo::SchemeKind::kMMetric},
-      {"Hybrid", readduo::SchemeKind::kHybrid},
-      {"LWT", readduo::SchemeKind::kLwt},
-      {"Select", readduo::SchemeKind::kSelect},
-  };
-  return kMap;
-}
 
 void usage(const char* argv0) {
   std::fprintf(
@@ -173,8 +158,9 @@ int main(int argc, char** argv) {
   opts.k = static_cast<unsigned>(k);
   opts.select_s = static_cast<unsigned>(select_s);
 
-  const auto it = scheme_names().find(scheme_name);
-  if (it == scheme_names().end()) {
+  const std::optional<readduo::SchemeKind> kind =
+      readduo::scheme_kind_by_name(scheme_name);
+  if (!kind) {
     std::fprintf(stderr, "unknown or missing --scheme\n");
     usage(argv[0]);
     return 2;
@@ -204,7 +190,7 @@ int main(int argc, char** argv) {
     // After the overrides: the scheme's write rate follows the clock.
     const readduo::SchemeEnv env = memsim::make_scheme_env(w, cfg.cpu, seed);
 
-    auto scheme = readduo::make_scheme(it->second, env, opts);
+    auto scheme = readduo::make_scheme(*kind, env, opts);
     memsim::Simulator sim(cfg, *scheme, w);
     const memsim::SimResult r = sim.run();
     const auto& c = scheme->counters();
@@ -242,7 +228,7 @@ int main(int argc, char** argv) {
           .add("write_energy_pj", c.write_energy_pj)
           .add("scrub_energy_pj", c.scrub_energy_pj)
           .add("cell_writes", c.cell_writes)
-          .add("cells_per_line", scheme->cells_per_line())
+          .add("cells_per_line", readduo::cells_per_line(*kind, opts))
           .add("detected_uncorrectable", c.detected_uncorrectable)
           .add("silent_corruptions", c.silent_corruptions)
           .add("scrub_senses", c.scrub_senses)
@@ -289,7 +275,7 @@ int main(int argc, char** argv) {
                 100.0 * c.scrub_energy_pj / tot);
     std::printf("endurance   : %llu cell writes (%.0f cells/line density)\n",
                 static_cast<unsigned long long>(c.cell_writes),
-                scheme->cells_per_line());
+                readduo::cells_per_line(*kind, opts));
     std::printf("reliability : %llu detected-uncorrectable, %llu silent\n",
                 static_cast<unsigned long long>(c.detected_uncorrectable),
                 static_cast<unsigned long long>(c.silent_corruptions));
