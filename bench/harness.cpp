@@ -64,6 +64,7 @@ const char* metrics_dest() {
 std::string cache_key(readduo::SchemeKind kind, const trace::Workload& w,
                       const readduo::ReadDuoOptions& opts,
                       std::uint64_t budget, std::uint64_t seed) {
+  const config::DeviceConfig& dev = config::active_device();
   std::ostringstream os;
   // Full round-trip precision: the default 6 significant digits would
   // collide configs that differ only in a fine-grained float knob.
@@ -75,11 +76,12 @@ std::string cache_key(readduo::SchemeKind kind, const trace::Workload& w,
      << w.wpki << "-" << w.footprint_lines << "-"
      << w.archive_read_fraction << "-" << w.archive_lines << "-"
      << (w.archive_scan ? 1 : 0)
-     // Device zoo: runs under different device configs must never share
-     // cache entries. The builtin device and its externalized twin
-     // (configs/pcm_readduo_t1.cfg) carry the same name on purpose —
-     // they are bit-identical by the default-equivalence guarantee.
-     << "_dev" << config::active_device().name;
+     // Device zoo: runs under different device configs, or a .cfg edited
+     // to a new scrub point, never share cache entries. The builtin device
+     // and its twin (configs/pcm_readduo_t1.cfg) share a name and scrub
+     // point on purpose: they are bit-identical by default-equivalence.
+     << "_dev" << dev.name << "_S" << dev.scrub.interval_s << "_W"
+     << dev.scrub.w;
   std::string key = os.str();
   for (char& c : key) {
     if (c == ':' || c == '/' || c == ' ') c = '-';

@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   pcm::ChipConfig cfg;
   cfg.num_lines = n;
   cfg.readout = pcm::ReadoutPolicy::kHybrid;
-  cfg.scrub_interval_s = 640.0;
-  cfg.scrub_w = 1;
+  cfg.scrub.interval_s = 640.0;
+  cfg.scrub.w = 1;
   pcm::MlcChip chip(cfg);
 
   // A couple of cells have worn out before we ever use the chip.

@@ -18,9 +18,7 @@ inline pcm::ChipConfig make_chip_config(const DeviceConfig& d) {
   c.data_bytes = d.org.line_bytes;
   c.bch_t = d.ecc.bch_t;
   c.ecp_pointers = d.ecc.ecp_pointers;
-  c.scrub_interval_s = d.scrub.interval_s;
-  c.scrub_w = d.scrub.w;
-  c.scrub_with_m = d.scrub.use_m_sense;
+  c.scrub = d.scrub;
   return c;
 }
 

@@ -23,7 +23,7 @@ const DeviceConfig& builtin_device() {
     d.timing = pcm::TimingParams{};
     d.energy = pcm::EnergyParams{};
     d.ecc = EccParams{};
-    d.scrub = ScrubParams{};
+    d.scrub = pcm::ScrubPolicy{};
     return d;
   }();
   return kBuiltin;

@@ -30,13 +30,6 @@ struct EccParams {
   unsigned ecp_pointers = 6;  ///< error-correcting-pointer entries per line
 };
 
-/// Scrub-engine policy defaults (the paper's (E, S, W) operating point).
-struct ScrubParams {
-  double interval_s = 640.0;  ///< scrub period S in seconds; 0 disables
-  unsigned w = 1;             ///< rewrite threshold W (0 = always rewrite)
-  bool use_m_sense = true;    ///< scrub senses with the M-metric (ReadDuo)
-};
-
 /// One complete device description: everything the chip model, the drift
 /// analysis, the scheme layer, and the timing simulator need to know
 /// about the underlying memory technology.
@@ -65,8 +58,8 @@ struct DeviceConfig {
   pcm::EnergyParams energy;
   /// Line code geometry.
   EccParams ecc;
-  /// Scrub policy defaults.
-  ScrubParams scrub;
+  /// Scrub operating point (chip scrub engine, M-scrubbing schemes).
+  pcm::ScrubPolicy scrub;
 };
 
 /// The compiled-in ReadDuo MLC PCM device: Tables I/II drift metrics

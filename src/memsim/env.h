@@ -23,6 +23,7 @@ inline readduo::SchemeEnv make_scheme_env(const trace::Workload& w,
   env.timing = dev.timing;
   env.energy = dev.energy;
   env.geometry = dev.geometry;
+  env.scrub = dev.scrub;
   env.footprint_lines = w.footprint_lines;
   env.zipf_s = w.zipf_s;
   // lint: allow(unit-conv) GHz -> cycles/second, not a ns<->s conversion

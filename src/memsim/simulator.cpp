@@ -409,9 +409,9 @@ void Simulator::dispatch(unsigned b, Ns now) {
                  "infeasible scrub: "
                      << scheme_.name() << " senses a row in "
                      << s.sense_latency.v << " ns, but scrub interval "
-                     << scheme_.scrub_interval_seconds()
-                     << " s over the rows of a bank (memory.capacity = "
-                     << cfg_.org.capacity_bytes
+                     << scheme_.scrub_interval_seconds() << " s ("
+                     << scheme_.scrub_origin() << ") over the rows of a bank"
+                     << " (memory.capacity = " << cfg_.org.capacity_bytes
                      << " B, memory.banks = " << cfg_.org.num_banks
                      << ", memory.lines_per_scrub = "
                      << cfg_.org.lines_per_scrub << ") leaves "

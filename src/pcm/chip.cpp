@@ -18,7 +18,7 @@ MlcChip::MlcChip(ChipConfig cfg)
       bch_(/*m=*/10, cfg.bch_t, cfg.data_bytes * 8, mode_),
       rng_(cfg.seed),
       faults_(cfg.faults != nullptr ? cfg.faults : faults::engine()),
-      next_scrub_s_(cfg.scrub_interval_s) {
+      next_scrub_s_(cfg.scrub.interval_s) {
   RD_CHECK(cfg.num_lines >= 1);
   RD_CHECK(cfg.data_bytes >= 1);
   const std::size_t bits = bch_.codeword_bits() + (bch_.codeword_bits() & 1);
@@ -204,11 +204,11 @@ double MlcChip::line_age(std::size_t line) const {
 void MlcChip::advance_time(double seconds) {
   RD_CHECK(seconds >= 0.0);
   const double target = now_s_ + seconds;
-  if (cfg_.scrub_interval_s > 0.0) {
+  if (cfg_.scrub.interval_s > 0.0) {
     while (next_scrub_s_ <= target) {
       now_s_ = next_scrub_s_;
       run_scrub_pass();
-      next_scrub_s_ += cfg_.scrub_interval_s;
+      next_scrub_s_ += cfg_.scrub.interval_s;
     }
   }
   now_s_ = target;
@@ -216,11 +216,11 @@ void MlcChip::advance_time(double seconds) {
 
 void MlcChip::run_scrub_pass() {
   ++stats_.scrub_passes;
-  const drift::MetricConfig& cfg = cfg_.scrub_with_m ? m_cfg_ : r_cfg_;
+  const drift::MetricConfig& cfg = cfg_.scrub.use_m_sense ? m_cfg_ : r_cfg_;
   for (std::size_t li = 0; li < lines_.size(); ++li) {
     LineSlot& slot = lines_[li];
     if (!slot.written) continue;
-    BitVec image = sense(slot, cfg, li, /*r_path=*/!cfg_.scrub_with_m);
+    BitVec image = sense(slot, cfg, li, /*r_path=*/!cfg_.scrub.use_m_sense);
     BitVec cw(bch_.codeword_bits());
     for (std::size_t i = 0; i < cw.size(); ++i) cw.set(i, image.get(i));
     const ecc::BchDecodeResult dec = bch_.decode(cw);
@@ -230,7 +230,7 @@ void MlcChip::run_scrub_pass() {
       continue;
     }
     const bool rewrite =
-        cfg_.scrub_w == 0 || dec.num_corrected >= cfg_.scrub_w;
+        cfg_.scrub.w == 0 || dec.num_corrected >= cfg_.scrub.w;
     if (rewrite) {
       ++stats_.scrub_rewrites;
       BitVec padded(slot.cells.num_bits());

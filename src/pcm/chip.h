@@ -18,6 +18,7 @@
 #include "ecc/bch.h"
 #include "pcm/ecp.h"
 #include "pcm/line.h"
+#include "pcm/params.h"
 
 namespace rd::faults {
 class FaultEngine;
@@ -38,13 +39,7 @@ struct ChipConfig {
   unsigned data_bytes = 64;       ///< payload per line
   unsigned bch_t = 8;             ///< BCH correction strength
   ReadoutPolicy readout = ReadoutPolicy::kHybrid;
-  /// Scrub interval in seconds; 0 disables scrubbing.
-  double scrub_interval_s = 640.0;
-  /// Rewrite threshold: rewrite a scrubbed line when it shows >= W errors
-  /// (0 = always rewrite).
-  unsigned scrub_w = 1;
-  /// Sense the scrub with the M-metric (ReadDuo) or the R-metric.
-  bool scrub_with_m = true;
+  ScrubPolicy scrub;  ///< the scrub engine's period, W and sense metric
   unsigned ecp_pointers = 6;
   std::uint64_t seed = 1;
   /// Fault injector; nullptr defers to the process-wide faults::engine().

@@ -54,6 +54,13 @@ struct MemoryOrg {
   std::uint64_t lines_per_bank() const { return total_lines() / num_banks; }
 };
 
+/// A device's scrub operating point; defaults: Table V's (S=640 s, W=1).
+struct ScrubPolicy {
+  double interval_s = 640.0;  ///< scrub period S in seconds; 0 disables
+  unsigned w = 1;             ///< rewrite threshold W (0 = always rewrite)
+  bool use_m_sense = true;    ///< chip only: scrub with M- or R-sensing
+};
+
 /// CPU front-end configuration (Table VIII: 4-core in-order).
 struct CpuParams {
   unsigned num_cores = 4;

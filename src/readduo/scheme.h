@@ -58,6 +58,8 @@ class Scheme {
   /// Scrub interval S in seconds (how often each line is scrubbed);
   /// 0 disables scrubbing (Ideal).
   virtual double scrub_interval_seconds() const = 0;
+  /// What set S, for diagnostics: "scrub.interval" or "fixed by the kind".
+  virtual const char* scrub_origin() const = 0;
 
   /// Plan a demand read of `line` at simulated time `now`. `archive` marks
   /// lines written long before the simulated window.

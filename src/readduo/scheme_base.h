@@ -55,6 +55,7 @@ struct SchemeEnv {
   double write_age_max_s = 1e6;
   /// Cap on sampled pre-window ages (seconds).
   double max_age_s = 1.0e6;
+  pcm::ScrubPolicy scrub;  ///< device [scrub]: the M-scrubbing kinds' S, W
   std::uint64_t seed = 1;
   /// Fault injector for this run; nullptr defers to the process-wide
   /// faults::engine() (which is itself nullptr when READDUO_FAULTS is
@@ -109,6 +110,7 @@ struct SchemePolicy {
   /// Rewrite threshold W: 0 rewrites every sensed line; otherwise each
   /// line is rewritten at the steady-state sampler's rewrite rate.
   unsigned nu = 0;
+  const char* interval_origin = "fixed by the kind";  ///< or "scrub.interval"
 };
 
 /// The one scheme core: state management, stochastic drift sampling and
@@ -126,6 +128,7 @@ class SchemeBase : public Scheme {
   double scrub_interval_seconds() const final {
     return policy_.scrub_interval_s;
   }
+  const char* scrub_origin() const final { return policy_.interval_origin; }
 
   ReadOutcome on_read(std::uint64_t line, Ns now, bool archive) override;
   /// Default full-line demand write used by most schemes.

@@ -33,9 +33,9 @@ std::map<std::tuple<bool, unsigned, double, unsigned>,
          std::unique_ptr<ScrubAgeSampler>>
     g_sampler_cache RD_GUARDED_BY(g_sampler_mu);
 
-const ScrubAgeSampler& shared_sampler(bool m_metric, unsigned cells,
-                                      double interval, unsigned nu) {
-  const auto key = std::make_tuple(m_metric, cells, interval, nu);
+const ScrubAgeSampler& shared_sampler(const SchemePolicy& p, unsigned cells) {
+  const bool m_metric = p.scrub_sense == ScrubSense::kM;
+  const auto key = std::make_tuple(m_metric, cells, p.scrub_interval_s, p.nu);
   {
     MutexLock lock(g_sampler_mu);
     const auto it = g_sampler_cache.find(key);
@@ -43,7 +43,8 @@ const ScrubAgeSampler& shared_sampler(bool m_metric, unsigned cells,
   }
   const drift::ErrorModel& model =
       m_metric ? SchemeBase::m_model() : SchemeBase::r_model();
-  auto built = std::make_unique<ScrubAgeSampler>(model, cells, interval, nu);
+  auto built = std::make_unique<ScrubAgeSampler>(model, cells,
+                                                 p.scrub_interval_s, p.nu);
   MutexLock lock(g_sampler_mu);
   return *g_sampler_cache.try_emplace(key, std::move(built)).first->second;
 }
@@ -63,6 +64,9 @@ constexpr double kMlcCells = 296.0;
 constexpr double kBch10Cells = 306.0;
 /// Tri-level cells per 64 B line with (72,64) SECDED.
 constexpr double kTlcCells = 384.0;
+
+/// R(BCH8, S=8) of Table V: the R-scrubbing kinds' own S, not a device's.
+constexpr double kRScrubIntervalS = 8.0;
 
 // ------------------------------------------------------------------ TLC --
 
@@ -93,16 +97,11 @@ class TlcScheme : public SchemeBase {
 class LwtScheme : public SchemeBase {
  public:
   LwtScheme(std::string name, const SchemeEnv& env,
-            const ReadDuoOptions& opts, double interval_s,
-            const ScrubAgeSampler& ages)
-      : SchemeBase(std::move(name), env,
-                   SchemePolicy{.read = ReadPolicy::kRThenM,
-                                .scrub_interval_s = interval_s,
-                                .scrub_sense = ScrubSense::kM,
-                                .nu = 1},
-                   &ages),
+            const ReadDuoOptions& opts, const SchemePolicy& policy)
+      : SchemeBase(std::move(name), env, policy,
+                   &shared_sampler(policy, env.geometry.total_cells())),
         opts_(opts),
-        sub_interval_s_(interval_s / opts.k),
+        sub_interval_s_(policy.scrub_interval_s / opts.k),
         controller_([&] {
           ConversionController::Config c = opts.controller;
           c.enabled = opts.conversion;
@@ -291,42 +290,46 @@ double cells_per_line(SchemeKind kind, const ReadDuoOptions& opts) {
 }
 
 std::unique_ptr<Scheme> make_scheme(SchemeKind kind, const SchemeEnv& env,
-                                    const ReadDuoOptions& opts,
-                                    const ScrubSettings& scrub) {
+                                    const ReadDuoOptions& opts) {
   const std::string name = scheme_name(kind, opts);
-  const unsigned cells = env.geometry.total_cells();
-  const double r_s = scrub.r_interval_s;
-  const double m_s = scrub.m_interval_s;
-  const auto core = [&](SchemePolicy policy, const ScrubAgeSampler* ages) {
-    return std::make_unique<SchemeBase>(name, env, policy, ages);
+  const auto core = [&](const SchemePolicy& p, bool sampled) {
+    return std::make_unique<SchemeBase>(
+        name, env, p,
+        sampled ? &shared_sampler(p, env.geometry.total_cells()) : nullptr);
+  };
+  const auto m_scrub = [&](ReadPolicy read, unsigned w) {
+    RD_CHECK_MSG(env.scrub.interval_s > 0.0,
+                 name << " scrubs with the M-metric, but scrub.interval = "
+                      << env.scrub.interval_s << " s disables scrubbing");
+    return SchemePolicy{read, env.scrub.interval_s, ScrubSense::kM, w,
+                        "scrub.interval"};
   };
   switch (kind) {
     case SchemeKind::kIdeal:
-      return core(SchemePolicy{}, nullptr);
+      return core(SchemePolicy{}, false);
     case SchemeKind::kTlc:
       return std::make_unique<TlcScheme>(env);
     case SchemeKind::kScrubbing:
     case SchemeKind::kScrubbingBch10:
-      // (BCH8, S=8, W=1) R-metric scrubbing. BCH-10 makes W=1 reliable
-      // (Table V); its reads keep the BCH-8 thresholds.
-      return core({ReadPolicy::kROnly, r_s, ScrubSense::kR, 1},
-                  &shared_sampler(false, cells, r_s, 1));
+      // BCH-10 makes W=1 reliable (Table V); its reads keep the BCH-8
+      // thresholds.
+      return core({ReadPolicy::kROnly, kRScrubIntervalS, ScrubSense::kR, 1},
+                  true);
     case SchemeKind::kScrubbingW0:
-      return core({ReadPolicy::kROnly, r_s, ScrubSense::kR, 0},
-                  &shared_sampler(false, cells, r_s, 0));
+      return core({ReadPolicy::kROnly, kRScrubIntervalS, ScrubSense::kR, 0},
+                  true);
     case SchemeKind::kMMetric:
-      return core({ReadPolicy::kMOnly, m_s, ScrubSense::kM, 1},
-                  &shared_sampler(true, cells, m_s, 1));
+      return core(m_scrub(ReadPolicy::kMOnly, env.scrub.w), true);
     case SchemeKind::kHybrid:
-      // (BCH8, S=640, W=0) M-metric scrubbing rewrites every line of the
-      // row, so no sampler: ages are uniform in [0, S).
-      return core({ReadPolicy::kRThenM, m_s, ScrubSense::kM, 0}, nullptr);
+      // W=0 defines Hybrid: it rewrites every line of the row, so no
+      // sampler; ages are uniform in [0, S).
+      return core(m_scrub(ReadPolicy::kRThenM, 0), false);
     case SchemeKind::kLwt:
-      return std::make_unique<LwtScheme>(name, env, opts, m_s,
-                                         shared_sampler(true, cells, m_s, 1));
+      return std::make_unique<LwtScheme>(
+          name, env, opts, m_scrub(ReadPolicy::kRThenM, env.scrub.w));
     case SchemeKind::kSelect:
       return std::make_unique<SelectScheme>(
-          name, env, opts, m_s, shared_sampler(true, cells, m_s, 1));
+          name, env, opts, m_scrub(ReadPolicy::kRThenM, env.scrub.w));
   }
   RD_CHECK_MSG(false, "unknown scheme kind");
   return nullptr;

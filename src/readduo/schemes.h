@@ -4,11 +4,11 @@
 //   Tlc        — Tri-Level-Cell baseline [26]: drift-free by construction,
 //                no scrubbing, but 384 cells per line instead of 296.
 //   Scrubbing  — efficient scrubbing [2] with R-sensing, (BCH8, S=8, W=1).
-//   MMetric    — M-sensing only, (BCH8, S=640, W=1).
+//   MMetric    — M-sensing only, (BCH8, S, W) from the device's [scrub].
 //   Hybrid     — ReadDuo-Hybrid: R-read first, M retry on 9..17 errors,
-//                (BCH8, S=640, W=0) M-metric scrubbing.
-//   Lwt        — ReadDuo-LWT-k: Hybrid + last-writes tracking, W=1
-//                scrubbing, adaptive R-M-read conversion.
+//                (BCH8, S, W=0) M-metric scrubbing at the device's S.
+//   Lwt        — ReadDuo-LWT-k: Hybrid + last-writes tracking, the
+//                device's (S, W) scrubbing, adaptive R-M-read conversion.
 //   Select     — ReadDuo-Select-(k:s): Lwt + selective differential write.
 #pragma once
 
@@ -53,16 +53,10 @@ struct ReadDuoOptions {
   double changed_cell_fraction = 0.36;
 };
 
-/// Scrub settings shared by the paper's configurations.
-struct ScrubSettings {
-  double r_interval_s = 8.0;    ///< (BCH8, S=8) for R-metric scrubbing
-  double m_interval_s = 640.0;  ///< (BCH8, S=640) for M-metric scrubbing
-};
-
-/// Instantiate a scheme. `opts` only affects the ReadDuo family.
+/// Instantiate a scheme. `opts` only affects the ReadDuo family. The
+/// M-scrubbing kinds take S (> 0) and, except Hybrid (W=0), W from env.scrub.
 std::unique_ptr<Scheme> make_scheme(SchemeKind kind, const SchemeEnv& env,
-                                    const ReadDuoOptions& opts = {},
-                                    const ScrubSettings& scrub = {});
+                                    const ReadDuoOptions& opts = {});
 
 /// Human-readable scheme name ("LWT-4", "Select-4:2", ...).
 std::string scheme_name(SchemeKind kind, const ReadDuoOptions& opts = {});

@@ -14,7 +14,7 @@ struct Counters {
   std::uint64_t rm_reads = 0;
 
   // LWT bookkeeping.
-  std::uint64_t untracked_reads = 0;   ///< reads beyond 640 s of last write
+  std::uint64_t untracked_reads = 0;   ///< reads beyond one scrub interval S
   std::uint64_t converted_reads = 0;   ///< R-M-reads converted to writes
 
   // Writes by origin.

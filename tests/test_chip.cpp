@@ -35,7 +35,7 @@ TEST(Chip, WriteReadRoundTripFresh) {
 TEST(Chip, DataSurvivesLongDriftViaHybridReadout) {
   ChipConfig cfg;
   cfg.num_lines = 24;
-  cfg.scrub_interval_s = 0.0;  // no scrubbing: drift unchecked
+  cfg.scrub.interval_s = 0.0;  // no scrubbing: drift unchecked
   MlcChip chip(cfg);
   Rng rng(2);
   std::vector<std::vector<std::uint8_t>> wrote;
@@ -65,7 +65,7 @@ TEST(Chip, RSenseOnlyChipCorruptsWhereHybridSurvives) {
     ChipConfig cfg;
     cfg.num_lines = 1;
     cfg.readout = ReadoutPolicy::kRSense;
-    cfg.scrub_interval_s = 0.0;
+    cfg.scrub.interval_s = 0.0;
     cfg.seed = seed;
     MlcChip chip(cfg);
     chip.write(0, data);
@@ -81,8 +81,8 @@ TEST(Chip, ScrubbingKeepsRSensingFast) {
   // R-sensing window (the ReadDuo-Hybrid guarantee).
   ChipConfig cfg;
   cfg.num_lines = 12;
-  cfg.scrub_interval_s = 640.0;
-  cfg.scrub_w = 0;
+  cfg.scrub.interval_s = 640.0;
+  cfg.scrub.w = 0;
   MlcChip chip(cfg);
   Rng rng(4);
   std::vector<std::vector<std::uint8_t>> wrote;
@@ -106,9 +106,9 @@ TEST(Chip, ScrubbingKeepsRSensingFast) {
 TEST(Chip, W1ScrubbingRewritesOnlyErroredLines) {
   ChipConfig cfg;
   cfg.num_lines = 16;
-  cfg.scrub_interval_s = 640.0;
-  cfg.scrub_w = 1;
-  cfg.scrub_with_m = true;
+  cfg.scrub.interval_s = 640.0;
+  cfg.scrub.w = 1;
+  cfg.scrub.use_m_sense = true;
   MlcChip chip(cfg);
   Rng rng(5);
   for (std::size_t l = 0; l < 16; ++l) chip.write(l, payload(rng));
@@ -121,7 +121,7 @@ TEST(Chip, W1ScrubbingRewritesOnlyErroredLines) {
 TEST(Chip, EcpPatchesStuckCellsTransparently) {
   ChipConfig cfg;
   cfg.num_lines = 2;
-  cfg.scrub_interval_s = 0.0;
+  cfg.scrub.interval_s = 0.0;
   MlcChip chip(cfg);
   Rng rng(6);
   // Wear out five cells before the line is ever written.
@@ -147,7 +147,7 @@ TEST(Chip, StuckCellsBeyondEcpStillCaughtByBch) {
   ChipConfig cfg;
   cfg.num_lines = 1;
   cfg.ecp_pointers = 2;
-  cfg.scrub_interval_s = 0.0;
+  cfg.scrub.interval_s = 0.0;
   MlcChip chip(cfg);
   Rng rng(7);
   for (unsigned c : {10u, 20u}) chip.inject_stuck_cell(0, c, 0);
@@ -165,7 +165,7 @@ TEST(Chip, StuckCellsBeyondEcpStillCaughtByBch) {
 TEST(Chip, AdvanceTimeRunsDueScrubsInOrder) {
   ChipConfig cfg;
   cfg.num_lines = 1;
-  cfg.scrub_interval_s = 100.0;
+  cfg.scrub.interval_s = 100.0;
   MlcChip chip(cfg);
   Rng rng(8);
   chip.write(0, payload(rng));

@@ -483,8 +483,8 @@ TEST(GoldenConfigs, AdaptersDeriveChipAndSimParameters) {
   EXPECT_EQ(chip.data_bytes, 64u);
   EXPECT_EQ(chip.bch_t, 8u);
   EXPECT_EQ(chip.ecp_pointers, 6u);
-  EXPECT_DOUBLE_EQ(chip.scrub_interval_s, 640.0);
-  EXPECT_TRUE(chip.scrub_with_m);
+  EXPECT_DOUBLE_EQ(chip.scrub.interval_s, 640.0);
+  EXPECT_TRUE(chip.scrub.use_m_sense);
   memsim::SimConfig sim;
   config::apply_device(b, sim);
   EXPECT_EQ(sim.org.capacity_bytes, b.org.capacity_bytes);

@@ -282,7 +282,7 @@ TEST(ChipFaults, PlannedStuckCellsAreRetiredByEcp) {
       "stuck:line=1,cell=0,level=3"));
   pcm::ChipConfig cfg;
   cfg.num_lines = 2;
-  cfg.scrub_interval_s = 0.0;
+  cfg.scrub.interval_s = 0.0;
   cfg.faults = &fe;
   pcm::MlcChip chip(cfg);
   EXPECT_EQ(chip.stats().injected_faults, 3u);
@@ -305,7 +305,7 @@ TEST(ChipFaults, SenseTransientsForceMFallbackWithCorrectData) {
   const FaultEngine fe(FaultPlan::parse("seed=5;sense:p=1,mag=2"));
   pcm::ChipConfig cfg;
   cfg.num_lines = 2;
-  cfg.scrub_interval_s = 0.0;
+  cfg.scrub.interval_s = 0.0;
   cfg.faults = &fe;
   pcm::MlcChip chip(cfg);
 
@@ -326,7 +326,7 @@ TEST(ChipFaults, AdversarialBchBurstsDetectNeverMiscorrect) {
     const FaultEngine fe(FaultPlan::parse(spec));
     pcm::ChipConfig cfg;
     cfg.num_lines = 4;
-    cfg.scrub_interval_s = 0.0;
+    cfg.scrub.interval_s = 0.0;
     cfg.faults = &fe;
     pcm::MlcChip chip(cfg);
     for (std::size_t line = 0; line < cfg.num_lines; ++line) {

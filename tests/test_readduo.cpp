@@ -373,30 +373,65 @@ TEST(Schemes, ScrubIntervalsMatchPaperSettings) {
             640.0);
   EXPECT_EQ(make_scheme(SchemeKind::kHybrid, env)->scrub_interval_seconds(),
             640.0);
+
+  // A device's [scrub] point moves every M-scrubbing kind and leaves the
+  // R-scrubbing kinds at the paper's 8 s.
+  SchemeEnv hourly = test_env();
+  hourly.scrub = {.interval_s = 3600.0, .w = 2};
+  for (const SchemeKind kind : {SchemeKind::kMMetric, SchemeKind::kHybrid,
+                                SchemeKind::kLwt, SchemeKind::kSelect}) {
+    const auto s = make_scheme(kind, hourly);
+    EXPECT_EQ(s->scrub_interval_seconds(), 3600.0) << s->name();
+    EXPECT_STREQ(s->scrub_origin(), "scrub.interval") << s->name();
+  }
+  EXPECT_EQ(
+      make_scheme(SchemeKind::kScrubbing, hourly)->scrub_interval_seconds(),
+      8.0);
+}
+
+TEST(Schemes, DisabledScrubFailsFastForMScrubbingKinds) {
+  // "scrub.interval = 0" disables the chip's scrub; a kind that scrubs
+  // with the M-metric cannot run without one and names the key.
+  SchemeEnv env = test_env();
+  env.scrub.interval_s = 0.0;
+  for (const SchemeKind kind : {SchemeKind::kMMetric, SchemeKind::kHybrid,
+                                SchemeKind::kLwt, SchemeKind::kSelect}) {
+    const std::string name = scheme_name(kind);
+    try {
+      make_scheme(kind, env);
+      FAIL() << name << " built with scrubbing disabled";
+    } catch (const CheckFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find("scrub.interval = 0"), std::string::npos) << what;
+    }
+  }
+  EXPECT_EQ(make_scheme(SchemeKind::kIdeal, env)->scrub_interval_seconds(),
+            0.0);
 }
 
 TEST(Schemes, ConcurrentSamplerBuildsFinishAndAgree) {
   // A thread outside the pool and the shards of a running pool job build
-  // the same sampler (S = 256 s: a key no other test builds). The outside
-  // thread starts first; its build evaluates the grid on the pool, so it
-  // waits for this job to finish. Had it taken the cache lock before that
-  // wait, the shards would block on the lock forever: ctest's TIMEOUT
-  // turns such a deadlock into a failure.
+  // the same sampler (M-metric at S = 256 s: a key no other test builds,
+  // 3906 scrub steps, so more than one pool block). The outside thread
+  // starts first; its build evaluates the grid on the pool, so it waits
+  // for this job to finish. Had it taken the cache lock before that wait,
+  // the shards would block on the lock forever: ctest's TIMEOUT turns
+  // such a deadlock into a failure.
   const ScopedEnv threads("READDUO_THREADS", "4");
-  const SchemeEnv env = test_env();
-  const ScrubSettings scrub{.r_interval_s = 256.0};
+  SchemeEnv env = test_env();
+  env.scrub.interval_s = 256.0;
   std::unique_ptr<Scheme> outside;
   std::thread builder;
   std::vector<std::unique_ptr<Scheme>> pooled(8);
   parallel_for_shards(pooled.size(), [&](std::size_t i) {
     if (i == 0) {
-      builder = std::thread([&] {
-        outside = make_scheme(SchemeKind::kScrubbing, env, {}, scrub);
-      });
+      builder = std::thread(
+          [&] { outside = make_scheme(SchemeKind::kMMetric, env); });
     }
     // Let the outside thread reach the sampler cache first.
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    pooled[i] = make_scheme(SchemeKind::kScrubbing, env, {}, scrub);
+    pooled[i] = make_scheme(SchemeKind::kMMetric, env);
   });
   builder.join();
 
