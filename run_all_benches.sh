@@ -12,9 +12,9 @@
 # times for every rewritten hot-path kernel (DESIGN.md §10) with their
 # serial speedups, the kernel tier and SIMD level the _vec rows actually
 # dispatched to, host core count, whether bench_cache/ was warm, and a
-# thread-scaling curve (bench_fig6 wall-clock at READDUO_THREADS in
+# thread-scaling curve (bench_fig9 wall-clock at READDUO_THREADS in
 # {1,2,4,8}, capped at the host core count, cache disabled so every point
-# recomputes), and a "service" section: the READDUO_METRICS summary of one
+# recomputes, scheme and sampler builds included), and a "service" section: the READDUO_METRICS summary of one
 # fixed-seed readduo_load run (service-level p50/p95/p99, DESIGN.md §11).
 # BENCH_pr6.json was produced this way.
 #
@@ -85,11 +85,13 @@ echo "===== total wall-clock: $(( total_end - total_start )) ms" \
      "(READDUO_THREADS=${READDUO_THREADS:-auto})"
 
 # Thread-scaling curve for the JSON summary: re-run one representative
-# full-system sweep at fixed widths. The cache is disabled so every point
-# pays the whole simulation; widths above the core count are skipped
+# full-system sweep at fixed widths. Fig 9 also builds the Scrubbing and
+# M-metric steady-state samplers, so a build that does not scale shows
+# here. The cache is disabled so every point pays the whole simulation
+# and every build; widths above the core count are skipped
 # (they would measure oversubscription noise, not scaling).
 if [ -n "$json_out" ]; then
-  scaling_bench=bench_fig6
+  scaling_bench=bench_fig9
   for t in 1 2 4 8; do
     if [ "$t" -gt "$(nproc)" ]; then continue; fi
     echo "##### thread scaling: $scaling_bench READDUO_THREADS=$t #####"
@@ -188,7 +190,7 @@ if [ -n "$json_out" ]; then
       -v benchfile="$bench_times" \
       -v kernelfile="$kernel_json" \
       -v scalingfile="$scaling_times" \
-      -v scalingbench="bench_fig6" \
+      -v scalingbench="$scaling_bench" \
       -v servicefile="$service_json" \
       -v servicenetfile="$service_net_json" '
   BEGIN {

@@ -5,6 +5,8 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <tuple>
 
 #include "common/check.h"
@@ -17,36 +19,38 @@ namespace {
 
 /// Shared steady-state samplers: pure functions of (metric, interval, nu),
 /// so scheme instances share them per process. The Scrubbing key (R-metric,
-/// S = 8 s, W = 1) costs ~2 s at 4 threads to build; the M-metric keys cost
-/// tens of milliseconds.
+/// S = 8 s, W = 1) costs ~0.25 s to build; the M-metric keys cost tens of
+/// milliseconds.
 ///
-/// A sampler is built outside g_sampler_mu and published under it. The
-/// build runs its grid on the pool, and holding the lock across that
-/// would deadlock: a caller outside the pool would wait on the pool's
-/// current job while that job's shards wait on the lock. Two threads that
-/// miss the same key both build it; the first insert wins and the other,
-/// bit-identical by purity, is dropped. Entries are never erased and the
-/// map keeps node addresses stable, so the returned reference outlives the
-/// lock.
+/// g_sampler_mu guards only the map: it is held to find or insert a key's
+/// entry, never across a build. Each entry is built once, inside its own
+/// call_once, so concurrent callers of one key wait for a single build
+/// while callers of other keys never wait. A build that throws leaves the
+/// entry unbuilt for the next caller to retry. Entries are never erased
+/// and the map keeps node addresses stable, so the returned reference
+/// outlives the lock.
+struct SamplerEntry {
+  std::once_flag built;
+  std::optional<ScrubAgeSampler> sampler;
+};
 Mutex g_sampler_mu;
-std::map<std::tuple<bool, unsigned, double, unsigned>,
-         std::unique_ptr<ScrubAgeSampler>>
+std::map<std::tuple<bool, unsigned, double, unsigned>, SamplerEntry>
     g_sampler_cache RD_GUARDED_BY(g_sampler_mu);
 
 const ScrubAgeSampler& shared_sampler(const SchemePolicy& p, unsigned cells) {
   const bool m_metric = p.scrub_sense == ScrubSense::kM;
-  const auto key = std::make_tuple(m_metric, cells, p.scrub_interval_s, p.nu);
+  SamplerEntry* entry;
   {
     MutexLock lock(g_sampler_mu);
-    const auto it = g_sampler_cache.find(key);
-    if (it != g_sampler_cache.end()) return *it->second;
+    entry = &g_sampler_cache[std::make_tuple(m_metric, cells,
+                                             p.scrub_interval_s, p.nu)];
   }
-  const drift::ErrorModel& model =
-      m_metric ? SchemeBase::m_model() : SchemeBase::r_model();
-  auto built = std::make_unique<ScrubAgeSampler>(model, cells,
-                                                 p.scrub_interval_s, p.nu);
-  MutexLock lock(g_sampler_mu);
-  return *g_sampler_cache.try_emplace(key, std::move(built)).first->second;
+  std::call_once(entry->built, [&] {
+    entry->sampler.emplace(
+        m_metric ? SchemeBase::m_model() : SchemeBase::r_model(), cells,
+        p.scrub_interval_s, p.nu);
+  });
+  return *entry->sampler;
 }
 
 /// Family names, in SchemeKind order: what scheme_kind_by_name parses and

@@ -2,38 +2,71 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <vector>
 
 #include "common/check.h"
 #include "common/math.h"
-#include "common/parallel.h"
 
 namespace rd::readduo {
 
 namespace {
 
-/// The p(j*S) grid is evaluated kBlock points at a time, kShard points per
-/// pool shard. Both sizes are fixed, so the decomposition, and with it
-/// every value, is the same for any READDUO_THREADS.
-constexpr std::size_t kBlock = 2048;
-constexpr std::size_t kShard = 32;
+/// Scrubs j <= kExactHead evaluate p(j*S) exactly, one quadrature each.
+/// Every M-metric key the simulator builds (S = 640 s: 1,562 steps) lies
+/// wholly inside this head.
+constexpr std::size_t kExactHead = 2048;
+
+/// Past the head, p(t) is interpolated between at most kTailNodes
+/// log-spaced ages over [kExactHead * S, max_j * S].
+constexpr std::size_t kTailNodes = 1024;
 
 /// Upper bound on max_age / interval: a smaller interval is a
 /// misconfiguration (e.g. a 1 us scrub), not a longer build.
 constexpr double kMaxSteps = 4194304.0;  // 2^22
 
-/// probs[k] = p((first + k) * S), the average per-cell error probability
-/// at the (first + k)-th scrub, evaluated on the pool.
-void avg_error_probs(const drift::ErrorModel& model, double interval,
-                     std::size_t first, std::vector<double>& probs) {
-  const std::size_t n = probs.size();
-  parallel_for_shards((n + kShard - 1) / kShard, [&](std::size_t shard) {
-    const std::size_t end = std::min(n, (shard + 1) * kShard);
-    for (std::size_t k = shard * kShard; k < end; ++k) {
-      const double age = static_cast<double>(first + k) * interval;
-      probs[k] = std::exp(std::min(model.log_avg_cell_error_prob(age), 0.0));
-    }
-  });
+/// p(t), the average per-cell error probability at age t.
+double exact_prob(const drift::ErrorModel& model, double age) {
+  return std::exp(std::min(model.log_avg_cell_error_prob(age), 0.0));
 }
+
+/// log p(t) tabulated on log-spaced ages in [t_first, t_last] and
+/// interpolated linearly in (log t, log p). log p is smooth in log t, so
+/// a 1024-node grid bounds the relative error of the sampler's outputs
+/// well below 1e-6.
+class TailInterpolant {
+ public:
+  TailInterpolant(const drift::ErrorModel& model, double t_first,
+                  double t_last, std::size_t nodes)
+      : log_t_first_(std::log(t_first)),
+        step_((std::log(t_last) - log_t_first_) /
+              static_cast<double>(nodes - 1)),
+        log_probs_(nodes) {
+    for (std::size_t k = 0; k < nodes; ++k) {
+      const double age =
+          std::exp(log_t_first_ + static_cast<double>(k) * step_);
+      log_probs_[k] = std::min(model.log_avg_cell_error_prob(age), 0.0);
+    }
+  }
+
+  double prob(double age) const {
+    const double x = (std::log(age) - log_t_first_) / step_;
+    const std::size_t k = std::min(
+        static_cast<std::size_t>(std::max(x, 0.0)), log_probs_.size() - 2);
+    const double lo = log_probs_[k];
+    const double hi = log_probs_[k + 1];
+    // An interval with an underflowed end (log p at or below kNegInf)
+    // counts as p = 0: interpolating from a true -inf would give
+    // -inf * 0 = NaN, which would then poison every later hazard.
+    if (lo <= rd::kNegInf || hi <= rd::kNegInf) return 0.0;
+    return std::exp(lo + (x - static_cast<double>(k)) * (hi - lo));
+  }
+
+ private:
+  double log_t_first_;
+  double step_;
+  std::vector<double> log_probs_;
+};
 
 }  // namespace
 
@@ -61,27 +94,27 @@ ScrubAgeSampler::ScrubAgeSampler(const drift::ErrorModel& model,
   double renewal_mass = 0.0;   // sum over j of P(interval = j*S)
   double mean = 0.0;
   double prev_p = 0.0;  // per-cell error probability at the previous scrub
-  // The recurrence is serial, but each p(j*S) is a pure function of j, so
-  // the points are evaluated on the pool a block ahead of it. The loop
-  // stops at the same j as a one-point-at-a-time loop, wasting at most one
-  // block; W = 0 evaluates none.
-  std::vector<double> block;  // block[i] = p((first + i) * S)
-  std::size_t first = 1;
+  // Built when the loop first passes the exact head; W = 0 and loops that
+  // converge inside the head never build it.
+  std::optional<TailInterpolant> tail;
   for (std::size_t j = 1; j <= max_j; ++j) {
     double q;
     if (nu == 0) {
       q = 1.0;
     } else {
-      if (j == first + block.size()) {
-        first = j;
-        block.resize(std::min(kBlock, max_j - j + 1));
-        avg_error_probs(model, interval, first, block);
+      const double age = static_cast<double>(j) * interval;
+      if (j > kExactHead && !tail) {
+        tail.emplace(
+            model, static_cast<double>(kExactHead) * interval,
+            static_cast<double>(max_j) * interval,
+            std::min(kTailNodes, max_j - kExactHead + 1));
       }
       // Conditional hazard: surviving scrub j-1 certifies the line clean
       // at age (j-1)*S, so only errors accumulating in ((j-1)S, jS]
       // count. Cell drift is monotone: that increment has probability
       // p(jS) - p((j-1)S) per cell (rescaled by the clean condition).
-      const double p_now = block[j - first];
+      const double p_now =
+          j <= kExactHead ? exact_prob(model, age) : tail->prob(age);
       const double dp =
           std::max(0.0, (p_now - prev_p) / std::max(1.0 - prev_p, 1e-12));
       prev_p = p_now;
@@ -129,6 +162,12 @@ ScrubAgeSampler::ScrubAgeSampler(const drift::ErrorModel& model,
   // Rewrite probability at an arbitrary scrub: one rewrite per renewal
   // interval, one scrub per S.
   rewrite_prob_ = std::min(1.0, interval / mean_interval_);
+  RD_CHECK_MSG(std::isfinite(mean_interval_) && mean_interval_ > 0.0 &&
+                   std::isfinite(rewrite_prob_) && rewrite_prob_ > 0.0,
+               "scrub-age sampler (interval=" << interval << " s, W=" << nu
+                   << ") produced mean_rewrite_interval=" << mean_interval_
+                   << " s, rewrite_probability=" << rewrite_prob_
+                   << "; both must be finite and positive");
 }
 
 double ScrubAgeSampler::sample(Rng& rng) const {

@@ -102,8 +102,80 @@ TEST(ScrubAgeSampler, StrongerThresholdRewritesLess) {
   EXPECT_LT(nu3.rewrite_probability(), nu1.rewrite_probability());
 }
 
-/// A sampler's outputs, as hex floats recorded from the one-point-at-a-time
-/// survival loop that the pooled p(j*S) grid replaced.
+TEST(ScrubAgeSampler, TailInterpolationMatchesExactLoop) {
+  // Reference values: rewrite_probability and mean_rewrite_interval from
+  // the exact loop, which evaluated p(j*S) by quadrature at every scrub.
+  struct Exact {
+    bool m_metric;
+    double interval;
+    unsigned nu;
+    double rewrite_probability;
+    double mean_rewrite_interval;
+  };
+  const Exact kExact[] = {
+      {false, 8.0, 1, 0x1.26845cb8a43f2p-6, 0x1.bd0a5bd625f68p+8},
+      {false, 8.0, 3, 0x1.0c90099d0f3c9p-17, 0x1.e80cccde75452p+19},
+      {true, 640.0, 1, 0x1.56f1ceda49951p-11, 0x1.ddbeaec1a13b2p+19},
+  };
+  for (const Exact& e : kExact) {
+    SCOPED_TRACE(::testing::Message() << "m_metric=" << e.m_metric
+                                      << " S=" << e.interval << " W=" << e.nu);
+    const drift::ErrorModel model(e.m_metric ? drift::m_metric()
+                                             : drift::r_metric());
+    const ScrubAgeSampler sampler(model, 296, e.interval, e.nu);
+    if (e.m_metric) {
+      // 1,562 scrubs: wholly inside the exact head, so bit for bit.
+      EXPECT_EQ(sampler.rewrite_probability(), e.rewrite_probability);
+      EXPECT_EQ(sampler.mean_rewrite_interval(), e.mean_rewrite_interval);
+    } else {
+      EXPECT_NEAR(sampler.rewrite_probability() / e.rewrite_probability, 1.0,
+                  1e-6);
+      EXPECT_NEAR(sampler.mean_rewrite_interval() / e.mean_rewrite_interval,
+                  1.0, 1e-6);
+    }
+  }
+}
+
+TEST(ScrubAgeSampler, UnderflowingTailNodesGiveFiniteRates) {
+  // Every tail node underflows: no cell ever drifts to its boundary, so
+  // no scrub rewrites and the whole mass is the residual, credited one
+  // interval past the last modelled scrub.
+  drift::MetricConfig frozen = drift::r_metric();
+  for (drift::StateParams& sp : frozen.states) {
+    sp.mu_alpha = 0.0;
+    sp.sigma_alpha = 0.0;
+  }
+  const double interval = 8.0;
+  const double max_j = std::floor(1.0e6 / interval);
+  const ScrubAgeSampler never(drift::ErrorModel(frozen), 296, interval, 1);
+  EXPECT_TRUE(std::isfinite(never.rewrite_probability()));
+  EXPECT_EQ(never.rewrite_probability(),
+            interval / ((max_j + 1.0) * interval));
+
+  // Drift first reaches the boundary at 1e5 s, inside the interpolated
+  // tail (the head ends at 2048 * 8 s). With a fixed drift coefficient
+  // p(t) is exactly 0 until alpha * log10(t) bridges the guard band, so
+  // the tail nodes before the onset underflow. The interval from an
+  // underflowed node to a finite one counts as p = 0, and the rewrites
+  // after the onset must still count.
+  drift::MetricConfig late = drift::r_metric();
+  for (drift::StateParams& sp : late.states) {
+    sp.mu_alpha = (late.boundary_halfwidth - late.program_halfwidth) *
+                  sp.sigma / 5.0;
+    sp.sigma_alpha = 0.0;
+  }
+  const ScrubAgeSampler onset(drift::ErrorModel(late), 296, interval, 1);
+  EXPECT_TRUE(std::isfinite(onset.rewrite_probability()));
+  EXPECT_TRUE(std::isfinite(onset.mean_rewrite_interval()));
+  EXPECT_GT(onset.rewrite_probability(), never.rewrite_probability());
+  EXPECT_LT(onset.mean_rewrite_interval(), never.mean_rewrite_interval());
+}
+
+/// A sampler's outputs, as hex floats. The draws and the M-metric entry
+/// were recorded from the exact one-point-at-a-time survival loop; the R
+/// entries' rewrite_probability and mean_rewrite_interval from the
+/// exact-head, interpolated-tail build (TailInterpolationMatchesExactLoop
+/// bounds their distance from the exact loop's).
 struct SamplerPin {
   bool m_metric;
   double interval;
@@ -115,7 +187,7 @@ struct SamplerPin {
 
 const SamplerPin kSamplerPins[] = {
     // R-metric, S = 8 s, W = 1: the paper's Scrubbing.
-    {false, 8.0, 1, 0x1.26845cb8a43f2p-6, 0x1.bd0a5bd625f68p+8,
+    {false, 8.0, 1, 0x1.26845c7e70dcap-6, 0x1.bd0a5c2e18359p+8,
      {0x1.e41bf9f7453dp+4, 0x1.0a38c8e9aaf8ap+5, 0x1.323eaff0863cdp+11,
       0x1.920e59d299e29p+8, 0x1.ac33e2311cc1fp+9, 0x1.cfdd0ba45c113p+10,
       0x1.39aee3bb20453p+12, 0x1.32309db314cb4p+11, 0x1.538c91094a537p+4,
@@ -139,7 +211,7 @@ const SamplerPin kSamplerPins[] = {
       0x1.97ae712920795p+4, 0x1.18ff80c879907p+8, 0x1.a2e5148fd4632p+13,
       0x1.006a41bf58d3cp+10}},
     // R-metric, S = 8 s, W = 3.
-    {false, 8.0, 3, 0x1.0c90099d0f3c9p-17, 0x1.e80cccde75452p+19,
+    {false, 8.0, 3, 0x1.0c90099d0ef9dp-17, 0x1.e80cccde75be6p+19,
      {0x1.b3ec837f3ee8ap+15, 0x1.197147191d356p+16, 0x1.79c33eaff0864p+19,
       0x1.8118839674a68p+18, 0x1.0fde0cf88c473p+19, 0x1.5fbbee85d22e1p+19,
       0x1.aeaa5dc776409p+19, 0x1.79a4309db314dp+19, 0x1.4eca719221295p+15,
@@ -189,8 +261,8 @@ const SamplerPin kSamplerPins[] = {
 };
 
 TEST(ScrubAgeSampler, BitsPinnedAtOneAndFourThreads) {
-  // The grid is evaluated on the pool; the values must not depend on how
-  // many threads evaluate it. Built directly, bypassing the scheme cache.
+  // The build is serial; its values must not depend on READDUO_THREADS.
+  // Built directly, bypassing the scheme cache.
   for (const char* threads : {"1", "4"}) {
     const ScopedEnv env("READDUO_THREADS", threads);
     for (const SamplerPin& pin : kSamplerPins) {
@@ -413,11 +485,11 @@ TEST(Schemes, DisabledScrubFailsFastForMScrubbingKinds) {
 TEST(Schemes, ConcurrentSamplerBuildsFinishAndAgree) {
   // A thread outside the pool and the shards of a running pool job build
   // the same sampler (M-metric at S = 256 s: a key no other test builds,
-  // 3906 scrub steps, so more than one pool block). The outside thread
-  // starts first; its build evaluates the grid on the pool, so it waits
-  // for this job to finish. Had it taken the cache lock before that wait,
-  // the shards would block on the lock forever: ctest's TIMEOUT turns
-  // such a deadlock into a failure.
+  // 3906 scrub steps, so it reaches the interpolated tail). The outside
+  // thread starts first and builds inside the key's call_once; the shards
+  // wait for that one build and must read the sampler it published. Under
+  // TSan an unsynchronised publish is a reported race, and ctest's
+  // TIMEOUT turns a deadlock into a failure.
   const ScopedEnv threads("READDUO_THREADS", "4");
   SchemeEnv env = test_env();
   env.scrub.interval_s = 256.0;
