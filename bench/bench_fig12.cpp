@@ -21,15 +21,26 @@ int main() {
   header.push_back("k=4 vs k=2");
   stats::Table t(header);
 
-  std::vector<double> gain;
+  // Per workload: Ideal, then LWT-k for each k.
+  std::vector<RunSpec> specs;
   for (const auto& w : trace::spec2006_workloads()) {
-    const RunResult ideal = run_scheme(readduo::SchemeKind::kIdeal, w);
-    std::vector<std::string> row = {w.name};
-    double t2 = 0.0, t4 = 0.0;
+    specs.push_back({readduo::SchemeKind::kIdeal, w});
     for (unsigned k : ks) {
       readduo::ReadDuoOptions opts;
       opts.k = k;
-      const RunResult r = run_scheme(readduo::SchemeKind::kLwt, w, opts);
+      specs.push_back({readduo::SchemeKind::kLwt, w, opts});
+    }
+  }
+  const std::vector<RunResult> results = run_schemes(specs);
+
+  std::vector<double> gain;
+  std::size_t idx = 0;
+  for (const auto& w : trace::spec2006_workloads()) {
+    const RunResult& ideal = results[idx++];
+    std::vector<std::string> row = {w.name};
+    double t2 = 0.0, t4 = 0.0;
+    for (unsigned k : ks) {
+      const RunResult& r = results[idx++];
       const double ratio = static_cast<double>(r.summary.exec_time.v) /
                            static_cast<double>(ideal.summary.exec_time.v);
       if (k == 2) t2 = ratio;

@@ -20,15 +20,26 @@ int main() {
   header.push_back("s=2 vs s=1");
   stats::Table t(header);
 
-  std::vector<double> gain;
+  // Per workload: Ideal, then Select-4:s for each s.
+  std::vector<RunSpec> specs;
   for (const auto& w : trace::spec2006_workloads()) {
-    const RunResult ideal = run_scheme(readduo::SchemeKind::kIdeal, w);
-    std::vector<std::string> row = {w.name};
-    double e1 = 0.0, e2 = 0.0;
+    specs.push_back({readduo::SchemeKind::kIdeal, w});
     for (unsigned s : ss) {
       readduo::ReadDuoOptions opts;
       opts.select_s = s;
-      const RunResult r = run_scheme(readduo::SchemeKind::kSelect, w, opts);
+      specs.push_back({readduo::SchemeKind::kSelect, w, opts});
+    }
+  }
+  const std::vector<RunResult> results = run_schemes(specs);
+
+  std::vector<double> gain;
+  std::size_t idx = 0;
+  for (const auto& w : trace::spec2006_workloads()) {
+    const RunResult& ideal = results[idx++];
+    std::vector<std::string> row = {w.name};
+    double e1 = 0.0, e2 = 0.0;
+    for (unsigned s : ss) {
+      const RunResult& r = results[idx++];
       const double ratio =
           r.summary.dynamic_energy_pj / ideal.summary.dynamic_energy_pj;
       if (s == 1) e1 = ratio;

@@ -17,15 +17,25 @@ int main() {
 
   stats::Table t({"Workload", "no conversion", "with conversion",
                   "improvement", "conv writes", "untracked reads"});
-  std::vector<double> gain;
+  readduo::ReadDuoOptions off;
+  off.conversion = false;
+  readduo::ReadDuoOptions on;
+  on.conversion = true;
+  // Per workload: Ideal, LWT-4 without conversion, LWT-4 with it.
+  std::vector<RunSpec> specs;
   for (const auto& w : trace::spec2006_workloads()) {
-    const RunResult ideal = run_scheme(readduo::SchemeKind::kIdeal, w);
-    readduo::ReadDuoOptions off;
-    off.conversion = false;
-    readduo::ReadDuoOptions on;
-    on.conversion = true;
-    const RunResult roff = run_scheme(readduo::SchemeKind::kLwt, w, off);
-    const RunResult ron = run_scheme(readduo::SchemeKind::kLwt, w, on);
+    specs.push_back({readduo::SchemeKind::kIdeal, w});
+    specs.push_back({readduo::SchemeKind::kLwt, w, off});
+    specs.push_back({readduo::SchemeKind::kLwt, w, on});
+  }
+  const std::vector<RunResult> results = run_schemes(specs);
+
+  std::vector<double> gain;
+  std::size_t idx = 0;
+  for (const auto& w : trace::spec2006_workloads()) {
+    const RunResult& ideal = results[idx++];
+    const RunResult& roff = results[idx++];
+    const RunResult& ron = results[idx++];
     const double toff = static_cast<double>(roff.summary.exec_time.v) /
                         static_cast<double>(ideal.summary.exec_time.v);
     const double ton = static_cast<double>(ron.summary.exec_time.v) /

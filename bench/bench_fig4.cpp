@@ -36,19 +36,23 @@ int main() {
   std::printf("Measured read-mode mix (geomean-relevant workloads):\n");
   stats::Table t({"Workload", "Scheme", "R-read", "M-read", "R-M-read",
                   "avg latency (ns)"});
+  std::vector<RunSpec> specs;
   for (const char* name : {"bzip2", "mcf", "sphinx3"}) {
-    const auto& w = trace::workload_by_name(name);
     for (auto kind : {readduo::SchemeKind::kScrubbing,
                       readduo::SchemeKind::kMMetric,
                       readduo::SchemeKind::kHybrid,
                       readduo::SchemeKind::kLwt}) {
-      const RunResult r = run_scheme(kind, w);
-      t.add_row({w.name, r.summary.scheme,
-                 std::to_string(r.counters.r_reads),
-                 std::to_string(r.counters.m_reads),
-                 std::to_string(r.counters.rm_reads),
-                 stats::fmt("%.0f", r.sim.avg_read_latency_ns())});
+      specs.push_back({kind, trace::workload_by_name(name)});
     }
+  }
+  const std::vector<RunResult> results = run_schemes(specs);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const RunResult& r = results[i];
+    t.add_row({specs[i].workload.name, r.summary.scheme,
+               std::to_string(r.counters.r_reads),
+               std::to_string(r.counters.m_reads),
+               std::to_string(r.counters.rm_reads),
+               stats::fmt("%.0f", r.sim.avg_read_latency_ns())});
   }
   t.print();
   return 0;

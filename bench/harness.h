@@ -1,24 +1,19 @@
 // Shared harness for the per-figure/table bench binaries.
 //
-// Each bench binary regenerates one table or figure of the paper. The
-// expensive full-system sweeps (Figures 9, 10, 11, 15 share the same runs)
-// are memoized to an on-disk cache under bench_cache/, keyed by the full
-// run configuration. Set READDUO_CACHE=0 to disable, READDUO_INSTR=<n>
-// to change the per-core instruction budget (default 6,000,000). A
-// READDUO_FAULTS plan that perturbs the simulation disables the cache for
-// the whole process: perturbed results are never stored, and stale clean
-// entries are never served in their place.
+// Each bench binary regenerates one or more tables or figures of the
+// paper. Every run is computed fresh under the active device, so an edited
+// .cfg always reaches the output; figures that share runs (Figures 9, 10,
+// 11 and 15 are four views of one grid) are printed by one binary from one
+// batch. READDUO_INSTR=<n> changes the per-core instruction budget
+// (default 6,000,000).
 //
 // Independent (scheme x workload) simulations are embarrassingly parallel
-// — every Simulator owns its whole state — so sweep binaries batch their
+// — every Simulator owns its whole state — so bench binaries batch their
 // runs through run_schemes(), which fans the batch out over the
-// READDUO_THREADS pool (see common/parallel.h). Cache files are written
-// via tmp-file + rename, so concurrent runs (threads or whole processes)
-// never observe a torn cache entry.
+// READDUO_THREADS pool (see common/parallel.h).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -48,28 +43,11 @@ void set_bench_name(const std::string& name);
 
 namespace detail {
 
-/// On-disk cache entry schema. Bump whenever RunResult (or anything it
-/// embeds) gains, loses, or reorders a serialized field; load_cached
-/// treats every other version as a miss instead of misparsing old bytes
-/// into new fields.
-inline constexpr int kCacheSchemaVersion = 3;
-
-/// Serialize one cache entry (schema tag + every RunResult field +
-/// metrics).
-void write_cache_entry(std::ostream& out, const RunResult& r);
-
-/// Strict inverse of write_cache_entry: false on wrong schema tag, short
-/// read, malformed or non-finite fields, or trailing tokens. The caller
-/// (load_cached) treats any failure behind a valid schema tag as a
-/// corrupt entry: warn, count it, and recompute — never abort, never
-/// trust partial bytes.
-bool parse_cache_entry(std::istream& in, RunResult& out);
-
 /// Render one run record exactly as it appears in the READDUO_METRICS
 /// "runs" array. Exposed for the golden tests, which render in-process
 /// and compare field-by-field against a committed file.
 std::string render_run_json(const std::string& workload, std::uint64_t seed,
-                            bool cached, double wall_ms, const RunResult& r);
+                            double wall_ms, const RunResult& r);
 
 /// Render the full READDUO_METRICS document from the harness state
 /// accumulated so far (runs recorded only while READDUO_METRICS is set).
@@ -78,7 +56,7 @@ std::string render_metrics_json();
 
 }  // namespace detail
 
-/// Run `kind` on `workload` (cached unless READDUO_CACHE=0).
+/// Run `kind` on `workload` under the active device.
 RunResult run_scheme(readduo::SchemeKind kind, const trace::Workload& w,
                      const readduo::ReadDuoOptions& opts = {},
                      std::uint64_t seed = 42);
@@ -93,9 +71,7 @@ struct RunSpec {
 
 /// Execute every spec — concurrently over the READDUO_THREADS pool, since
 /// each simulation is independent — and return the results in spec order.
-/// Each run hits the same on-disk cache as run_scheme(), so a batch mixes
-/// cached and fresh runs freely; results are identical to calling
-/// run_scheme() serially for each spec.
+/// Results are identical to calling run_scheme() serially for each spec.
 std::vector<RunResult> run_schemes(const std::vector<RunSpec>& specs);
 
 /// The paper's six evaluated schemes, in Figure 9 order.

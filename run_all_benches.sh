@@ -1,22 +1,22 @@
 #!/bin/sh
-# Regenerate every table and figure of the paper, in order. The heavy
-# full-system sweeps share runs through bench_cache/ and fan out over the
-# READDUO_THREADS pool (default: all cores; =1 forces serial execution).
-# Per-bench and total wall-clock are printed so perf changes have a
-# trajectory to cite, and the per-bench "== harness:" self-metrics lines
-# (runs, cache hits/misses, simulated wall-clock) are aggregated into a
-# final summary.
+# Regenerate every table and figure of the paper, in order. Each bench
+# computes its runs fresh and fans them out over the READDUO_THREADS pool
+# (default: all cores; =1 forces serial execution); bench_fig9 prints
+# Figures 9, 10, 11 and 15 from one shared batch. Per-bench and total
+# wall-clock are printed so perf changes have a trajectory to cite, and
+# the per-bench "== harness:" self-metrics lines (runs, simulated
+# wall-clock) are aggregated into a final summary.
 #
 # READDUO_BENCH_JSON=path additionally writes a machine-readable summary:
 # per-bench wall-clock, the Kernel_*_{ref,opt,vec} triples bench_micro
 # times for every rewritten hot-path kernel (DESIGN.md §10) with their
 # serial speedups, the kernel tier and SIMD level the _vec rows actually
-# dispatched to, host core count, whether bench_cache/ was warm, and a
-# thread-scaling curve (bench_fig9 wall-clock at READDUO_THREADS in
-# {1,2,4,8}, capped at the host core count, cache disabled so every point
-# recomputes, scheme and sampler builds included), and a "service" section: the READDUO_METRICS summary of one
-# fixed-seed readduo_load run (service-level p50/p95/p99, DESIGN.md §11).
-# BENCH_pr6.json was produced this way.
+# dispatched to, host core count, a thread-scaling curve (bench_fig9
+# wall-clock at READDUO_THREADS in {1,2,4,8}, capped at the host core
+# count, scheme and sampler builds included), and a "service" section: the
+# READDUO_METRICS summary of one fixed-seed readduo_load run (service-level
+# p50/p95/p99, DESIGN.md §11).
+# BENCH_pr18.json was produced this way.
 #
 # READDUO_BENCH_COMPARE=<baseline.json> gates the run on the perf budget:
 # after writing READDUO_BENCH_JSON (required), the kernels_ns sections of
@@ -49,19 +49,11 @@ service_net_json=$(mktemp)
 trap 'rm -f "$harness_log" "$bench_times" "$kernel_json" "$scaling_times" \
             "$service_json" "$service_net_json"' EXIT
 
-# Record the cache state before the sweep touches it: a warm bench_cache/
-# replays the heavy sims, so the per-bench numbers mean something different.
-if [ -n "$(ls bench_cache 2>/dev/null)" ]; then
-  cache_state=warm
-else
-  cache_state=cold
-fi
-
 total_start=$(now_ms)
 for b in \
     bench_tables_1_2 bench_table3 bench_table4 bench_table5 bench_table7 \
-    bench_fig3 bench_fig4 bench_fig6 bench_fig9 bench_fig10 bench_fig11 \
-    bench_fig12 bench_fig13 bench_fig14 bench_fig15 \
+    bench_fig3 bench_fig4 bench_fig6 bench_fig9 \
+    bench_fig12 bench_fig13 bench_fig14 \
     bench_ablation_w1 bench_ablation_t bench_ext_wear \
     bench_ext_rowbuffer bench_ext_temperature bench_ext_pausing \
     bench_micro; do
@@ -85,19 +77,18 @@ echo "===== total wall-clock: $(( total_end - total_start )) ms" \
      "(READDUO_THREADS=${READDUO_THREADS:-auto})"
 
 # Thread-scaling curve for the JSON summary: re-run one representative
-# full-system sweep at fixed widths. Fig 9 also builds the Scrubbing and
-# M-metric steady-state samplers, so a build that does not scale shows
-# here. The cache is disabled so every point pays the whole simulation
-# and every build; widths above the core count are skipped
-# (they would measure oversubscription noise, not scaling).
+# full-system sweep at fixed widths: bench_fig9's 98-run batch. It also
+# builds the Scrubbing and M-metric steady-state samplers, so a build that
+# does not scale shows here. Every point pays the whole simulation and
+# every build; widths above the core count are skipped (they would measure
+# oversubscription noise, not scaling).
 if [ -n "$json_out" ]; then
   scaling_bench=bench_fig9
   for t in 1 2 4 8; do
     if [ "$t" -gt "$(nproc)" ]; then continue; fi
     echo "##### thread scaling: $scaling_bench READDUO_THREADS=$t #####"
     scale_start=$(now_ms)
-    READDUO_CACHE=0 READDUO_THREADS=$t "./build/bench/$scaling_bench" \
-        > /dev/null
+    READDUO_THREADS=$t "./build/bench/$scaling_bench" > /dev/null
     scale_end=$(now_ms)
     echo "----- $scaling_bench threads=$t: $(( scale_end - scale_start )) ms"
     echo "$t $(( scale_end - scale_start ))" >> "$scaling_times"
@@ -154,17 +145,15 @@ awk '
   /^== harness:/ {
     for (i = 3; i <= NF; ++i) {
       split($i, kv, "=")
-      if (kv[1] == "runs")         runs   += kv[2]
-      if (kv[1] == "cache_hits")   hits   += kv[2]
-      if (kv[1] == "cache_misses") misses += kv[2]
-      if (kv[1] == "sim_wall_ms")  simms  += kv[2]
-      if (kv[1] == "threads")      threads = kv[2]
+      if (kv[1] == "runs")        runs   += kv[2]
+      if (kv[1] == "sim_wall_ms") simms  += kv[2]
+      if (kv[1] == "threads")     threads = kv[2]
     }
     benches += 1
   }
   END {
-    printf "===== harness totals: benches=%d runs=%d cache_hits=%d cache_misses=%d sim_wall_ms=%d threads=%d\n", \
-           benches, runs, hits, misses, simms, threads
+    printf "===== harness totals: benches=%d runs=%d sim_wall_ms=%d threads=%d\n", \
+           benches, runs, simms, threads
   }
 ' "$harness_log"
 
@@ -172,7 +161,7 @@ awk '
 if [ -n "$json_out" ]; then
   # The active device name: read from the READDUO_DEVICE config when the
   # sweep ran against one, else the builtin (DESIGN.md §13). Every run in
-  # the summary used this device — the bench cache keys guarantee it.
+  # the summary used this device: each bench computes its runs fresh.
   if [ -n "${READDUO_DEVICE:-}" ]; then
     device_name=$(sed -n 's/^name[[:space:]]*=[[:space:]]*//p' \
                   "$READDUO_DEVICE" | head -1)
@@ -183,7 +172,6 @@ if [ -n "$json_out" ]; then
   awk -v total_ms="$(( total_end - total_start ))" \
       -v cores="$(nproc)" \
       -v device="$device_name" \
-      -v cache="$cache_state" \
       -v threads="${READDUO_THREADS:-auto}" \
       -v instr="${READDUO_INSTR:-default}" \
       -v date="$(date +%Y-%m-%d)" \
@@ -246,7 +234,6 @@ if [ -n "$json_out" ]; then
     printf "  \"device\": \"%s\",\n", device
     printf "  \"host\": {\"cores\": %d, \"os\": \"linux\"},\n", cores
     printf "  \"env\": {\"READDUO_THREADS\": \"%s\", \"READDUO_INSTR\": \"%s\"},\n", threads, instr
-    printf "  \"cache\": \"%s\",\n", cache
     printf "  \"total_wall_ms\": %d,\n", total_ms
     printf "  \"per_bench_ms\": {\n"
     for (i = 1; i <= npb; ++i) {

@@ -139,7 +139,7 @@ if [ "${SKIP_SANITIZER_SMOKE:-0}" != "1" ]; then
   step "sanitizer smoke: UBSan bench_fig9 at a small instruction budget"
   cmake -B build-ubsan -S . -DREADDUO_SANITIZE=undefined > /dev/null \
     && cmake --build build-ubsan --target bench_fig9 -j \
-    && READDUO_INSTR=50000 READDUO_CACHE=0 ./build-ubsan/bench/bench_fig9 \
+    && READDUO_INSTR=50000 ./build-ubsan/bench/bench_fig9 \
        > /dev/null \
     || failures=$((failures + 1))
 

@@ -13,7 +13,7 @@
 // test-enforced to reproduce it bit-for-bit (the default-equivalence
 // guarantee, DESIGN.md §13): running with no device selected and running
 // under READDUO_DEVICE=configs/pcm_readduo_t1.cfg are indistinguishable,
-// down to golden metrics and bench-cache keys.
+// down to golden metrics.
 #pragma once
 
 #include <string>
@@ -35,8 +35,8 @@ struct EccParams {
 /// about the underlying memory technology.
 struct DeviceConfig {
   /// Stable identifier ("pcm-readduo-t1"). Carried into the metrics JSON
-  /// `device` field, the bench-cache key, and the wire hello, so results
-  /// are always attributable to the device that produced them.
+  /// `device` field and the wire hello, so results are always
+  /// attributable to the device that produced them.
   std::string name;
   /// Technology family: "pcm", "rram", or "nand".
   std::string kind;

@@ -64,7 +64,7 @@ std::vector<KeySpec> build_schema() {
   // --- [device] ---------------------------------------------------------
   s.push_back({"device.name", ValueType::kString, Unit::kNone, true, 0, 0,
                "Stable device identifier, carried into the metrics JSON "
-               "'device' field, bench-cache keys, and the wire hello."});
+               "'device' field and the wire hello."});
   s.push_back({"device.kind", ValueType::kString, Unit::kNone, true, 0, 0,
                "Technology family: pcm, rram, or nand."});
   s.push_back({"device.levels", ValueType::kInt, Unit::kNone, true, 2, 16,

@@ -136,7 +136,6 @@ const char* fault_class_name(FaultClass c) {
     case FaultClass::kLwtVector: return "lwt-vec";
     case FaultClass::kLwtIndex: return "lwt-ind";
     case FaultClass::kBchError: return "bch";
-    case FaultClass::kCacheCorrupt: return "cache";
     case FaultClass::kTraceShortRead: return "trace";
     case FaultClass::kWireCorrupt: return "wire";
   }
@@ -149,8 +148,8 @@ bool FaultPlan::affects_simulation() const {
 }
 
 bool FaultPlan::any() const {
-  return affects_simulation() || cache_p > 0.0 || trace_p > 0.0 ||
-         trace_fail_reads > 0 || wire_p > 0.0;
+  return affects_simulation() || trace_p > 0.0 || trace_fail_reads > 0 ||
+         wire_p > 0.0;
 }
 
 bool operator==(const FaultPlan& a, const FaultPlan& b) {
@@ -159,7 +158,6 @@ bool operator==(const FaultPlan& a, const FaultPlan& b) {
          a.sense_p == b.sense_p && a.sense_mag == b.sense_mag &&
          a.lwt_vec_p == b.lwt_vec_p && a.lwt_ind_p == b.lwt_ind_p &&
          a.bch_p == b.bch_p && a.bch_e == b.bch_e &&
-         a.cache_p == b.cache_p && a.cache_truncate == b.cache_truncate &&
          a.trace_p == b.trace_p &&
          a.trace_fail_reads == b.trace_fail_reads && a.wire_p == b.wire_p;
 }
@@ -241,8 +239,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       cls = FaultClass::kLwtIndex;
     } else if (name == "bch") {
       cls = FaultClass::kBchError;
-    } else if (name == "cache") {
-      cls = FaultClass::kCacheCorrupt;
     } else if (name == "trace") {
       cls = FaultClass::kTraceShortRead;
     } else if (name == "wire") {
@@ -299,20 +295,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
         }
         break;
       }
-      case FaultClass::kCacheCorrupt: {
-        const KvList kvs = parse_kvs(clause, body, {"p", "mode"});
-        RD_CHECK_MSG(kvs.has("p"),
-                     "READDUO_FAULTS clause '" << clause << "': needs p=");
-        plan.cache_p = parse_prob(clause, kvs.get("p"));
-        if (kvs.has("mode")) {
-          const std::string m = kvs.get("mode");
-          RD_CHECK_MSG(m == "garble" || m == "truncate",
-                       "READDUO_FAULTS clause '"
-                           << clause << "': mode must be garble|truncate");
-          plan.cache_truncate = m == "truncate";
-        }
-        break;
-      }
       case FaultClass::kTraceShortRead: {
         const KvList kvs = parse_kvs(clause, body, {"p", "n"});
         RD_CHECK_MSG(kvs.has("p") || kvs.has("n"),
@@ -357,10 +339,6 @@ std::string FaultPlan::canonical() const {
   if (lwt_ind_p > 0.0) os << ";lwt-ind:p=" << render_real(lwt_ind_p);
   if (bch_p > 0.0) {
     os << ";bch:p=" << render_real(bch_p) << ",e=" << bch_e;
-  }
-  if (cache_p > 0.0) {
-    os << ";cache:p=" << render_real(cache_p)
-       << ",mode=" << (cache_truncate ? "truncate" : "garble");
   }
   if (trace_p > 0.0 || trace_fail_reads > 0) {
     os << ";trace:";

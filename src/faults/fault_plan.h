@@ -2,7 +2,7 @@
 //
 // A FaultPlan is the parsed, validated description of which fault classes
 // a run injects and how hard. It is pure data: the decisions themselves
-// (which cell, which read, which cache entry) live in FaultEngine and are
+// (which cell, which read, which frame) live in FaultEngine and are
 // keyed hashes of (plan seed, stable identifiers), so a plan reproduces
 // bit-identically across thread counts and process runs.
 //
@@ -11,7 +11,7 @@
 //   spec    := clause (';' clause)*         empty clauses are skipped
 //   clause  := 'seed=' <uint> | class (':' kv (',' kv)*)?
 //   class   := 'stuck' | 'sense' | 'lwt-vec' | 'lwt-ind'
-//            | 'bch' | 'cache' | 'trace' | 'wire'
+//            | 'bch' | 'trace' | 'wire'
 //   kv      := key '=' value
 //
 // When the READDUO_FAULTS value names an existing file, the spec is read
@@ -24,7 +24,6 @@
 //   lwt-vec p=<prob>                   vector-flag bit flip per read
 //   lwt-ind p=<prob>                   index-flag overwrite per read
 //   bch     p=<prob> e=<9..17>         adversarial error burst per R-sense
-//   cache   p=<prob> mode=garble|truncate   bench_cache entry corruption
 //   trace   p=<prob> n=<attempts>      trace-file short reads (n > 0:
 //                                      deterministically fail the first n
 //                                      load attempts instead of drawing p)
@@ -48,12 +47,11 @@ enum class FaultClass : unsigned {
   kLwtVector,       ///< "lwt-vec": LWT vector-flag bit flips
   kLwtIndex,        ///< "lwt-ind": LWT index-flag overwrites
   kBchError,        ///< "bch": 9..17-bit bursts at the detection boundary
-  kCacheCorrupt,    ///< "cache": garbled/truncated bench_cache entries
   kTraceShortRead,  ///< "trace": trace-file short reads
   kWireCorrupt,     ///< "wire": inbound frame-payload corruption
 };
 
-inline constexpr std::size_t kNumFaultClasses = 8;
+inline constexpr std::size_t kNumFaultClasses = 7;
 
 /// The spec keyword of a class ("stuck", "sense", ...).
 const char* fault_class_name(FaultClass c);
@@ -90,10 +88,6 @@ struct FaultPlan {
   double bch_p = 0.0;
   unsigned bch_e = 12;  ///< injected burst weight, 9..17
 
-  // cache
-  double cache_p = 0.0;
-  bool cache_truncate = false;  ///< truncate instead of garbling bytes
-
   // trace
   double trace_p = 0.0;
   unsigned trace_fail_reads = 0;  ///< fail the first n attempts outright
@@ -102,7 +96,7 @@ struct FaultPlan {
   double wire_p = 0.0;
 
   /// True when any injector can perturb simulation results (stuck, sense,
-  /// lwt-*, bch). Harness-only faults (cache, trace, wire) never change
+  /// lwt-*, bch). Harness-only faults (trace, wire) never change
   /// what a run computes, only how the harness gets there — a corrupted
   /// frame is caught by the CRC and resent, so the admitted request
   /// sequence (and every virtual-time metric) is unchanged.

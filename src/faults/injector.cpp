@@ -19,7 +19,6 @@ constexpr std::uint64_t kSaltExtraErr = 0x5a5a0003d00dfeedull;
 constexpr std::uint64_t kSaltLwtVec = 0x5a5a0004d00dfeedull;
 constexpr std::uint64_t kSaltLwtInd = 0x5a5a0005d00dfeedull;
 constexpr std::uint64_t kSaltBch = 0x5a5a0006d00dfeedull;
-constexpr std::uint64_t kSaltCache = 0x5a5a0007d00dfeedull;
 constexpr std::uint64_t kSaltTrace = 0x5a5a0008d00dfeedull;
 constexpr std::uint64_t kSaltWire = 0x5a5a0009d00dfeedull;
 
@@ -38,8 +37,7 @@ std::uint64_t mix(std::uint64_t k1, std::uint64_t k2, std::uint64_t k3) {
   return mix64(h ^ k3);
 }
 
-/// FNV-1a for raw bytes (frame payloads) and string keys (cache keys,
-/// trace paths).
+/// FNV-1a for raw bytes (frame payloads) and strings (trace paths).
 std::uint64_t fnv1a(const char* p, std::size_t n) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (std::size_t i = 0; i < n; ++i) {
@@ -153,32 +151,6 @@ std::vector<unsigned> FaultEngine::bch_error_positions(
   }
   bump(FaultClass::kBchError);
   return positions;
-}
-
-bool FaultEngine::corrupt_cache_entry(const std::string& key,
-                                      std::string& bytes) const {
-  if (plan_.cache_p <= 0.0) return false;
-  Rng s = stream(kSaltCache, fnv1a(key));
-  if (!s.bernoulli(plan_.cache_p)) return false;
-  // Corrupt strictly after the schema tag line: a wrong tag is a silent
-  // (expected) cache miss, while damage behind a valid tag is what the
-  // loader's warn-and-recompute path must absorb.
-  std::size_t body = bytes.find('\n');
-  body = body == std::string::npos ? 0 : body + 1;
-  if (body >= bytes.size()) return false;  // no body to damage
-  bump(FaultClass::kCacheCorrupt);
-  if (plan_.cache_truncate) {
-    bytes.resize(body + (bytes.size() - body) / 2);
-    return true;
-  }
-  // Garble a few characters a third of the way into the body — far past
-  // the scheme-name token, so the damage always hits a numeric field and
-  // can never re-parse cleanly.
-  const std::size_t at = body + (bytes.size() - body) / 3;
-  for (std::size_t i = at; i < bytes.size() && i < at + 4; ++i) {
-    bytes[i] = '?';
-  }
-  return true;
 }
 
 bool FaultEngine::trace_short_read(const std::string& path, unsigned attempt,

@@ -2,7 +2,7 @@
 //
 // Every decision is a pure function of (plan.seed, a per-class salt, the
 // stable identifiers of the decision point) — a line address, a cell index,
-// a read serial, a cache key — hashed into an Rng stream that is drawn
+// a read serial, a trace path — hashed into an Rng stream that is drawn
 // exactly once per decision. Nothing depends on thread count, scheduling
 // order, or wall clock, so a FaultPlan + seed reproduces the same faults
 // bit-for-bit under READDUO_THREADS=1 and =N (test-enforced; see
@@ -69,11 +69,6 @@ class FaultEngine {
   std::vector<unsigned> bch_error_positions(std::uint64_t line,
                                             std::uint64_t serial,
                                             unsigned codeword_bits) const;
-
-  /// Corrupt a serialized bench_cache entry (keyed by its cache key);
-  /// true when the bytes were modified. Corruption lands strictly after
-  /// the schema tag, exercising the warn-and-recompute loader path.
-  bool corrupt_cache_entry(const std::string& key, std::string& bytes) const;
 
   /// Short-read `bytes` of trace file `path` on load attempt `attempt`
   /// (0-based); true when the bytes were truncated. Keyed per attempt, so

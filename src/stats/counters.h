@@ -32,10 +32,7 @@ struct Counters {
   std::uint64_t cell_writes = 0;
 
   /// Fault events this scheme absorbed from READDUO_FAULTS (extra sense
-  /// errors, LWT flag corruptions). Always 0 when faults are off. Not
-  /// serialized into bench_cache entries: fault-perturbed runs are never
-  /// cached (the harness disables the cache for them), so the v2 schema
-  /// is unchanged.
+  /// errors, LWT flag corruptions). Always 0 when faults are off.
   std::uint64_t injected_faults = 0;
 
   // Dynamic energy (pJ) by category.

@@ -9,7 +9,7 @@ int seeded() {
 }
 
 // lint: allow(no-getenv) standalone-comment suppression covers the next line
-const char* raw = std::getenv("READDUO_CACHE");
+const char* raw = std::getenv("READDUO_THREADS");
 
 double tolerance_check(double x) {
   // lint: allow(unit-conv) convergence epsilon, not a time conversion

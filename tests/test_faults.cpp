@@ -2,8 +2,8 @@
 // determinism, the chip / ECC / LWT / harness seams, and the PR's
 // acceptance criteria — (a) identical plan + seed gives bit-identical
 // results across thread counts, (b) harness-only plans leave simulation
-// outputs bit-identical to faults-off, (c) corrupted cache entries and
-// truncated trace files are absorbed with a report, never an abort.
+// outputs bit-identical to faults-off, (c) truncated trace files are
+// absorbed with a report, never an abort.
 #include "faults/injector.h"
 
 #include <gtest/gtest.h>
@@ -62,8 +62,7 @@ TEST(FaultPlanParse, DefaultsAndSingleClass) {
 TEST(FaultPlanParse, AllClassesAndSeed) {
   const FaultPlan p = FaultPlan::parse(
       "seed=99;stuck:p=0.1,level=0;sense:p=0.2,mag=0.75;lwt-vec:p=0.3;"
-      "lwt-ind:p=0.4;bch:p=0.5,e=17;cache:p=0.6,mode=truncate;"
-      "trace:p=0.7,n=2;wire:p=0.8");
+      "lwt-ind:p=0.4;bch:p=0.5,e=17;trace:p=0.7,n=2;wire:p=0.8");
   EXPECT_EQ(p.seed, 99u);
   EXPECT_DOUBLE_EQ(p.stuck_p, 0.1);
   EXPECT_EQ(p.stuck_level, 0u);
@@ -73,8 +72,6 @@ TEST(FaultPlanParse, AllClassesAndSeed) {
   EXPECT_DOUBLE_EQ(p.lwt_ind_p, 0.4);
   EXPECT_DOUBLE_EQ(p.bch_p, 0.5);
   EXPECT_EQ(p.bch_e, 17u);
-  EXPECT_DOUBLE_EQ(p.cache_p, 0.6);
-  EXPECT_TRUE(p.cache_truncate);
   EXPECT_DOUBLE_EQ(p.trace_p, 0.7);
   EXPECT_EQ(p.trace_fail_reads, 2u);
   EXPECT_DOUBLE_EQ(p.wire_p, 0.8);
@@ -109,9 +106,9 @@ TEST(FaultPlanParse, CanonicalRoundTrips) {
       "seed=7;stuck:p=0.125,level=2",
       "stuck:line=1,cell=2,level=0;stuck:line=4,cell=9",
       "seed=42;sense:p=0.001,mag=0.5;bch:p=0.25,e=12",
-      "lwt-vec:p=0.5;lwt-ind:p=0.25;cache:p=1,mode=truncate;trace:p=0.5,n=3",
+      "lwt-vec:p=0.5;lwt-ind:p=0.25;trace:p=0.5,n=3",
       "seed=11;wire:p=0.01",
-      "cache:p=0.5;trace:n=1;wire:p=0.125",
+      "trace:n=1;wire:p=0.125",
   };
   for (const char* s : specs) {
     const FaultPlan p = FaultPlan::parse(s);
@@ -129,7 +126,7 @@ TEST(FaultPlanParse, RejectsMalformedSpecsLoudly) {
       "sense:p=0.1,mag=-1",     // magnitude must be positive
       "bch:p=0.1,e=8",          // below the detection boundary
       "bch:p=0.1,e=18",         // above the design distance
-      "cache:p=0.1,mode=weird", // unknown mode
+      "cache:p=1",              // unknown class
       "seed=abc",               // malformed integer
       "seed=1x",                // trailing garbage in value
       "stuck:p=0.1;stuck:p=0.2",  // duplicate probabilistic clause
@@ -147,7 +144,7 @@ TEST(FaultPlanParse, RejectsMalformedSpecsLoudly) {
 }
 
 TEST(FaultPlanParse, HarnessOnlyClassesDoNotAffectSimulation) {
-  const FaultPlan p = FaultPlan::parse("cache:p=1;trace:p=1,n=2;wire:p=1");
+  const FaultPlan p = FaultPlan::parse("trace:p=1,n=2;wire:p=1");
   EXPECT_TRUE(p.any());
   EXPECT_FALSE(p.affects_simulation());
 }
@@ -240,7 +237,7 @@ TEST(WireFaults, CorruptionIsDeterministicAndAlwaysChangesBytes) {
 }
 
 TEST(WireFaults, DisabledPlanAndEmptyPayloadNeverFire) {
-  const FaultEngine off(FaultPlan::parse("cache:p=1"));
+  const FaultEngine off(FaultPlan::parse("trace:n=1"));
   std::string bytes = "abc";
   EXPECT_FALSE(off.wire_corrupt(bytes.data(), bytes.size(), 1));
   EXPECT_EQ(bytes, "abc");
@@ -363,8 +360,6 @@ void expect_runs_equal(const bench::RunResult& a, const bench::RunResult& b,
 
 TEST(FaultDeterminism, BitIdenticalAcrossThreadCounts) {
   ScopedEnv instr("READDUO_INSTR", "20000");
-  // No READDUO_CACHE override: the sim-affecting plan must disable the
-  // cache by itself (a cached clean result would break the comparison).
   ScopedFaultEngine fe(
       "seed=11;sense:p=0.0005;lwt-vec:p=0.02;lwt-ind:p=0.01");
 
@@ -399,7 +394,6 @@ TEST(FaultDeterminism, BitIdenticalAcrossThreadCounts) {
 // --- zero overhead when off (acceptance criterion b) ------------------------
 
 TEST(FaultsOff, HarnessOnlyPlanLeavesSimulationBitIdentical) {
-  ScopedEnv cache("READDUO_CACHE", "0");
   ScopedEnv instr("READDUO_INSTR", "20000");
   ScopedEnv threads("READDUO_THREADS", "1");
   const trace::Workload& w = trace::workload_by_name("mcf");
@@ -407,51 +401,20 @@ TEST(FaultsOff, HarnessOnlyPlanLeavesSimulationBitIdentical) {
   const bench::RunResult base =
       bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, /*seed=*/77);
   {
-    ScopedFaultEngine fe("cache:p=1;trace:p=1,n=2");
+    ScopedFaultEngine fe("trace:p=1,n=2");
     const bench::RunResult faulted =
         bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, 77);
     expect_runs_equal(base, faulted, "harness-only plan");
     EXPECT_EQ(faulted.counters.injected_faults, 0u);
+    // A metrics document produced under a plan carries its provenance.
+    const std::string doc = bench::detail::render_metrics_json();
+    EXPECT_NE(doc.find("\"faults\""), std::string::npos);
+    EXPECT_NE(doc.find("\"plan\""), std::string::npos);
+    EXPECT_NE(doc.find("\"injected\""), std::string::npos);
   }
-}
-
-// --- harness cache corruption (acceptance criterion c) ----------------------
-
-TEST(CacheFaults, CorruptEntryWarnsAndRecomputes) {
-  ScopedEnv instr("READDUO_INSTR", "20000");
-  ScopedEnv cache("READDUO_CACHE", nullptr);  // cache on
-  ScopedEnv threads("READDUO_THREADS", "1");
-  const trace::Workload& w = trace::workload_by_name("astar");
-
-  // Seed the on-disk cache with a clean entry.
-  const bench::RunResult clean =
-      bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, /*seed=*/4242);
-
-  for (const char* spec : {"seed=9;cache:p=1", "seed=9;cache:p=1,mode=truncate"}) {
-    ScopedFaultEngine fe(spec);
-    const std::uint64_t before = fe.get()->count(FaultClass::kCacheCorrupt);
-    const bench::RunResult again =
-        bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, 4242);
-    // The damaged entry was detected and the run recomputed — results are
-    // bit-identical to the clean run, and the corruption was recorded.
-    EXPECT_GE(fe.get()->count(FaultClass::kCacheCorrupt), before + 1) << spec;
-    expect_runs_equal(clean, again, spec);
-  }
-}
-
-TEST(CacheFaults, MetricsDocumentCarriesFaultProvenance) {
-  ScopedFaultEngine fe("seed=9;cache:p=1");
-  const std::string doc = bench::detail::render_metrics_json();
-  EXPECT_NE(doc.find("\"cache_corrupt\""), std::string::npos);
-  EXPECT_NE(doc.find("\"faults\""), std::string::npos);
-  EXPECT_NE(doc.find("\"plan\""), std::string::npos);
-  EXPECT_NE(doc.find("\"injected\""), std::string::npos);
-}
-
-TEST(CacheFaults, CleanMetricsDocumentOmitsFaultBlock) {
+  // A clean document has no fault block at all.
   const std::string doc = bench::detail::render_metrics_json();
   EXPECT_EQ(doc.find("\"faults\""), std::string::npos);
-  EXPECT_NE(doc.find("\"cache_corrupt\""), std::string::npos);
 }
 
 // --- trace short reads (acceptance criterion c) -----------------------------

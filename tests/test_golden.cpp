@@ -222,7 +222,7 @@ std::string read_golden(const char* name) {
 }
 
 // Wall-clock fields are the only nondeterministic part of the export once
-// the cache is off and THREADS is pinned.
+// THREADS is pinned.
 const std::set<std::string>& time_fields() {
   static const std::set<std::string> kIgnore = {"wall_ms", "sim_wall_ms",
                                                 "max_run_ms"};
@@ -232,15 +232,13 @@ const std::set<std::string>& time_fields() {
 // --- the goldens ------------------------------------------------------------
 
 TEST(Golden, Fig9ClassRunRecord) {
-  ScopedEnv cache("READDUO_CACHE", "0");
   ScopedEnv instr("READDUO_INSTR", "60000");
   ScopedEnv threads("READDUO_THREADS", "1");
   const trace::Workload& w = trace::workload_by_name("mcf");
   const bench::RunResult r =
       bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, /*seed=*/42);
   const std::string body =
-      bench::detail::render_run_json(w.name, 42, /*cached=*/false,
-                                     /*wall_ms=*/0.0, r) +
+      bench::detail::render_run_json(w.name, 42, /*wall_ms=*/0.0, r) +
       "\n";
   if (maybe_regen("fig9_hybrid_mcf.json", body)) {
     GTEST_SKIP() << "regenerated fig9_hybrid_mcf.json";
@@ -250,7 +248,6 @@ TEST(Golden, Fig9ClassRunRecord) {
 }
 
 TEST(Golden, MetricsDocumentV2) {
-  ScopedEnv cache("READDUO_CACHE", "0");
   ScopedEnv instr("READDUO_INSTR", "20000");
   ScopedEnv threads("READDUO_THREADS", "1");
   ScopedEnv metrics("READDUO_METRICS", "1");  // record runs for the export
@@ -263,14 +260,8 @@ TEST(Golden, MetricsDocumentV2) {
   if (maybe_regen("metrics_golden.json", body)) {
     GTEST_SKIP() << "regenerated metrics_golden.json";
   }
-  // cache_hits/cache_misses are process-global harness counters: their
-  // values depend on which other tests ran in this process (ctest runs
-  // one test per process, a bare ./test_golden runs both), so only the
-  // per-run simulation counters are pinned exactly.
-  std::set<std::string> ignored = time_fields();
-  ignored.insert("cache_hits");
-  ignored.insert("cache_misses");
-  expect_json_matches(read_golden("metrics_golden.json"), body, ignored);
+  expect_json_matches(read_golden("metrics_golden.json"), body,
+                      time_fields());
 }
 
 }  // namespace

@@ -1,17 +1,14 @@
 // Tests for the observability layer: latency histograms, bank gauges, the
-// event-trace ring, strict env parsing, and the versioned bench-cache
-// entry format.
+// event-trace ring, and strict env parsing.
 #include "stats/histogram.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <random>
-#include <sstream>
 #include <vector>
 
 #include "common/env.h"
-#include "harness.h"
 #include "stats/metrics.h"
 #include "stats/trace_ring.h"
 
@@ -237,112 +234,6 @@ TEST(EnvParse, RejectsEverythingElse) {
   EXPECT_THROW(parse_env_u64("X", "0x10"), CheckFailure);
   // Out of range for 64 bits.
   EXPECT_THROW(parse_env_u64("X", "99999999999999999999999"), CheckFailure);
-}
-
-// ---------------------------------------------------- cache entry schema ---
-
-bench::RunResult sample_result() {
-  bench::RunResult r;
-  r.summary.scheme = "LWT-4";
-  r.summary.exec_time = Ns{123456789};
-  r.summary.dynamic_energy_pj = 1.25e9;
-  r.summary.static_watts = 0.7301;
-  r.summary.cells_per_line = 301.5;
-  r.summary.cell_writes = 42000.0;
-  r.counters.r_reads = 1000;
-  r.counters.m_reads = 200;
-  r.counters.rm_reads = 30;
-  r.counters.detected_uncorrectable = 2;
-  r.counters.read_energy_pj = 0.125;
-  r.sim.exec_time = Ns{123456789};
-  r.sim.reads_serviced = 1230;
-  r.sim.read_latency_sum_ns = 555555;
-  r.sim.scrub_rewrites_dropped = 3;
-  r.sim.row_hits = 17;
-  r.sim.metrics.banks.resize(16);
-  r.sim.metrics.banks[0].busy_ns = 999;
-  r.sim.metrics.banks[15].depth_max = 12;
-  r.sim.metrics.banks[15].depth_samples = 5;
-  r.sim.metrics.banks[15].depth_sum = 20;
-  for (int i = 0; i < 1230; ++i) {
-    r.sim.metrics.lat(stats::ReqClass::kRRead).record(Ns{150 + i % 700});
-  }
-  r.sim.metrics.lat(stats::ReqClass::kScrubRewrite).record(Ns{9001});
-  return r;
-}
-
-TEST(CacheEntry, RoundTripsEveryField) {
-  const bench::RunResult r = sample_result();
-  std::stringstream ss;
-  bench::detail::write_cache_entry(ss, r);
-  bench::RunResult out;
-  ASSERT_TRUE(bench::detail::parse_cache_entry(ss, out));
-  EXPECT_EQ(out.summary.scheme, r.summary.scheme);
-  EXPECT_EQ(out.summary.exec_time.v, r.summary.exec_time.v);
-  EXPECT_DOUBLE_EQ(out.summary.static_watts, r.summary.static_watts);
-  EXPECT_EQ(out.counters.r_reads, r.counters.r_reads);
-  EXPECT_EQ(out.counters.detected_uncorrectable,
-            r.counters.detected_uncorrectable);
-  EXPECT_DOUBLE_EQ(out.counters.read_energy_pj, r.counters.read_energy_pj);
-  EXPECT_EQ(out.sim.reads_serviced, r.sim.reads_serviced);
-  EXPECT_EQ(out.sim.scrub_rewrites_dropped, r.sim.scrub_rewrites_dropped);
-  EXPECT_EQ(out.sim.row_hits, r.sim.row_hits);
-  // The whole metrics block survives bit-identically.
-  EXPECT_TRUE(out.sim.metrics == r.sim.metrics);
-  EXPECT_DOUBLE_EQ(out.sim.metrics.demand_reads().p99(),
-                   r.sim.metrics.demand_reads().p99());
-}
-
-TEST(CacheEntry, RejectsStaleSchemaVersion) {
-  // A v1-era entry (no version tag, fields start with the scheme name):
-  // must be a miss, not a misparse.
-  std::stringstream v1("LWT-4 123 4.5 0.7 301 42 1 2 3 4 5 6 7 8 9 10 11 "
-                       "12 13 0.1 0.2 0.3 14 15 16 17 18 19 20 21\n");
-  bench::RunResult out;
-  EXPECT_FALSE(bench::detail::parse_cache_entry(v1, out));
-
-  // An explicit older/newer version tag is rejected too.
-  std::stringstream ss;
-  bench::detail::write_cache_entry(ss, sample_result());
-  std::string body = ss.str();
-  body.replace(0, 2, "v1");
-  std::stringstream stale(body);
-  EXPECT_FALSE(bench::detail::parse_cache_entry(stale, out));
-  body.replace(0, 2, "v9");
-  std::stringstream future(body);
-  EXPECT_FALSE(bench::detail::parse_cache_entry(future, out));
-}
-
-TEST(CacheEntry, RejectsTrailingTokens) {
-  std::stringstream ss;
-  bench::detail::write_cache_entry(ss, sample_result());
-  std::stringstream extra(ss.str() + " 777\n");
-  bench::RunResult out;
-  EXPECT_FALSE(bench::detail::parse_cache_entry(extra, out));
-}
-
-TEST(CacheEntry, RejectsTruncatedEntry) {
-  std::stringstream ss;
-  bench::detail::write_cache_entry(ss, sample_result());
-  const std::string body = ss.str();
-  std::stringstream cut(body.substr(0, body.size() / 2));
-  bench::RunResult out;
-  EXPECT_FALSE(bench::detail::parse_cache_entry(cut, out));
-}
-
-TEST(CacheEntry, RejectsCorruptMetricsBlock) {
-  std::stringstream ss;
-  bench::detail::write_cache_entry(ss, sample_result());
-  std::string body = ss.str();
-  // Claim a different bucket count than the binary was built with.
-  const std::string tag = "M 6 " +
-                          std::to_string(stats::LatencyHistogram::kNumBuckets);
-  const std::size_t pos = body.find(tag);
-  ASSERT_NE(pos, std::string::npos);
-  body.replace(pos, tag.size(), "M 6 64");
-  std::stringstream bad(body);
-  bench::RunResult out;
-  EXPECT_FALSE(bench::detail::parse_cache_entry(bad, out));
 }
 
 }  // namespace

@@ -197,7 +197,6 @@ TEST(McLerParallel, BitIdenticalAcrossThreadCounts) {
 // is sequential and owns its metrics, so the only way this fails is
 // cross-run state leaking through the harness.
 TEST(MetricsParallel, HistogramsBitIdenticalAcrossThreadCounts) {
-  ScopedEnv cache("READDUO_CACHE", "0");   // force fresh runs
   ScopedEnv instr("READDUO_INSTR", "60000");
 
   auto batch_under = [&](const char* threads) {

@@ -70,8 +70,8 @@ namespace fs = std::filesystem;
 const std::set<std::string>& env_registry() {
   static const std::set<std::string> kRegistry = {
       "READDUO_BENCH_COMPARE", "READDUO_BENCH_FAST",   "READDUO_BENCH_JSON",
-      "READDUO_CACHE",         "READDUO_COVERAGE",     "READDUO_DEVICE",
-      "READDUO_FAULTS",        "READDUO_INSTR",        "READDUO_KERNELS",
+      "READDUO_COVERAGE",      "READDUO_DEVICE",       "READDUO_FAULTS",
+      "READDUO_INSTR",         "READDUO_KERNELS",
       "READDUO_METRICS",       "READDUO_REGEN_GOLDEN", "READDUO_SANITIZE",
       "READDUO_SERVE_CONNS",   "READDUO_SERVE_MAX_FRAME",
       "READDUO_SERVE_WBUF",    "READDUO_SERVICE_BATCH",
