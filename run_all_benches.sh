@@ -7,8 +7,9 @@
 # the per-bench "== harness:" self-metrics lines (runs, simulated
 # wall-clock) are aggregated into a final summary.
 #
-# READDUO_BENCH_JSON=path additionally writes a machine-readable summary:
-# per-bench wall-clock, the Kernel_*_{ref,opt,vec} triples bench_micro
+# READDUO_BENCH_JSON=path additionally runs bench_micro (the kernel
+# micro-benchmarks; skipped otherwise) and writes a machine-readable
+# summary: per-bench wall-clock, the Kernel_*_{ref,opt,vec} triples bench_micro
 # times for every rewritten hot-path kernel (DESIGN.md §10) with their
 # serial speedups, the kernel tier and SIMD level the _vec rows actually
 # dispatched to, host core count, a thread-scaling curve (bench_fig9
@@ -49,14 +50,19 @@ service_net_json=$(mktemp)
 trap 'rm -f "$harness_log" "$bench_times" "$kernel_json" "$scaling_times" \
             "$service_json" "$service_net_json"' EXIT
 
+benches="bench_tables_1_2 bench_table3 bench_table4 bench_table5 bench_table7
+    bench_fig3 bench_fig4 bench_fig6 bench_fig9
+    bench_fig12 bench_fig13 bench_fig14
+    bench_ablation_w1 bench_ablation_t bench_ext_wear
+    bench_ext_rowbuffer bench_ext_temperature bench_ext_pausing"
+# bench_micro times the hot-path kernels and regenerates no paper
+# artefact, so it runs only when the JSON summary asks for kernel numbers.
+if [ -n "$json_out" ]; then
+  benches="$benches bench_micro"
+fi
+
 total_start=$(now_ms)
-for b in \
-    bench_tables_1_2 bench_table3 bench_table4 bench_table5 bench_table7 \
-    bench_fig3 bench_fig4 bench_fig6 bench_fig9 \
-    bench_fig12 bench_fig13 bench_fig14 \
-    bench_ablation_w1 bench_ablation_t bench_ext_wear \
-    bench_ext_rowbuffer bench_ext_temperature bench_ext_pausing \
-    bench_micro; do
+for b in $benches; do
   echo "##### $b #####"
   bench_start=$(now_ms)
   if [ "$b" = bench_micro ] && [ -n "$json_out" ]; then

@@ -1,6 +1,7 @@
 // Fixed-size dynamic bit vector used for memory-line payloads and codewords.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -8,8 +9,9 @@
 
 namespace rd {
 
-/// A vector of bits with word-level XOR and popcount. Size is fixed at
-/// construction (memory lines / codewords never resize).
+/// A vector of bits with word-level XOR, popcount, copy and byte packing.
+/// Size is fixed at construction (memory lines / codewords never resize;
+/// resized() makes a new vector).
 class BitVec {
  public:
   BitVec() = default;
@@ -70,18 +72,53 @@ class BitVec {
 
   /// Overwrite 64-bit word `w` (bits [64w, 64w + 64)) wholesale — the
   /// fast-packing counterpart of 64 set() calls for batched producers
-  /// (MlcLine's vectorized read). Bits past size() in the last word are
-  /// masked off, preserving the all-zero-tail invariant popcount() and
-  /// operator== rely on.
+  /// (MlcLine's vectorized read, the chip's sense). Bits past size() in
+  /// the last word are masked off, preserving the all-zero-tail invariant
+  /// popcount() and operator== rely on.
   void set_word(std::size_t w, std::uint64_t v) {
     RD_CHECK(w < words_.size());
-    if (w == words_.size() - 1 && (nbits_ & 63) != 0) {
-      v &= (1ull << (nbits_ & 63)) - 1;
-    }
     words_[w] = v;
+    if (w == words_.size() - 1) mask_tail();
+  }
+
+  /// A copy holding the first min(size(), nbits) bits of this one, zero
+  /// extended to `nbits`: padding a codeword to a cell boundary, or
+  /// dropping the pad again. Copies whole words.
+  BitVec resized(std::size_t nbits) const {
+    BitVec out(nbits);
+    const std::size_t n = std::min(words_.size(), out.words_.size());
+    std::copy_n(words_.begin(), n, out.words_.begin());
+    out.mask_tail();
+    return out;
+  }
+
+  /// Pack `bytes` little-endian: bit i is bit i % 8 of bytes[i / 8].
+  static BitVec from_bytes(const std::vector<std::uint8_t>& bytes) {
+    BitVec out(bytes.size() * 8);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      out.words_[i >> 3] |= static_cast<std::uint64_t>(bytes[i])
+                            << (8 * (i & 7));
+    }
+    return out;
+  }
+
+  /// The first `nbytes` bytes in from_bytes() order. Requires
+  /// 8 * nbytes <= size().
+  std::vector<std::uint8_t> to_bytes(std::size_t nbytes) const {
+    RD_CHECK(nbytes * 8 <= nbits_);
+    std::vector<std::uint8_t> out(nbytes);
+    for (std::size_t i = 0; i < nbytes; ++i) {
+      out[i] = static_cast<std::uint8_t>(words_[i >> 3] >> (8 * (i & 7)));
+    }
+    return out;
   }
 
  private:
+  /// Clear the bits past size() in the last word.
+  void mask_tail() {
+    if ((nbits_ & 63) != 0) words_.back() &= (1ull << (nbits_ & 63)) - 1;
+  }
+
   std::size_t nbits_ = 0;
   std::vector<std::uint64_t> words_;
 };

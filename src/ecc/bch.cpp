@@ -12,6 +12,13 @@ using gf::Elem;
 using gf::Field;
 using gf::Poly;
 
+namespace {
+/// The SIMD syndrome kernels keep all odd syndromes in registers: at most
+/// 32 lanes (4 AVX2 / 8 SSE4.2 accumulators). Larger t runs the scalar
+/// kernel on the same table.
+constexpr unsigned kSimdMaxT = 32;
+}  // namespace
+
 BchCode::BchCode(unsigned m, unsigned t, unsigned data_bits, KernelMode mode)
     : field_(m),
       t_(t),
@@ -37,40 +44,22 @@ BchCode::BchCode(unsigned m, unsigned t, unsigned data_bits, KernelMode mode)
   parity_bits_ = static_cast<unsigned>(g.degree());
   RD_CHECK_MSG(data_bits_ + parity_bits_ <= field_.order(),
                "payload too large for GF(2^" << m << ") BCH");
-  gen_bits_.resize(parity_bits_ + 1);
+  gen_mask_.assign((parity_bits_ + 63) / 64, 0);
   for (unsigned i = 0; i <= parity_bits_; ++i) {
     const Elem c = gen_.coeff(i);
     RD_CHECK(c == 0 || c == 1);
-    gen_bits_[i] = static_cast<std::uint8_t>(c);
+    if (c != 0 && i < parity_bits_) gen_mask_[i >> 6] |= 1ull << (i & 63);
   }
 
   if (mode_ != KernelMode::kReference) {
-    // alpha^(pos * k) for every position and every odd k in [1, 2t); the
-    // even syndromes follow from S_2k = S_k^2. Built incrementally with
-    // reduced exponents, so construction is one table lookup per entry.
-    // Vectorized mode builds it too: it is the scalar-dispatch fallback.
-    const std::uint32_t n = field_.order();
-    syn_pow_.resize(static_cast<std::size_t>(t_) * n);
-    for (unsigned r = 0; r < t_; ++r) {
-      const std::uint32_t k = 2 * r + 1;
-      Elem* row = syn_pow_.data() + static_cast<std::size_t>(r) * n;
-      std::uint32_t e = 0;  // pos * k mod n
-      for (std::uint32_t pos = 0; pos < n; ++pos) {
-        row[pos] = field_.alpha_pow_reduced(e);
-        e += k;
-        if (e >= n) e -= n;
-      }
-    }
-  }
-  if (mode_ == KernelMode::kVectorized && t_ <= 32) {
-    // Position-major lane table for the SIMD syndrome kernel: row `pos`
-    // holds the t_ odd-syndrome contributions of that position, padded to
-    // a multiple of 8 lanes with zeros (XOR identity). Only the shortened
-    // positions [0, codeword_bits) exist as rows — a received bit maps to
+    // Position-major syndrome table: row `pos` holds the t_ odd-syndrome
+    // contributions alpha^(pos * (2r + 1)) of that position, padded to a
+    // multiple of 8 lanes with zeros (XOR identity); the even syndromes
+    // follow from S_2k = S_k^2. Only the shortened positions
+    // [0, codeword_bits) exist as rows — a received bit maps to
     // pos = parity + bit (data) or bit - data (parity), both < codeword
-    // length. t_ > 32 would exceed the lane kernels' register-resident
-    // accumulator cap, so no table is built and the vectorized syndrome
-    // path falls back to the optimized kernel.
+    // length. Built incrementally with reduced exponents, so construction
+    // is one table lookup per entry.
     syn_stride_ = (static_cast<std::size_t>(t_) + 7) / 8 * 8;
     syn_pos_.assign(static_cast<std::size_t>(codeword_bits()) * syn_stride_,
                     0);
@@ -89,27 +78,48 @@ BchCode::BchCode(unsigned m, unsigned t, unsigned data_bits, KernelMode mode)
 
 BitVec BchCode::parity(const BitVec& data) const {
   RD_CHECK(data.size() == data_bits_);
-  // LFSR division of x^parity * d(x) by g(x). Feed data bits from the
-  // highest power down (data bit j corresponds to x^(parity + j)).
-  std::vector<std::uint8_t> reg(parity_bits_, 0);
+  // LFSR division of x^parity * d(x) by g(x), the register held in words
+  // (register bit i is the coefficient of x^i). Feed data bits from the
+  // highest power down (data bit j corresponds to x^(parity + j)): each
+  // step shifts the register up one power and, when the data bit differs
+  // from the bit leaving the top, XORs in g(x) without its leading term.
+  // Bits shifted past the top only move further up, never back down, and
+  // the output's set_word masks them off.
+  const std::size_t nw = gen_mask_.size();
+  const unsigned top = parity_bits_ - 1;
+  std::vector<std::uint64_t> reg(nw, 0);
+  const std::vector<std::uint64_t>& d = data.words();
   for (std::size_t j = data_bits_; j-- > 0;) {
-    const std::uint8_t feedback =
-        static_cast<std::uint8_t>(data.get(j)) ^ reg[parity_bits_ - 1];
-    for (std::size_t i = parity_bits_ - 1; i > 0; --i) {
-      reg[i] = reg[i - 1] ^ (feedback & gen_bits_[i]);
+    const std::uint64_t feedback =
+        ((d[j >> 6] >> (j & 63)) ^ (reg[top >> 6] >> (top & 63))) & 1;
+    for (std::size_t k = nw - 1; k > 0; --k) {
+      reg[k] = (reg[k] << 1) | (reg[k - 1] >> 63);
     }
-    reg[0] = feedback & gen_bits_[0];
+    reg[0] <<= 1;
+    const std::uint64_t mask = 0 - feedback;
+    for (std::size_t k = 0; k < nw; ++k) reg[k] ^= gen_mask_[k] & mask;
   }
   BitVec out(parity_bits_);
-  for (unsigned i = 0; i < parity_bits_; ++i) out.set(i, reg[i] != 0);
+  for (std::size_t k = 0; k < nw; ++k) out.set_word(k, reg[k]);
   return out;
 }
 
 BitVec BchCode::encode(const BitVec& data) const {
   const BitVec p = parity(data);
-  BitVec cw(codeword_bits());
-  for (unsigned i = 0; i < data_bits_; ++i) cw.set(i, data.get(i));
-  for (unsigned i = 0; i < parity_bits_; ++i) cw.set(data_bits_ + i, p.get(i));
+  // Systematic layout: the data words as they are, then the parity ORed
+  // in at bit offset data_bits (straddling a word boundary unless that
+  // offset is word-aligned).
+  BitVec cw = data.resized(codeword_bits());
+  const std::size_t base = data_bits_ >> 6;
+  const unsigned shift = data_bits_ & 63;
+  const std::vector<std::uint64_t>& out = cw.words();
+  for (std::size_t k = 0; k < p.words().size(); ++k) {
+    const std::uint64_t pw = p.words()[k];
+    cw.set_word(base + k, out[base + k] | (pw << shift));
+    if (shift != 0 && base + k + 1 < out.size()) {
+      cw.set_word(base + k + 1, out[base + k + 1] | (pw >> (64 - shift)));
+    }
+  }
   return cw;
 }
 
@@ -139,22 +149,28 @@ bool BchCode::syndromes_reference(const BitVec& word,
 bool BchCode::syndromes_optimized(const BitVec& word,
                                   std::vector<Elem>& s) const {
   s.assign(2 * t_ + 1, 0);  // s[1..2t]; s[0] unused
-  const std::uint32_t n = field_.order();
-  // Odd syndromes: word-parallel scan of set bits (skip zero words whole),
-  // one table lookup per (set bit, odd k).
+  // Odd syndromes, 8 at a time: a word-parallel scan of the set bits
+  // (zero words skipped whole) XORs 8 lanes of each bit's contiguous
+  // syn_pos_ row into a local accumulator, so lane j of block b ends up
+  // holding S_(2(b + j) + 1). The zero padding of each row makes the last
+  // block's unused lanes harmless.
   const std::vector<std::uint64_t>& words = word.words();
-  for (std::size_t wi = 0; wi < words.size(); ++wi) {
-    std::uint64_t w = words[wi];
-    while (w != 0) {
-      const std::size_t bit =
-          wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
-      w &= w - 1;
-      const std::size_t pos =
-          bit < data_bits_ ? parity_bits_ + bit : bit - data_bits_;
-      const Elem* col = syn_pow_.data() + pos;
-      for (unsigned r = 0; r < t_; ++r) {
-        s[2 * r + 1] ^= col[static_cast<std::size_t>(r) * n];
+  for (unsigned b = 0; b < t_; b += 8) {
+    Elem acc[8] = {};
+    for (std::size_t wi = 0; wi < words.size(); ++wi) {
+      std::uint64_t w = words[wi];
+      while (w != 0) {
+        const std::size_t bit =
+            wi * 64 + static_cast<std::size_t>(std::countr_zero(w));
+        w &= w - 1;
+        const std::size_t pos =
+            bit < data_bits_ ? parity_bits_ + bit : bit - data_bits_;
+        const Elem* row = syn_pos_.data() + pos * syn_stride_ + b;
+        for (unsigned j = 0; j < 8; ++j) acc[j] ^= row[j];
       }
+    }
+    for (unsigned j = 0; j < 8 && b + j < t_; ++j) {
+      s[2 * (b + j) + 1] = acc[j];
     }
   }
   // Even syndromes from the Frobenius identity S_2k = S_k^2 (binary BCH);
@@ -169,12 +185,12 @@ bool BchCode::syndromes_optimized(const BitVec& word,
 bool BchCode::syndromes_vectorized(const BitVec& word,
                                    std::vector<Elem>& s) const {
   const SimdLevel level = simd_level();
-  if (level == SimdLevel::kScalar || syn_pos_.empty()) {
+  if (level == SimdLevel::kScalar || t_ > kSimdMaxT) {
     return syndromes_optimized(word, s);
   }
   // One XOR-accumulation pass over the set bits fills all odd syndromes
   // at once from the position-major table; evens follow by Frobenius.
-  alignas(32) std::uint32_t acc[32] = {};
+  alignas(32) std::uint32_t acc[kSimdMaxT] = {};
   if (level == SimdLevel::kAvx2) {
     simd::bch_syndrome_acc_avx2(word.words().data(), word.size(), data_bits_,
                                 parity_bits_, syn_pos_.data(), syn_stride_,

@@ -3,8 +3,9 @@
 // The paper attaches a BCH-8 code over GF(2^10) to each 512-bit MLC line:
 // 80 parity bits, correcting any 8 bit errors and (with detection decoupled
 // from correction, Section III-B) detecting up to 17. This is a complete
-// hard-decision implementation: systematic LFSR encoding, syndrome
-// computation, Berlekamp–Massey, and Chien search.
+// hard-decision implementation: systematic LFSR encoding (a word-wide
+// register, one shift per data bit), syndrome computation,
+// Berlekamp–Massey, and Chien search.
 //
 // Syndrome computation and the Chien search are the decode hot path (every
 // R-read and every scrub pays them), so both exist in two selectable
@@ -13,16 +14,18 @@
 //   * reference — per-bit polynomial evaluation via Field::alpha_pow and a
 //     full-period Chien scan, exactly the original straight-line code;
 //   * optimized — word-parallel scan of the received word's set bits
-//     against precomputed alpha^(pos * k) tables for the odd k only (the
-//     even syndromes follow from S_2k = S_k^2 in characteristic 2), and an
+//     against a precomputed position-major table of alpha^(pos * k) for
+//     the odd k only (the even syndromes follow from S_2k = S_k^2 in
+//     characteristic 2), one contiguous row per set bit, and an
 //     incremental log-stepped Chien search over the shortened positions
 //     with an early exit once all roots are found;
 //   * vectorized — the optimized arithmetic in SIMD lanes (DESIGN.md
-//     §10.5): a position-major syndrome table XOR-accumulated 8 (AVX2) or
-//     4 (SSE4.2) odd syndromes at a time per set bit, and a gather-based
-//     Chien scan evaluating 8 positions per step (AVX2 only). Dispatch is
-//     per call on rd::simd_level(); scalar hosts route to the optimized
-//     kernels, so kVectorized never changes results, only speed.
+//     §10.5): the same position-major syndrome table XOR-accumulated 8
+//     (AVX2) or 4 (SSE4.2) odd syndromes at a time per set bit, and a
+//     gather-based Chien scan evaluating 8 positions per step (AVX2
+//     only). Dispatch is per call on rd::simd_level(); scalar hosts route
+//     to the optimized kernels, so kVectorized never changes results,
+//     only speed.
 //
 // All tiers produce identical syndromes, identical decode outcomes, and
 // identical corrected words for every input — these are pure GF(2^m)
@@ -83,7 +86,8 @@ class BchCode {
   /// Encode payload (size data_bits) into a codeword (size codeword_bits).
   BitVec encode(const BitVec& data) const;
 
-  /// Append parity in place: returns the parity bits for the payload.
+  /// The parity bits for the payload (size parity_bits; bit i is the
+  /// coefficient of x^i of the remainder), as encode() appends them.
   BitVec parity(const BitVec& data) const;
 
   /// Decode in place. Returns the decode outcome; when corrected, the
@@ -137,21 +141,21 @@ class BchCode {
   unsigned parity_bits_;
   KernelMode mode_;
   gf::Poly gen_;
-  /// gen_ coefficients as a packed bitmask for the LFSR encoder.
-  std::vector<std::uint8_t> gen_bits_;
-  /// Optimized-syndrome tables: for each odd k in [1, 2t], alpha^(pos * k)
-  /// for every polynomial position pos in [0, n). Row r covers k = 2r + 1;
-  /// even syndromes are derived by squaring. ~t * n * 4 bytes (32 KiB for
-  /// the paper's BCH-8 over GF(2^10)). Empty in reference mode.
-  std::vector<gf::Elem> syn_pow_;
-  /// Vectorized-syndrome table: the same entries laid out position-major —
-  /// syn_pos_[pos * syn_stride_ + r] = alpha^(pos * (2r + 1)), with the
-  /// stride rounded up to 8 lanes (zero padded) so one set bit is a single
-  /// 256-bit XOR at t = 8. Positions only span the shortened codeword
+  /// gen_ without its leading x^parity term, packed into 64-bit words
+  /// (bit i = coefficient of x^i): the word-register LFSR encoder's
+  /// feedback mask.
+  std::vector<std::uint64_t> gen_mask_;
+  /// Syndrome table, position-major: syn_pos_[pos * syn_stride_ + r] =
+  /// alpha^(pos * (2r + 1)) for each odd syndrome 2r + 1 in [1, 2t]; even
+  /// syndromes are derived by squaring. The stride is t rounded up to 8
+  /// lanes (zero padded), so one set bit reads one contiguous row: blocks
+  /// of 8 scalar XORs on the optimized tier, a single 256-bit XOR at t = 8
+  /// on the vectorized one. Positions only span the shortened codeword
   /// [0, codeword_bits), not all of [0, n): a received bit can never map
-  /// beyond that. Built only in vectorized mode with t <= 32 (the lane
-  /// kernels' register cap); empty otherwise, and syndromes_vectorized
-  /// falls back to the optimized kernel.
+  /// beyond that. 19 KiB for the paper's BCH-8 over GF(2^10). Shared by
+  /// both non-reference tiers and empty in reference mode; the SIMD
+  /// kernels take t <= 32 (their register cap), larger t runs the scalar
+  /// kernel on this table.
   std::vector<gf::Elem> syn_pos_;
   std::size_t syn_stride_ = 0;
 };

@@ -1,11 +1,22 @@
 #include "pcm/chip.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/kernels.h"
 #include "config/loader.h"
 #include "faults/injector.h"
 
 namespace rd::pcm {
+
+namespace {
+/// Bit 2c of a line image is cell c's high Gray bit and bit 2c+1 its low
+/// one, so a cell's 2-bit value and its two image bits (read as a number)
+/// are each other's bit swap. Bits above the low two are ignored.
+std::uint64_t swap_pair(std::uint64_t v) {
+  return ((v >> 1) & 1) | ((v & 1) << 1);
+}
+}  // namespace
 
 MlcChip::MlcChip(ChipConfig cfg)
     : cfg_(cfg),
@@ -44,25 +55,18 @@ MlcChip::MlcChip(ChipConfig cfg)
 BitVec MlcChip::encode(const std::vector<std::uint8_t>& data) const {
   RD_CHECK_MSG(data.size() == cfg_.data_bytes,
                "payload must be exactly " << cfg_.data_bytes << " bytes");
-  BitVec payload(cfg_.data_bytes * 8);
-  for (std::size_t i = 0; i < payload.size(); ++i) {
-    payload.set(i, (data[i / 8] >> (i % 8)) & 1);
-  }
-  const BitVec cw = bch_.encode(payload);
+  const BitVec cw = bch_.encode(BitVec::from_bytes(data));
   // Pad to an even bit count (cells hold 2 bits).
-  BitVec padded(cw.size() + (cw.size() & 1));
-  for (std::size_t i = 0; i < cw.size(); ++i) padded.set(i, cw.get(i));
-  return padded;
+  return cw.resized(cw.size() + (cw.size() & 1));
 }
 
 std::vector<std::uint8_t> MlcChip::extract(const BitVec& codeword) const {
-  std::vector<std::uint8_t> data(cfg_.data_bytes, 0);
-  for (std::size_t i = 0; i < cfg_.data_bytes * 8; ++i) {
-    if (codeword.get(i)) {
-      data[i / 8] = static_cast<std::uint8_t>(data[i / 8] | (1u << (i % 8)));
-    }
-  }
-  return data;
+  return codeword.to_bytes(cfg_.data_bytes);
+}
+
+BitVec MlcChip::codeword_of(const BitVec& image) const {
+  RD_CHECK(image.size() >= bch_.codeword_bits());
+  return image.resized(bch_.codeword_bits());
 }
 
 BitVec MlcChip::sense(const LineSlot& slot, const drift::MetricConfig& cfg,
@@ -97,10 +101,17 @@ BitVec MlcChip::sense(const LineSlot& slot, const drift::MetricConfig& cfg,
   }
   // ...with ECP supplying retired cells' true values.
   slot.ecp.patch(values);
+  // Pack 32 cells per word.
   BitVec bits(slot.cells.num_bits());
-  for (std::size_t c = 0; c < values.size(); ++c) {
-    bits.set(2 * c, (values[c] >> 1) & 1);
-    bits.set(2 * c + 1, values[c] & 1);
+  const std::size_t nwords = bits.words().size();
+  for (std::size_t wi = 0; wi < nwords; ++wi) {
+    std::uint64_t w = 0;
+    const std::size_t c0 = wi * 32;
+    const std::size_t c1 = std::min(c0 + 32, values.size());
+    for (std::size_t c = c0; c < c1; ++c) {
+      w |= swap_pair(values[c]) << (2 * (c - c0));
+    }
+    bits.set_word(wi, w);
   }
   return bits;
 }
@@ -112,12 +123,14 @@ void MlcChip::program(LineSlot& slot, const BitVec& codeword) {
   ++stats_.writes;
 
   // Verify-after-write: a cell that fails to take its value is stuck;
-  // retire it into ECP and remember its intended value.
+  // retire it into ECP and remember its intended value. write_full
+  // checked that the codeword fills the line, so its words cover every
+  // cell.
+  const std::vector<std::uint64_t>& words = codeword.words();
   std::vector<std::uint8_t> want(slot.cells.num_cells());
   for (std::size_t c = 0; c < want.size(); ++c) {
-    const std::uint8_t hi = codeword.get(2 * c) ? 1 : 0;
-    const std::uint8_t lo = codeword.get(2 * c + 1) ? 1 : 0;
-    want[c] = static_cast<std::uint8_t>((hi << 1) | lo);
+    want[c] = static_cast<std::uint8_t>(
+        swap_pair(words[c >> 5] >> (2 * (c & 31))));
     const Cell& cell = slot.cells.cells()[c];
     if (cell.is_stuck() &&
         drift::kLevelData[cell.read_level(now_s_, r_cfg_)] != want[c] &&
@@ -145,9 +158,7 @@ ChipReadResult MlcChip::read(std::size_t line) {
   ChipReadResult result;
   const bool try_r = cfg_.readout != ReadoutPolicy::kMSense;
   if (try_r) {
-    BitVec image = sense(slot, r_cfg_, line, /*r_path=*/true);
-    BitVec cw(bch_.codeword_bits());
-    for (std::size_t i = 0; i < cw.size(); ++i) cw.set(i, image.get(i));
+    BitVec cw = codeword_of(sense(slot, r_cfg_, line, /*r_path=*/true));
     // Adversarial burst at the detection boundary (READDUO_FAULTS "bch"):
     // flip 9..17 bits of the sensed word before decoding. The decoder
     // must report detected-uncorrectable (falling back to M-sense), never
@@ -156,7 +167,7 @@ ChipReadResult MlcChip::read(std::size_t line) {
       const std::vector<unsigned> burst = faults_->bch_error_positions(
           line, r_read_serial_++, bch_.codeword_bits());
       if (!burst.empty()) ++stats_.injected_faults;
-      for (unsigned p : burst) cw.set(p, !cw.get(p));
+      for (unsigned p : burst) cw.flip(p);
     }
     const ecc::BchDecodeResult dec =
         faults_ != nullptr ? bch_.decode_verified(cw) : bch_.decode(cw);
@@ -177,9 +188,7 @@ ChipReadResult MlcChip::read(std::size_t line) {
   // M-sense path (primary for kMSense, fallback for kHybrid).
   result.used_m_sense = true;
   if (cfg_.readout == ReadoutPolicy::kHybrid) ++stats_.m_fallbacks;
-  BitVec image = sense(slot, m_cfg_, line, /*r_path=*/false);
-  BitVec cw(bch_.codeword_bits());
-  for (std::size_t i = 0; i < cw.size(); ++i) cw.set(i, image.get(i));
+  BitVec cw = codeword_of(sense(slot, m_cfg_, line, /*r_path=*/false));
   const ecc::BchDecodeResult dec = bch_.decode(cw);
   result.data = extract(cw);
   result.corrected = dec.corrected;
@@ -220,9 +229,8 @@ void MlcChip::run_scrub_pass() {
   for (std::size_t li = 0; li < lines_.size(); ++li) {
     LineSlot& slot = lines_[li];
     if (!slot.written) continue;
-    BitVec image = sense(slot, cfg, li, /*r_path=*/!cfg_.scrub.use_m_sense);
-    BitVec cw(bch_.codeword_bits());
-    for (std::size_t i = 0; i < cw.size(); ++i) cw.set(i, image.get(i));
+    BitVec cw = codeword_of(
+        sense(slot, cfg, li, /*r_path=*/!cfg_.scrub.use_m_sense));
     const ecc::BchDecodeResult dec = bch_.decode(cw);
     if (!dec.corrected) {
       // More errors than the code can fix even on the scrub metric.
@@ -233,9 +241,7 @@ void MlcChip::run_scrub_pass() {
         cfg_.scrub.w == 0 || dec.num_corrected >= cfg_.scrub.w;
     if (rewrite) {
       ++stats_.scrub_rewrites;
-      BitVec padded(slot.cells.num_bits());
-      for (std::size_t i = 0; i < cw.size(); ++i) padded.set(i, cw.get(i));
-      program(slot, padded);
+      program(slot, cw.resized(slot.cells.num_bits()));
       --stats_.writes;  // scrub rewrites are accounted separately
     }
   }

@@ -108,6 +108,8 @@ class MlcChip {
 
   BitVec encode(const std::vector<std::uint8_t>& data) const;
   std::vector<std::uint8_t> extract(const BitVec& codeword) const;
+  /// The BCH codeword inside a sensed line image (drops the cell pad).
+  BitVec codeword_of(const BitVec& image) const;
   /// Sense + ECP patch under `cfg` at the current time. `r_path` marks a
   /// current-sense (R) readout: injected sensing transients model noise in
   /// that fast path only — voltage (M) sensing is the robust reference and

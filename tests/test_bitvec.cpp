@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace rd {
@@ -81,6 +85,58 @@ TEST(BitVec, HighWordBitsStayClean) {
   EXPECT_EQ(v.popcount(), 1u);
   EXPECT_EQ(v.words().size(), 2u);
   EXPECT_EQ(v.words()[1], 1u);
+}
+
+TEST(BitVec, ResizedGrowsAndShrinksAcrossPartialWords) {
+  Rng rng(11);
+  BitVec v(130);
+  for (std::size_t i = 0; i < v.size(); ++i) v.set(i, rng.bernoulli(0.5));
+  for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 100u, 129u, 130u, 131u, 200u}) {
+    const BitVec r = v.resized(n);
+    ASSERT_EQ(r.size(), n);
+    std::size_t ones = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool want = i < v.size() && v.get(i);
+      ASSERT_EQ(r.get(i), want) << "n=" << n << " bit " << i;
+      ones += want ? 1 : 0;
+    }
+    EXPECT_EQ(r.popcount(), ones) << "n=" << n;  // no bits past size()
+    BitVec bitwise(n);
+    for (std::size_t i = 0; i < std::min(n, v.size()); ++i) {
+      bitwise.set(i, v.get(i));
+    }
+    EXPECT_TRUE(r == bitwise) << "n=" << n;
+  }
+  EXPECT_TRUE(v.resized(130) == v);
+  EXPECT_TRUE(v.resized(200).resized(130) == v);
+}
+
+TEST(BitVec, BytesRoundTripOffWordBoundary) {
+  Rng rng(12);
+  std::vector<std::uint8_t> bytes(13);  // 104 bits: 1 word + 40 bits
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  const BitVec v = BitVec::from_bytes(bytes);
+  ASSERT_EQ(v.size(), 104u);
+  std::size_t ones = 0;
+  BitVec bitwise(104);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const bool want = (bytes[i / 8] >> (i % 8)) & 1;
+    ASSERT_EQ(v.get(i), want) << "bit " << i;
+    bitwise.set(i, want);
+    ones += want ? 1 : 0;
+  }
+  EXPECT_EQ(v.popcount(), ones);
+  EXPECT_TRUE(v == bitwise);
+  EXPECT_EQ(v.to_bytes(13), bytes);
+  EXPECT_EQ(v.to_bytes(5),
+            std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + 5));
+  // Unpacking reads only the leading bytes of a longer vector...
+  const BitVec longer = v.resized(109);
+  EXPECT_EQ(longer.popcount(), ones);
+  EXPECT_EQ(longer.to_bytes(13), bytes);
+  // ...and never past its end.
+  EXPECT_THROW(longer.to_bytes(14), CheckFailure);
+  EXPECT_TRUE(BitVec::from_bytes({}) == BitVec());
 }
 
 }  // namespace

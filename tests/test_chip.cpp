@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace rd::pcm {
@@ -176,6 +179,56 @@ TEST(Chip, AdvanceTimeRunsDueScrubsInOrder) {
   chip.advance_time(1000.0);  // crosses 200..1100
   EXPECT_EQ(chip.stats().scrub_passes, 11u);
   EXPECT_DOUBLE_EQ(chip.now(), 1110.0);
+}
+
+TEST(Chip, OddCodewordAndUnalignedPayloadRoundTripInEveryTier) {
+  // BCH-17 over 60 bytes: 480 data bits (not a whole number of words)
+  // and 165 parity bits, so the 645-bit codeword is padded to 646 bits
+  // (323 cells). Both readouts, through two always-rewrite scrub passes,
+  // must return the written bytes, identically in every kernel tier.
+  for (ReadoutPolicy readout :
+       {ReadoutPolicy::kHybrid, ReadoutPolicy::kMSense}) {
+    std::vector<std::unique_ptr<MlcChip>> chips;
+    for (KernelMode mode : {KernelMode::kReference, KernelMode::kOptimized,
+                            KernelMode::kVectorized}) {
+      ChipConfig cfg;
+      cfg.num_lines = 8;
+      cfg.bch_t = 17;
+      cfg.data_bytes = 60;
+      cfg.readout = readout;
+      cfg.scrub.interval_s = 640.0;
+      cfg.scrub.w = 0;
+      cfg.kernels = mode;
+      chips.push_back(std::make_unique<MlcChip>(cfg));
+    }
+    Rng rng(17);
+    std::vector<std::vector<std::uint8_t>> want;
+    for (std::size_t l = 0; l < 8; ++l) {
+      want.push_back(payload(rng, 60));
+      for (auto& chip : chips) chip->write(l, want[l]);
+    }
+    for (double dt : {10.0, 1300.0}) {
+      for (auto& chip : chips) chip->advance_time(dt);
+      for (std::size_t l = 0; l < 8; ++l) {
+        const ChipReadResult r = chips[0]->read(l);
+        EXPECT_TRUE(r.corrected) << "line " << l;
+        EXPECT_EQ(r.data, want[l]) << "line " << l;
+        for (std::size_t i = 1; i < chips.size(); ++i) {
+          const ChipReadResult o = chips[i]->read(l);
+          EXPECT_EQ(o.data, r.data) << "line " << l << " chip " << i;
+          EXPECT_EQ(o.used_m_sense, r.used_m_sense);
+          EXPECT_EQ(o.corrected, r.corrected);
+          EXPECT_EQ(o.errors_corrected, r.errors_corrected);
+        }
+      }
+    }
+    for (auto& chip : chips) {
+      EXPECT_EQ(chip->stats().scrub_passes, 2u);
+      EXPECT_EQ(chip->stats().scrub_rewrites, 16u);
+      EXPECT_EQ(chip->stats().uncorrectable, 0u);
+      EXPECT_EQ(chip->stats().m_fallbacks, chips[0]->stats().m_fallbacks);
+    }
+  }
 }
 
 TEST(Chip, ApiMisuseThrows) {

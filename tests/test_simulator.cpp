@@ -255,7 +255,9 @@ TEST(Simulator, ScrubRewriteLinesWalkTheBankRange) {
       EXPECT_EQ(ln % cfg.org.num_banks, b);
       // ...moving forward (a cancelled rewrite re-serves the same line;
       // a dropped one skips a cursor position).
-      if (!first) EXPECT_GE(ln, prev);
+      if (!first) {
+        EXPECT_GE(ln, prev);
+      }
       first = false;
       prev = ln;
       if (ln >= cfg.org.num_banks) ++beyond_first_stripe;

@@ -109,7 +109,9 @@ TEST(TraceGen, ArchiveIsNeverWritten) {
       EXPECT_LT(op.line, w.footprint_lines);
       EXPECT_FALSE(op.archive);
     }
-    if (op.archive) EXPECT_GE(op.line, w.footprint_lines);
+    if (op.archive) {
+      EXPECT_GE(op.line, w.footprint_lines);
+    }
   }
 }
 
