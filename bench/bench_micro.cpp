@@ -4,23 +4,16 @@
 //
 // The BM_Kernel_* benchmarks time each rewritten hot-path kernel in all
 // its implementations — `_ref` (straight-line reference), `_opt`
-// (table-driven / batched) and `_vec` (SoA + SIMD lanes,
-// dispatched at the level READDUO_SIMD / the host allows) — in one
-// binary, so every run is a self-contained before/after measurement.
-// run_all_benches.sh extracts the triples into BENCH_pr6.json (see README
-// "Profiling the hot paths").
+// (table-driven / batched) and `_vec` (SoA + SIMD lanes: AVX2 where the
+// host has it, else the scalar fallback) — in one binary, so every run is
+// a self-contained before/after measurement. run_all_benches.sh extracts
+// the triples into BENCH_pr6.json (see README "Profiling the hot paths").
 //
-// READDUO_BENCH_FAST=1 caps every benchmark's sampling time at a few
-// milliseconds — a smoke-run mode for run_test_sweep.sh that checks the
-// benchmarks still execute without paying the full measurement cost. The
-// numbers it prints are NOT stable; never record them.
+// For a smoke run that only checks the benchmarks still execute, pass
+// google-benchmark's own --benchmark_min_time=0.003 (run_test_sweep.sh
+// does); the numbers it prints are NOT stable, never record them.
 #include <benchmark/benchmark.h>
 
-#include <cstring>
-#include <vector>
-
-#include "common/check.h"
-#include "common/env.h"
 #include "common/kernels.h"
 #include "common/rng.h"
 #include "drift/error_model.h"
@@ -169,8 +162,8 @@ BENCHMARK(BM_TraceGen);
 // Kernel_<name>_{ref,opt,vec} names so run_all_benches.sh can group them
 // mechanically. The _vec entries measure whatever SIMD level dispatch
 // lands on (run_all_benches.sh records rd::simd_level() next to them);
-// under READDUO_SIMD=scalar they measure the fallback-to-optimized
-// routing overhead instead.
+// on a host without AVX2 they measure the fallback-to-optimized routing
+// overhead instead.
 
 void BM_KernelBchSyndrome(benchmark::State& state, KernelMode mode) {
   Rng rng(21);
@@ -264,28 +257,10 @@ BENCHMARK(BM_SimulatorRun)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// BENCHMARK_MAIN() plus the READDUO_BENCH_FAST smoke mode: when the knob
-// is 1, inject a tiny --benchmark_min_time before the real argv so every
-// benchmark samples for milliseconds instead of seconds. An explicit
-// --benchmark_min_time on the command line still wins (later flags
-// override earlier ones in google-benchmark). Strict parse: only "1"
-// (on) and "0" (off) are meaningful values.
+// BENCHMARK_MAIN() plus the kernel tier and SIMD level as report context.
 int main(int argc, char** argv) {
-  std::vector<char*> args;
-  args.reserve(static_cast<std::size_t>(argc) + 1);
-  args.push_back(argv[0]);
-  char fast_flag[] = "--benchmark_min_time=0.003";
-  const char* fast = env_cstr("READDUO_BENCH_FAST");
-  if (fast != nullptr) {
-    RD_CHECK_MSG(std::strcmp(fast, "0") == 0 || std::strcmp(fast, "1") == 0,
-                 "READDUO_BENCH_FAST must be '0' or '1', got '" << fast
-                                                                << "'");
-    if (std::strcmp(fast, "1") == 0) args.push_back(fast_flag);
-  }
-  for (int i = 1; i < argc; ++i) args.push_back(argv[i]);
-  int n = static_cast<int>(args.size());
-  benchmark::Initialize(&n, args.data());
-  if (benchmark::ReportUnrecognizedArguments(n, args.data())) return 1;
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   // Record the active kernel tier and SIMD dispatch level in the report
   // context, so a BENCH_*.json states what the _vec rows actually ran
   // (run_all_benches.sh copies both into its summary).

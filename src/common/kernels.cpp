@@ -39,46 +39,14 @@ SimdLevel detect_simd_level() {
   if (simd::have_avx2_kernels() && __builtin_cpu_supports("avx2")) {
     return SimdLevel::kAvx2;
   }
-  if (simd::have_sse42_kernels() && __builtin_cpu_supports("sse4.2")) {
-    return SimdLevel::kSse42;
-  }
 #endif
   return SimdLevel::kScalar;
-}
-
-SimdLevel parse_simd_override(const char* e, SimdLevel detected) {
-  SimdLevel want = detected;
-  if (std::strcmp(e, "auto") == 0) {
-    return detected;
-  } else if (std::strcmp(e, "scalar") == 0) {
-    want = SimdLevel::kScalar;
-  } else if (std::strcmp(e, "sse42") == 0) {
-    want = SimdLevel::kSse42;
-  } else if (std::strcmp(e, "avx2") == 0) {
-    want = SimdLevel::kAvx2;
-  } else {
-    RD_CHECK_MSG(false, "READDUO_SIMD must be 'auto', 'scalar', 'sse42' "
-                        "or 'avx2', got '" << e << "'");
-  }
-  // Strict: pinning a level the build/host cannot run must fail loudly,
-  // not silently benchmark the scalar fallback under an avx2 label.
-  RD_CHECK_MSG(want <= detected,
-               "READDUO_SIMD='" << e << "' but this build/host supports at "
-               "most '" << simd_level_name(detected) << "'");
-  return want;
 }
 
 /// The resolved level, stored relaxed-atomically so the test override can
 /// swap it after detection without a data race.
 std::atomic<SimdLevel>& simd_level_storage() {
-  static std::once_flag once;
-  static std::atomic<SimdLevel> level{SimdLevel::kScalar};
-  std::call_once(once, [] {
-    const SimdLevel detected = detect_simd_level();
-    const char* e = env_cstr("READDUO_SIMD");
-    level.store(e == nullptr ? detected : parse_simd_override(e, detected),
-                std::memory_order_relaxed);
-  });
+  static std::atomic<SimdLevel> level{detect_simd_level()};
   return level;
 }
 
@@ -89,7 +57,6 @@ SimdLevel simd_level() {
 }
 
 void set_simd_level_for_testing(SimdLevel level) {
-  // Touch the storage first so detection has run and the cap is real.
   const SimdLevel detected = detect_simd_level();
   RD_CHECK_MSG(level <= detected,
                "cannot force a SIMD level above what this build/host "
@@ -100,7 +67,6 @@ void set_simd_level_for_testing(SimdLevel level) {
 const char* simd_level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar: return "scalar";
-    case SimdLevel::kSse42: return "sse42";
     case SimdLevel::kAvx2: return "avx2";
   }
   return "scalar";

@@ -14,9 +14,9 @@
 //
 // The contract for integer/bit outputs is strict value equality across
 // all three tiers: identical syndromes, decode flags, corrected words,
-// levels, and counts for every input (enforced by tests/test_kernels.cpp
-// and the golden files under tests/golden/, which the reference-kernel
-// lane of run_test_sweep.sh replays). The FP internals of the vectorized
+// levels, and counts for every input (enforced by tests/test_kernels.cpp,
+// which run_test_sweep.sh also replays under each READDUO_KERNELS
+// value). The FP internals of the vectorized
 // drift scan carry a documented tolerance lane instead (DESIGN.md §10.5):
 // the SIMD lanes execute the same unfused multiply/add expression tree as
 // the scalar helpers, so intermediate doubles agree to the bit except
@@ -24,12 +24,12 @@
 // `+0.0` — every *decision* derived from them (levels, error counts,
 // decode flags) is still bit-identical, and that is what the tests pin.
 //
-// The vectorized tier additionally dispatches on the host CPU at runtime
-// (AVX2, then SSE4.2, then scalar). The scalar fallback routes through
-// the existing optimized helpers, so kVectorized is always safe to
-// request: on a non-x86 or pre-SSE4.2 host it degrades to kOptimized
-// behavior, never to wrong answers. READDUO_SIMD=scalar|sse42|avx2
-// pins the dispatch for differential testing.
+// The vectorized tier additionally dispatches on the host CPU at runtime:
+// AVX2 lanes, else scalar. The scalar fallback routes through the
+// existing optimized helpers, so kVectorized is always safe to request:
+// on a non-x86 or pre-AVX2 host it degrades to kOptimized behavior, never
+// to wrong answers. Host detection alone picks the level; tests force the
+// scalar fallback in-process through set_simd_level_for_testing.
 #pragma once
 
 namespace rd {
@@ -57,16 +57,12 @@ inline KernelMode resolve_kernel_mode(KernelMode mode) {
 /// Ordered: a level implies every lower one.
 enum class SimdLevel {
   kScalar,  ///< no SIMD kernels — kVectorized routes to optimized helpers
-  kSse42,   ///< 128-bit lanes (batched GF XOR, 2-wide drift metric)
   kAvx2,    ///< 256-bit lanes (8-wide GF XOR, 4-wide drift, gather Chien)
 };
 
-/// The SIMD level the vectorized kernels run at: the minimum of what this
-/// binary compiled in (CMake probes -msse4.2/-mavx2), what the host CPU
-/// reports, and the READDUO_SIMD override ("auto" default, or "scalar" /
-/// "sse42" / "avx2"; a strict parse — requesting a level the build or
-/// host cannot honor throws rather than silently degrading). Detected
-/// once per process; thread-safe.
+/// The SIMD level the vectorized kernels run at: kAvx2 when this binary
+/// compiled the AVX2 lanes in (CMake probes -mavx2) and the host CPU
+/// reports AVX2, else kScalar. Detected once per process; thread-safe.
 SimdLevel simd_level();
 
 /// Test seam: force simd_level() to return `level` from now on, bypassing
@@ -77,7 +73,7 @@ SimdLevel simd_level();
 /// setup only.
 void set_simd_level_for_testing(SimdLevel level);
 
-/// Human-readable name of a SIMD level ("scalar" / "sse42" / "avx2").
+/// Human-readable name of a SIMD level ("scalar" / "avx2").
 const char* simd_level_name(SimdLevel level);
 
 }  // namespace rd

@@ -1,13 +1,12 @@
 // SIMD lane kernels behind KernelMode::kVectorized (DESIGN.md §10.5).
 //
 // Dependency-free raw-pointer kernels so the ECC, drift and PCM layers can
-// share one pair of ISA translation units. Each kernel exists per ISA in
-// its own TU (simd_avx2.cpp / simd_sse42.cpp) compiled with that ISA's
-// flags and -ffp-contract=off — the rest of the build never sees
-// -mavx2/-msse4.2, so baseline code cannot silently pick up illegal
-// instructions, and no FMA contraction can change FP results. On a
-// toolchain where CMake's flag probe fails (non-x86 cross builds), the
-// TUs compile to RD_CHECK stubs and have_*_kernels() returns false, so
+// share one ISA translation unit. The kernels live in simd_avx2.cpp, the
+// only TU compiled with -mavx2 (plus -ffp-contract=off) — the rest of the
+// build never sees -mavx2, so baseline code cannot silently pick up
+// illegal instructions, and no FMA contraction can change FP results. On
+// a toolchain where CMake's flag probe fails (non-x86 cross builds), the
+// TU compiles to RD_CHECK stubs and have_avx2_kernels() returns false, so
 // dispatch (common/kernels.h simd_level()) never reaches them.
 //
 // Contracts:
@@ -26,11 +25,10 @@
 
 namespace rd::simd {
 
-/// True when this binary carries the AVX2 / SSE4.2 kernel bodies
-/// (i.e. CMake found the compiler flags). Host support is checked
-/// separately at runtime by rd::simd_level().
+/// True when this binary carries the AVX2 kernel bodies (i.e. CMake found
+/// the compiler flag). Host support is checked separately at runtime by
+/// rd::simd_level().
 bool have_avx2_kernels();
-bool have_sse42_kernels();
 
 // --- batched GF(2^m) syndrome accumulation --------------------------------
 //
@@ -46,10 +44,6 @@ void bch_syndrome_acc_avx2(const std::uint64_t* words, std::size_t nbits,
                            unsigned data_bits, unsigned parity_bits,
                            const std::uint32_t* table, std::size_t stride,
                            std::uint32_t* acc);
-void bch_syndrome_acc_sse42(const std::uint64_t* words, std::size_t nbits,
-                            unsigned data_bits, unsigned parity_bits,
-                            const std::uint32_t* table, std::size_t stride,
-                            std::uint32_t* acc);
 
 // --- lane-parallel Chien stepping -----------------------------------------
 //
@@ -58,8 +52,7 @@ void bch_syndrome_acc_sse42(const std::uint64_t* words, std::size_t nbits,
 // p, terms XOR together, and p is a root when the lane XOR is zero. Roots
 // are appended to out_positions in increasing order, stopping after
 // `limit` roots; returns the number found. Exactly the optimized
-// incremental Chien arithmetic, eight lanes at a time. AVX2 only (needs
-// gather); SSE4.2 hosts run the scalar optimized Chien instead.
+// incremental Chien arithmetic, eight lanes at a time.
 
 std::size_t bch_chien_scan_avx2(const std::uint32_t* exp_table,
                                 std::uint32_t n, const std::uint32_t* step,
@@ -76,7 +69,7 @@ std::size_t bch_chien_scan_avx2(const std::uint32_t* exp_table,
 //   params[0..3]   mu[level]          params[4..7]   sigma[level]
 //   params[8..11]  mu_alpha[level]    params[12..15] sigma_alpha[level]
 //   params[16..18] upper boundaries b0 <= b1 <= b2 (monotonicity is the
-//                  caller's contract; pcm::LevelParams verifies it)
+//                  caller's contract; pcm::drift_lane_params verifies it)
 // `offsets` (nullable) adds a per-cell sensing disturbance before the
 // boundary compare. out_levels[i] = #{j : x_i > b_j} — identical to
 // Cell::level_from_metric for monotone boundaries. Stuck cells are the
@@ -86,9 +79,5 @@ void drift_levels_avx2(std::size_t n, const std::int32_t* level,
                        const double* z_program, const double* z_alpha,
                        const double* log_t, const double* offsets,
                        const double* params, std::uint8_t* out_levels);
-void drift_levels_sse42(std::size_t n, const std::int32_t* level,
-                        const double* z_program, const double* z_alpha,
-                        const double* log_t, const double* offsets,
-                        const double* params, std::uint8_t* out_levels);
 
 }  // namespace rd::simd

@@ -13,9 +13,9 @@ using gf::Field;
 using gf::Poly;
 
 namespace {
-/// The SIMD syndrome kernels keep all odd syndromes in registers: at most
-/// 32 lanes (4 AVX2 / 8 SSE4.2 accumulators). Larger t runs the scalar
-/// kernel on the same table.
+/// The SIMD syndrome kernel keeps all odd syndromes in registers: at most
+/// 32 lanes (4 AVX2 accumulators). Larger t runs the scalar kernel on the
+/// same table.
 constexpr unsigned kSimdMaxT = 32;
 }  // namespace
 
@@ -184,22 +184,14 @@ bool BchCode::syndromes_optimized(const BitVec& word,
 
 bool BchCode::syndromes_vectorized(const BitVec& word,
                                    std::vector<Elem>& s) const {
-  const SimdLevel level = simd_level();
-  if (level == SimdLevel::kScalar || t_ > kSimdMaxT) {
+  if (simd_level() != SimdLevel::kAvx2 || t_ > kSimdMaxT) {
     return syndromes_optimized(word, s);
   }
   // One XOR-accumulation pass over the set bits fills all odd syndromes
   // at once from the position-major table; evens follow by Frobenius.
   alignas(32) std::uint32_t acc[kSimdMaxT] = {};
-  if (level == SimdLevel::kAvx2) {
-    simd::bch_syndrome_acc_avx2(word.words().data(), word.size(), data_bits_,
-                                parity_bits_, syn_pos_.data(), syn_stride_,
-                                acc);
-  } else {
-    simd::bch_syndrome_acc_sse42(word.words().data(), word.size(), data_bits_,
-                                 parity_bits_, syn_pos_.data(), syn_stride_,
-                                 acc);
-  }
+  simd::bch_syndrome_acc_avx2(word.words().data(), word.size(), data_bits_,
+                              parity_bits_, syn_pos_.data(), syn_stride_, acc);
   s.assign(2 * t_ + 1, 0);  // s[1..2t]; s[0] unused
   for (unsigned r = 0; r < t_; ++r) s[2 * r + 1] = acc[r];
   for (unsigned k = 2; k <= 2 * t_; k += 2) s[k] = field_.sqr(s[k / 2]);
@@ -303,9 +295,9 @@ std::vector<std::size_t> BchCode::chien_optimized(const std::vector<Elem>& C,
 std::vector<std::size_t> BchCode::chien_vectorized(const std::vector<Elem>& C,
                                                    unsigned limit) const {
   // Same incremental arithmetic as chien_optimized, 8 positions per step
-  // via AVX2 gathers (see bch_chien_scan_avx2). SSE4.2 has no gather, so
-  // anything below AVX2 runs the scalar optimized scan; ditto a locator
-  // too large for the kernel's register-resident term cap.
+  // via AVX2 gathers (see bch_chien_scan_avx2). A scalar host runs the
+  // optimized scan; so does a locator too large for the kernel's
+  // register-resident term cap.
   if (simd_level() != SimdLevel::kAvx2) return chien_optimized(C, limit);
   const std::uint32_t n = field_.order();
   const std::size_t terms = C.size();

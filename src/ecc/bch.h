@@ -21,17 +21,16 @@
 //     with an early exit once all roots are found;
 //   * vectorized — the optimized arithmetic in SIMD lanes (DESIGN.md
 //     §10.5): the same position-major syndrome table XOR-accumulated 8
-//     (AVX2) or 4 (SSE4.2) odd syndromes at a time per set bit, and a
-//     gather-based Chien scan evaluating 8 positions per step (AVX2
-//     only). Dispatch is per call on rd::simd_level(); scalar hosts route
-//     to the optimized kernels, so kVectorized never changes results,
-//     only speed.
+//     odd syndromes at a time per set bit, and a gather-based Chien scan
+//     evaluating 8 positions per step, both AVX2. Dispatch is per call on
+//     rd::simd_level(); scalar hosts route to the optimized kernels, so
+//     kVectorized never changes results, only speed.
 //
 // All tiers produce identical syndromes, identical decode outcomes, and
 // identical corrected words for every input — these are pure GF(2^m)
 // integer kernels, so the equality is exact, not approximate
-// (tests/test_kernels.cpp cross-checks them exhaustively per weight; the
-// golden lane replays the whole system on the reference path).
+// (tests/test_kernels.cpp cross-checks them exhaustively per weight and
+// through whole-chip lifetimes).
 #pragma once
 
 #include <cstdint>

@@ -9,15 +9,6 @@
 
 namespace rd::pcm {
 
-namespace {
-/// Bit 2c of a line image is cell c's high Gray bit and bit 2c+1 its low
-/// one, so a cell's 2-bit value and its two image bits (read as a number)
-/// are each other's bit swap. Bits above the low two are ignored.
-std::uint64_t swap_pair(std::uint64_t v) {
-  return ((v >> 1) & 1) | ((v & 1) << 1);
-}
-}  // namespace
-
 MlcChip::MlcChip(ChipConfig cfg)
     : cfg_(cfg),
       mode_(resolve_kernel_mode(cfg.kernels)),
@@ -101,19 +92,7 @@ BitVec MlcChip::sense(const LineSlot& slot, const drift::MetricConfig& cfg,
   }
   // ...with ECP supplying retired cells' true values.
   slot.ecp.patch(values);
-  // Pack 32 cells per word.
-  BitVec bits(slot.cells.num_bits());
-  const std::size_t nwords = bits.words().size();
-  for (std::size_t wi = 0; wi < nwords; ++wi) {
-    std::uint64_t w = 0;
-    const std::size_t c0 = wi * 32;
-    const std::size_t c1 = std::min(c0 + 32, values.size());
-    for (std::size_t c = c0; c < c1; ++c) {
-      w |= swap_pair(values[c]) << (2 * (c - c0));
-    }
-    bits.set_word(wi, w);
-  }
-  return bits;
+  return pack_cells(values.data(), values.size(), kGrayPairs);
 }
 
 void MlcChip::program(LineSlot& slot, const BitVec& codeword) {

@@ -16,6 +16,41 @@ std::size_t data_to_level(std::uint8_t two_bits) {
   return 0;
 }
 
+BitVec pack_cells(const std::uint8_t* values, std::size_t ncells,
+                  const std::uint64_t (&pairs)[drift::kNumStates]) {
+  BitVec bits(2 * ncells);
+  const std::size_t nwords = bits.words().size();
+  for (std::size_t wi = 0; wi < nwords; ++wi) {
+    std::uint64_t w = 0;
+    const std::size_t c0 = wi * 32;
+    const std::size_t c1 = std::min(c0 + 32, ncells);
+    for (std::size_t c = c0; c < c1; ++c) {
+      w |= pairs[values[c]] << (2 * (c - c0));
+    }
+    bits.set_word(wi, w);
+  }
+  return bits;
+}
+
+bool drift_lane_params(const drift::MetricConfig& cfg, double (&params)[19]) {
+  const double b0 = cfg.upper_boundary(0);
+  const double b1 = cfg.upper_boundary(1);
+  const double b2 = cfg.upper_boundary(2);
+  if (simd_level() != SimdLevel::kAvx2 || !(b0 <= b1 && b1 <= b2)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < drift::kNumStates; ++i) {
+    params[i] = cfg.states[i].mu;
+    params[4 + i] = cfg.states[i].sigma;
+    params[8 + i] = cfg.states[i].mu_alpha;
+    params[12 + i] = cfg.states[i].sigma_alpha;
+  }
+  params[16] = b0;
+  params[17] = b1;
+  params[18] = b2;
+  return true;
+}
+
 MlcLine::MlcLine(std::size_t nbits) : programmed_(nbits) {
   RD_CHECK_MSG(nbits % 2 == 0, "MLC line needs an even bit count");
   cells_.resize(nbits / 2);
@@ -130,14 +165,8 @@ void MlcLine::read_levels_vectorized(double t_seconds,
                                      const drift::MetricConfig& cfg,
                                      const double* offsets,
                                      std::uint8_t* out_levels) const {
-  const SimdLevel level = simd_level();
-  const double b0 = cfg.upper_boundary(0);
-  const double b1 = cfg.upper_boundary(1);
-  const double b2 = cfg.upper_boundary(2);
-  // The lane kernel counts boundary exceedances, which equals
-  // level_from_metric only for monotone boundaries — true of any sane
-  // MetricConfig, but a pathological one must still read correctly.
-  if (level == SimdLevel::kScalar || !(b0 <= b1 && b1 <= b2)) {
+  double params[19];
+  if (!drift_lane_params(cfg, params)) {
     read_levels_batched(t_seconds, cfg, offsets, out_levels);
     return;
   }
@@ -160,25 +189,9 @@ void MlcLine::read_levels_vectorized(double t_seconds,
     }
     soa_.log_t[c] = cached_logt;
   }
-  double params[19];
-  for (std::size_t i = 0; i < drift::kNumStates; ++i) {
-    params[i] = cfg.states[i].mu;
-    params[4 + i] = cfg.states[i].sigma;
-    params[8 + i] = cfg.states[i].mu_alpha;
-    params[12 + i] = cfg.states[i].sigma_alpha;
-  }
-  params[16] = b0;
-  params[17] = b1;
-  params[18] = b2;
-  if (level == SimdLevel::kAvx2) {
-    simd::drift_levels_avx2(n, soa_.level.data(), soa_.z_program.data(),
-                            soa_.z_alpha.data(), soa_.log_t.data(), offsets,
-                            params, out_levels);
-  } else {
-    simd::drift_levels_sse42(n, soa_.level.data(), soa_.z_program.data(),
-                             soa_.z_alpha.data(), soa_.log_t.data(), offsets,
-                             params, out_levels);
-  }
+  simd::drift_levels_avx2(n, soa_.level.data(), soa_.z_program.data(),
+                          soa_.z_alpha.data(), soa_.log_t.data(), offsets,
+                          params, out_levels);
   // Stuck cells ignore metric and offset alike: overwrite after the fact.
   if (soa_.num_stuck != 0) {
     for (std::size_t c = 0; c < n; ++c) {
@@ -199,9 +212,9 @@ void MlcLine::read_levels(double t_seconds, const drift::MetricConfig& cfg,
 
 BitVec MlcLine::read(double t_seconds, const drift::MetricConfig& cfg,
                      KernelMode mode) const {
-  BitVec out(num_bits());
   const KernelMode m = resolve_kernel_mode(mode);
   if (m == KernelMode::kReference) {
+    BitVec out(num_bits());
     for (std::size_t c = 0; c < cells_.size(); ++c) {
       const std::size_t level = cells_[c].read_level(t_seconds, cfg);
       const std::uint8_t data = drift::kLevelData[level];
@@ -213,34 +226,7 @@ BitVec MlcLine::read(double t_seconds, const drift::MetricConfig& cfg,
   soa_.levels_tmp.resize(cells_.size());
   std::uint8_t* levels = soa_.levels_tmp.data();
   read_levels(t_seconds, cfg, nullptr, levels, m);
-  if (m == KernelMode::kVectorized) {
-    // Fast packing: each cell contributes two adjacent bits — bit 2c is
-    // the Gray pair's high bit, bit 2c+1 the low — so 32 cells fill one
-    // 64-bit word. Precompute each level's 2-bit pattern in word order.
-    std::uint64_t pat[drift::kNumStates];
-    for (std::size_t l = 0; l < drift::kNumStates; ++l) {
-      const std::uint8_t data = drift::kLevelData[l];
-      pat[l] = static_cast<std::uint64_t>(((data >> 1) & 1) |
-                                          ((data & 1) << 1));
-    }
-    const std::size_t nwords = (num_bits() + 63) / 64;
-    for (std::size_t wi = 0; wi < nwords; ++wi) {
-      std::uint64_t w = 0;
-      const std::size_t c0 = wi * 32;
-      const std::size_t c1 = std::min(c0 + 32, cells_.size());
-      for (std::size_t c = c0; c < c1; ++c) {
-        w |= pat[levels[c]] << (2 * (c - c0));
-      }
-      out.set_word(wi, w);
-    }
-    return out;
-  }
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    const std::uint8_t data = drift::kLevelData[levels[c]];
-    out.set(2 * c, (data >> 1) & 1);
-    out.set(2 * c + 1, data & 1);
-  }
-  return out;
+  return pack_cells(levels, cells_.size(), kLevelPairs);
 }
 
 std::size_t MlcLine::count_drift_errors(double t_seconds,

@@ -15,8 +15,8 @@
 // The vectorized tier (DESIGN.md §10.5) adds a lazily built
 // structure-of-arrays mirror of the cells — parallel arrays of programmed
 // level, percentiles, write time and stuck state — so the whole-line
-// drift-metric evaluation runs as SIMD lanes (drift_levels_avx2/sse42)
-// with a stuck-cell fixup afterwards. The cache is invalidated by every
+// drift-metric evaluation runs as AVX2 lanes (drift_levels_avx2) with a
+// stuck-cell fixup afterwards. The cache is invalidated by every
 // mutator (writes, refresh, cell_at) and rebuilt on the next vectorized
 // read; it makes the const read paths internally caching, which is safe
 // here because a line is only ever read from the thread that owns it
@@ -37,6 +37,34 @@ namespace rd::pcm {
 
 /// Map a 2-bit Gray value to its storage level (inverse of kLevelData).
 std::size_t data_to_level(std::uint8_t two_bits);
+
+/// Bit 2c of a line image is cell c's high Gray bit and bit 2c+1 its low
+/// one, so a cell's 2-bit value and its two image bits (read as a number)
+/// are each other's bit swap. Bits above the low two are ignored.
+constexpr std::uint64_t swap_pair(std::uint64_t v) {
+  return ((v >> 1) & 1) | ((v & 1) << 1);
+}
+
+/// A cell's two image bits, indexed by its 2-bit Gray value.
+inline constexpr std::uint64_t kGrayPairs[drift::kNumStates] = {
+    swap_pair(0), swap_pair(1), swap_pair(2), swap_pair(3)};
+/// A cell's two image bits, indexed by its storage level.
+inline constexpr std::uint64_t kLevelPairs[drift::kNumStates] = {
+    swap_pair(drift::kLevelData[0]), swap_pair(drift::kLevelData[1]),
+    swap_pair(drift::kLevelData[2]), swap_pair(drift::kLevelData[3])};
+
+/// Pack `ncells` per-cell values into a `2 * ncells`-bit line image, 32
+/// cells per 64-bit word; `pairs` (kGrayPairs or kLevelPairs) says what
+/// the values are.
+BitVec pack_cells(const std::uint8_t* values, std::size_t ncells,
+                  const std::uint64_t (&pairs)[drift::kNumStates]);
+
+/// Fill `params` with `cfg` in the drift lane kernel's layout
+/// (simd_kernels.h drift_levels_avx2). False when the lanes cannot run:
+/// the host has no AVX2, or the read boundaries are not monotone (the
+/// kernel counts boundary exceedances, which equals
+/// Cell::level_from_metric only for monotone boundaries).
+bool drift_lane_params(const drift::MetricConfig& cfg, double (&params)[19]);
 
 /// An array of MLC cells holding one memory line (codeword).
 ///
@@ -107,7 +135,7 @@ class MlcLine {
   /// Rebuild the SoA mirror from cells_ if a mutator invalidated it.
   void ensure_soa() const;
   /// The SIMD lane read path; falls back to the scalar batched loop when
-  /// the host is scalar-only or the boundaries are not monotone.
+  /// drift_lane_params() says the lanes cannot run.
   void read_levels_vectorized(double t_seconds,
                               const drift::MetricConfig& cfg,
                               const double* offsets,

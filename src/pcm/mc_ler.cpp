@@ -7,7 +7,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/simd_kernels.h"
-
+#include "pcm/line.h"
 
 namespace rd::pcm {
 
@@ -57,24 +57,9 @@ McLerResult mc_ler(const drift::MetricConfig& config,
   // cell). Failing lines are the rare case by construction (LER is the
   // quantity being estimated), so the replay cost is negligible and the
   // failure count plus the RNG stream stay bit-identical across tiers.
-  const double b0 = config.upper_boundary(0);
-  const double b1 = config.upper_boundary(1);
-  const double b2 = config.upper_boundary(2);
-  const bool vectorized = m == KernelMode::kVectorized &&
-                          simd_level() != SimdLevel::kScalar &&
-                          b0 <= b1 && b1 <= b2;
   double params[19];
-  if (vectorized) {
-    for (std::size_t i = 0; i < drift::kNumStates; ++i) {
-      params[i] = config.states[i].mu;
-      params[4 + i] = config.states[i].sigma;
-      params[8 + i] = config.states[i].mu_alpha;
-      params[12 + i] = config.states[i].sigma_alpha;
-    }
-    params[16] = b0;
-    params[17] = b1;
-    params[18] = b2;
-  }
+  const bool vectorized =
+      m == KernelMode::kVectorized && drift_lane_params(config, params);
   parallel_for_shards(shards, [&](std::size_t shard) {
     Rng rng(seed, shard);
     const std::uint64_t begin = static_cast<std::uint64_t>(shard) * kShardLines;
@@ -97,13 +82,8 @@ McLerResult mc_ler(const drift::MetricConfig& config,
           zp[c] = cell.z_program();
           za[c] = cell.z_alpha();
         }
-        if (simd_level() == SimdLevel::kAvx2) {
-          simd::drift_levels_avx2(cells, lvl.data(), zp.data(), za.data(),
-                                  logt.data(), nullptr, params, out.data());
-        } else {
-          simd::drift_levels_sse42(cells, lvl.data(), zp.data(), za.data(),
-                                   logt.data(), nullptr, params, out.data());
-        }
+        simd::drift_levels_avx2(cells, lvl.data(), zp.data(), za.data(),
+                                logt.data(), nullptr, params, out.data());
         unsigned errors = 0;
         unsigned stop = cells;
         for (unsigned c = 0; c < cells; ++c) {

@@ -4,26 +4,10 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "common/parallel.h"
 #include "memsim/env.h"
 
 namespace rd::service {
-
-void apply_service_env(ServiceConfig& cfg) {
-  if (const char* e = env_cstr("READDUO_SERVICE_SHARDS")) {
-    cfg.num_shards = static_cast<unsigned>(
-        parse_env_u64("READDUO_SERVICE_SHARDS", e));
-  }
-  if (const char* e = env_cstr("READDUO_SERVICE_QUEUE")) {
-    cfg.queue_capacity = static_cast<std::size_t>(
-        parse_env_u64("READDUO_SERVICE_QUEUE", e));
-  }
-  if (const char* e = env_cstr("READDUO_SERVICE_BATCH")) {
-    cfg.batch_size = static_cast<std::size_t>(
-        parse_env_u64("READDUO_SERVICE_BATCH", e));
-  }
-}
 
 MemoryService::MemoryService(const ServiceConfig& cfg) : cfg_(cfg) {
   RD_CHECK(cfg_.num_shards >= 1);

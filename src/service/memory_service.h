@@ -56,8 +56,7 @@
 
 namespace rd::service {
 
-/// Service knobs. READDUO_SERVICE_SHARDS / _QUEUE / _BATCH override the
-/// first three (see apply_service_env).
+/// Service knobs.
 struct ServiceConfig {
   /// Independent chips; requests are routed by line.
   unsigned num_shards = 4;
@@ -84,10 +83,6 @@ struct ServiceConfig {
   /// into the service.
   std::function<void()> completion_hook;
 };
-
-/// Overlay READDUO_SERVICE_SHARDS / _QUEUE / _BATCH (strictly parsed)
-/// onto `cfg`.
-void apply_service_env(ServiceConfig& cfg);
 
 /// One client request. `arrival` is virtual time: the service's clock,
 /// not the host's. `id` must be nonzero and unique among in-flight

@@ -1,10 +1,10 @@
-// Seeded violations for the vectorized-tier knobs: near-miss names that
-// look like the real READDUO_SIMD / READDUO_BENCH_FAST knobs but are not
-// in the registry must still be flagged — a typo in a dispatch override
-// would otherwise silently run the default SIMD level.
-const char* kTypoSimd = "READDUO_SIMD_LEVEL";  // expect: env-registry
-const char* kTypoFast = "READDUO_BENCHFAST";  // expect: env-registry
+// Seeded violations for the kernel-tier knobs: near-miss names that look
+// like the real READDUO_KERNELS / READDUO_BENCH_JSON knobs but are not in
+// the registry must still be flagged — a typo in a tier override would
+// otherwise silently run the default kernel tier.
+const char* kTypoKernels = "READDUO_KERNEL";  // expect: env-registry
+const char* kTypoJson = "READDUO_BENCHJSON";  // expect: env-registry
 // The real knobs are registered: no findings.
-const char* kSimd = "READDUO_SIMD";
-const char* kFast = "READDUO_BENCH_FAST";
+const char* kKernels = "READDUO_KERNELS";
+const char* kJson = "READDUO_BENCH_JSON";
 const char* kGate = "READDUO_BENCH_COMPARE";

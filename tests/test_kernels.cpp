@@ -358,8 +358,8 @@ TEST(ChipKernelEquivalence, FullLifetimeIsIdentical) {
 //
 // The kVectorized lanes must match the reference bit for bit at every
 // dispatch level this host can reach. Each check therefore runs twice:
-// once under native dispatch (whatever simd_level() detected — AVX2,
-// SSE4.2, or already scalar) and once with the dispatch forced to the
+// once under native dispatch (whatever simd_level() detected — AVX2 or
+// already scalar) and once with the dispatch forced to the
 // scalar fallback, which must route through the optimized kernels. On a
 // scalar-only host the two passes coincide and both still run.
 
@@ -386,7 +386,7 @@ class VectorBchEquivalence : public ::testing::Test {
 TEST_F(VectorBchEquivalence, ModeResolvesAndLevelHasAName) {
   EXPECT_EQ(vec_.kernel_mode(), KernelMode::kVectorized);
   const std::string name = simd_level_name(simd_level());
-  EXPECT_TRUE(name == "scalar" || name == "sse42" || name == "avx2") << name;
+  EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
 }
 
 TEST_F(VectorBchEquivalence, SyndromesMatchForEveryWeightThroughDetection) {
@@ -554,53 +554,57 @@ TEST(VectorChipEquivalence, FullLifetimeIsIdentical) {
   // scrub schedule as a reference chip — data, flags, and counters must
   // all agree (this routes the SIMD lanes through sense(), ECP patching,
   // and the BCH decode path together).
-  pcm::ChipConfig base;
-  base.num_lines = 8;
-  base.seed = 77;
-  pcm::ChipConfig ref_cfg = base;
-  ref_cfg.kernels = KernelMode::kReference;
-  pcm::ChipConfig vec_cfg = base;
-  vec_cfg.kernels = KernelMode::kVectorized;
-  pcm::MlcChip ref_chip(ref_cfg);
-  pcm::MlcChip vec_chip(vec_cfg);
+  for (SimdLevel level : {simd_level(), SimdLevel::kScalar}) {
+    ScopedSimdLevel scoped(level);
+    SCOPED_TRACE(simd_level_name(level));
+    pcm::ChipConfig base;
+    base.num_lines = 8;
+    base.seed = 77;
+    pcm::ChipConfig ref_cfg = base;
+    ref_cfg.kernels = KernelMode::kReference;
+    pcm::ChipConfig vec_cfg = base;
+    vec_cfg.kernels = KernelMode::kVectorized;
+    pcm::MlcChip ref_chip(ref_cfg);
+    pcm::MlcChip vec_chip(vec_cfg);
 
-  Rng data_rng(206);
-  for (std::size_t l = 0; l < base.num_lines; ++l) {
-    std::vector<std::uint8_t> p(base.data_bytes);
-    for (auto& b : p) b = static_cast<std::uint8_t>(data_rng.next());
-    ref_chip.write(l, p);
-    vec_chip.write(l, p);
-  }
-  ref_chip.inject_stuck_cell(3, 11, 1);
-  vec_chip.inject_stuck_cell(3, 11, 1);
-
-  for (double dt : {100.0, 600.0, 1200.0}) {
-    ref_chip.advance_time(dt);
-    vec_chip.advance_time(dt);
+    Rng data_rng(206);
     for (std::size_t l = 0; l < base.num_lines; ++l) {
-      const pcm::ChipReadResult r = ref_chip.read(l);
-      const pcm::ChipReadResult v = vec_chip.read(l);
-      EXPECT_EQ(r.data, v.data) << "line " << l;
-      EXPECT_EQ(r.used_m_sense, v.used_m_sense) << "line " << l;
-      EXPECT_EQ(r.corrected, v.corrected) << "line " << l;
-      EXPECT_EQ(r.errors_corrected, v.errors_corrected) << "line " << l;
+      std::vector<std::uint8_t> p(base.data_bytes);
+      for (auto& b : p) b = static_cast<std::uint8_t>(data_rng.next());
+      ref_chip.write(l, p);
+      vec_chip.write(l, p);
     }
+    ref_chip.inject_stuck_cell(3, 11, 1);
+    vec_chip.inject_stuck_cell(3, 11, 1);
+
+    for (double dt : {100.0, 600.0, 1200.0}) {
+      ref_chip.advance_time(dt);
+      vec_chip.advance_time(dt);
+      for (std::size_t l = 0; l < base.num_lines; ++l) {
+        const pcm::ChipReadResult r = ref_chip.read(l);
+        const pcm::ChipReadResult v = vec_chip.read(l);
+        EXPECT_EQ(r.data, v.data) << "line " << l;
+        EXPECT_EQ(r.used_m_sense, v.used_m_sense) << "line " << l;
+        EXPECT_EQ(r.corrected, v.corrected) << "line " << l;
+        EXPECT_EQ(r.errors_corrected, v.errors_corrected) << "line " << l;
+      }
+    }
+    const pcm::ChipStats& rs = ref_chip.stats();
+    const pcm::ChipStats& vs = vec_chip.stats();
+    EXPECT_EQ(rs.reads, vs.reads);
+    EXPECT_EQ(rs.m_fallbacks, vs.m_fallbacks);
+    EXPECT_EQ(rs.writes, vs.writes);
+    EXPECT_EQ(rs.scrub_passes, vs.scrub_passes);
+    EXPECT_EQ(rs.scrub_rewrites, vs.scrub_rewrites);
+    EXPECT_EQ(rs.uncorrectable, vs.uncorrectable);
   }
-  const pcm::ChipStats& rs = ref_chip.stats();
-  const pcm::ChipStats& vs = vec_chip.stats();
-  EXPECT_EQ(rs.reads, vs.reads);
-  EXPECT_EQ(rs.m_fallbacks, vs.m_fallbacks);
-  EXPECT_EQ(rs.writes, vs.writes);
-  EXPECT_EQ(rs.scrub_passes, vs.scrub_passes);
-  EXPECT_EQ(rs.scrub_rewrites, vs.scrub_rewrites);
-  EXPECT_EQ(rs.uncorrectable, vs.uncorrectable);
 }
 
 TEST(VectorDispatchContract, ForcingAboveDetectionThrows) {
   // The test seam only narrows: asking for a level the build/host cannot
   // run must fail loudly (a silent downgrade would mislabel benchmarks).
-  // The cap is raw detection, not the current (possibly READDUO_SIMD-
-  // lowered) level, so probe by attempting the top level directly.
+  // The cap is raw detection, not the current (possibly test-lowered)
+  // level, so probe by attempting the top level directly.
   const SimdLevel prev = simd_level();
   bool threw = false;
   try {

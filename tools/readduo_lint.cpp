@@ -69,14 +69,12 @@ namespace fs = std::filesystem;
 // knob must be added here *and* documented in README.md before it ships.
 const std::set<std::string>& env_registry() {
   static const std::set<std::string> kRegistry = {
-      "READDUO_BENCH_COMPARE", "READDUO_BENCH_FAST",   "READDUO_BENCH_JSON",
-      "READDUO_COVERAGE",      "READDUO_DEVICE",       "READDUO_FAULTS",
-      "READDUO_INSTR",         "READDUO_KERNELS",
-      "READDUO_METRICS",       "READDUO_REGEN_GOLDEN", "READDUO_SANITIZE",
-      "READDUO_SERVE_CONNS",   "READDUO_SERVE_MAX_FRAME",
-      "READDUO_SERVE_WBUF",    "READDUO_SERVICE_BATCH",
-      "READDUO_SERVICE_QUEUE", "READDUO_SERVICE_SHARDS", "READDUO_SIMD",
-      "READDUO_THREADS",       "READDUO_TRACE",        "READDUO_TSAN_SOAK",
+      "READDUO_BENCH_COMPARE", "READDUO_BENCH_JSON", "READDUO_COVERAGE",
+      "READDUO_DEVICE",        "READDUO_FAULTS",     "READDUO_INSTR",
+      "READDUO_KERNELS",       "READDUO_METRICS",    "READDUO_REGEN_GOLDEN",
+      "READDUO_SANITIZE",      "READDUO_SERVE_CONNS",
+      "READDUO_SERVE_MAX_FRAME", "READDUO_SERVE_WBUF", "READDUO_THREADS",
+      "READDUO_TRACE",         "READDUO_TSAN_SOAK",
   };
   return kRegistry;
 }

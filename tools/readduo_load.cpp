@@ -1,7 +1,7 @@
 // readduo_load — closed-loop load generator for the memory service.
 //
 //   readduo_load --requests=1000000 --rps=2000000 --scheme=Hybrid
-//   READDUO_THREADS=4 READDUO_SERVICE_SHARDS=8 readduo_load
+//   READDUO_THREADS=4 readduo_load --shards=8
 //
 // Replays synthetic clients against a service::MemoryService at a
 // configurable *virtual* arrival rate: one submission thread generates
@@ -13,7 +13,7 @@
 // (optionally duplicated to --summary=<file> for run_all_benches.sh).
 //
 // The latency distributions are virtual-time quantities and bit-identical
-// for a fixed (seed, flags, READDUO_SERVICE_*) configuration regardless
+// for a fixed (seed, flags) configuration regardless
 // of READDUO_THREADS or wall-clock scheduling; only the throughput lines
 // (requests per wall second) vary per host.
 //
@@ -29,9 +29,11 @@
 // completion histograms) matches an in-process run of the same seed.
 #include <array>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -39,6 +41,7 @@
 #include <utility>
 #include <vector>
 
+#include "cli_flags.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "config/loader.h"
@@ -52,6 +55,7 @@
 #include "trace/workload.h"
 
 using namespace rd;
+using cli::parse_flag;
 
 namespace {
 
@@ -69,9 +73,9 @@ void usage(const char* argv0) {
       "  --workload=<name>      locality/write-mix template (default mcf)\n"
       "  --device=<file>        device config (overrides READDUO_DEVICE;\n"
       "                         see configs/ and docs/DEVICE_CONFIGS.md)\n"
-      "  --write-fraction=<f>   override the workload's write mix\n"
+      "  --write-fraction=<f>   override the workload's write mix, in [0, 1]\n"
       "  --seed=<n>             RNG seed (default 42)\n"
-      "  --shards=<n>           chips (default 4)\n"
+      "  --shards=<n>           chips, 1..1024 (default 4)\n"
       "  --queue=<n>            per-shard submission queue bound\n"
       "  --batch=<n>            admission batch size\n"
       "  --report-every=<n>     live report every n completions\n"
@@ -79,26 +83,15 @@ void usage(const char* argv0) {
       "  --summary=<file>       also write the final JSON to <file>\n"
       "  --connect=<addr>       distributed mode: drive a readduo_serve\n"
       "                         at unix:<path> / tcp:<host>:<port>\n"
-      "  --clients=<n>          wire clients in --connect mode (default 1)\n"
+      "  --clients=<n>          wire clients in --connect mode, 1..256\n"
+      "                         (default 1)\n"
       "  --window=<n>           per-client in-flight bound (default 256)\n"
       "  --crosscheck=<0|1>     verify server histograms against merged\n"
       "                         client-side ones (default 1)\n"
       "\n"
       "environment:\n"
-      "  READDUO_THREADS            service worker threads\n"
-      "  READDUO_SERVICE_SHARDS     default for --shards\n"
-      "  READDUO_SERVICE_QUEUE      default for --queue\n"
-      "  READDUO_SERVICE_BATCH      default for --batch\n",
+      "  READDUO_THREADS            service worker threads\n",
       argv0);
-}
-
-bool parse_flag(const char* arg, const char* name, std::string& out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    out = arg + n + 1;
-    return true;
-  }
-  return false;
 }
 
 /// {"count":..,"mean_ns":..,"p50_ns":..,...} for one latency class.
@@ -429,58 +422,76 @@ int main(int argc, char** argv) {
   double rps = 2e6;
   std::string scheme = "Hybrid";
   std::string workload = "mcf";
-  double write_fraction = -1.0;
+  double write_fraction = -1.0;  // < 0: the workload's own write mix
   std::uint64_t seed = 42;
   std::uint64_t report_every = 100'000;
   std::string summary_path;
-  std::string shards_flag, queue_flag, batch_flag;
   std::string connect_addr;
   std::string device_path;
-  std::size_t clients = 1;
-  std::size_t window = 256;
-  bool crosscheck = true;
+  service::ServiceConfig cfg;
+  std::uint64_t shards = cfg.num_shards;
+  std::uint64_t queue = cfg.queue_capacity;
+  std::uint64_t batch = cfg.batch_size;
+  std::uint64_t clients = 1;
+  std::uint64_t window = 256;
+  std::uint64_t crosscheck = 1;
+  const cli::CountFlag numeric_flags[] = {
+      {"--requests", 1, ULLONG_MAX, &requests},
+      {"--seed", 0, ULLONG_MAX, &seed},
+      {"--shards", 1, cli::kMaxShards, &shards},
+      {"--queue", 1, SIZE_MAX, &queue},
+      {"--batch", 1, SIZE_MAX, &batch},
+      {"--report-every", 0, ULLONG_MAX, &report_every},
+      {"--clients", 1, cli::kMaxClients, &clients},
+      {"--window", 1, SIZE_MAX, &window},
+      {"--crosscheck", 0, 1, &crosscheck},
+  };
 
   for (int i = 1; i < argc; ++i) {
+    const char* a = argv[i];
+    const cli::Match numeric = cli::parse_counts(a, numeric_flags);
+    if (numeric == cli::Match::kBad) return 2;
+    if (numeric == cli::Match::kParsed) continue;
     std::string v;
-    if (parse_flag(argv[i], "--requests", v)) {
-      requests = std::stoull(v);
-    } else if (parse_flag(argv[i], "--device", v)) {
+    if (parse_flag(a, "--rps", v)) {
+      // One arrival per clock tick: a faster rate would still space
+      // arrivals 1 ns apart.
+      if (!cli::parse_real("--rps", v, 0.0, 1.0 / Ns{1}.seconds(),
+                           /*lo_open=*/true, rps)) {
+        return 2;
+      }
+    } else if (parse_flag(a, "--write-fraction", v)) {
+      if (!cli::parse_real("--write-fraction", v, 0.0, 1.0,
+                           /*lo_open=*/false, write_fraction)) {
+        return 2;
+      }
+    } else if (parse_flag(a, "--device", v)) {
       device_path = v;
-    } else if (parse_flag(argv[i], "--rps", v)) {
-      rps = std::stod(v);
-    } else if (parse_flag(argv[i], "--scheme", v)) {
+    } else if (parse_flag(a, "--scheme", v)) {
       scheme = v;
-    } else if (parse_flag(argv[i], "--workload", v)) {
+    } else if (parse_flag(a, "--workload", v)) {
       workload = v;
-    } else if (parse_flag(argv[i], "--write-fraction", v)) {
-      write_fraction = std::stod(v);
-    } else if (parse_flag(argv[i], "--seed", v)) {
-      seed = std::stoull(v);
-    } else if (parse_flag(argv[i], "--shards", v)) {
-      shards_flag = v;
-    } else if (parse_flag(argv[i], "--queue", v)) {
-      queue_flag = v;
-    } else if (parse_flag(argv[i], "--batch", v)) {
-      batch_flag = v;
-    } else if (parse_flag(argv[i], "--report-every", v)) {
-      report_every = std::stoull(v);
-    } else if (parse_flag(argv[i], "--summary", v)) {
+    } else if (parse_flag(a, "--summary", v)) {
       summary_path = v;
-    } else if (parse_flag(argv[i], "--connect", v)) {
+    } else if (parse_flag(a, "--connect", v)) {
       connect_addr = v;
-    } else if (parse_flag(argv[i], "--clients", v)) {
-      clients = std::stoull(v);
-    } else if (parse_flag(argv[i], "--window", v)) {
-      window = std::stoull(v);
-    } else if (parse_flag(argv[i], "--crosscheck", v)) {
-      crosscheck = std::stoull(v) != 0;
     } else {
+      std::fprintf(stderr, "unknown option: %s\n", a);
       usage(argv[0]);
       return 2;
     }
   }
-  RD_CHECK(requests >= 1);
-  RD_CHECK(rps > 0.0);
+  // Arrivals are 1/rps apart (rounded to whole ns) on the int64 ns clock;
+  // the last one must still fit on it.
+  const double span_s =
+      static_cast<double>(requests) * (1.0 / rps + Ns{1}.seconds());
+  if (!(span_s < Ns{std::numeric_limits<std::int64_t>::max()}.seconds())) {
+    std::fprintf(stderr,
+                 "--rps: %g req/s places %llu arrivals beyond the int64 ns "
+                 "clock\n",
+                 rps, static_cast<unsigned long long>(requests));
+    return 2;
+  }
 
   // Pin the device before any simulation object latches it; the --device
   // flag wins over the READDUO_DEVICE env knob.
@@ -503,26 +514,22 @@ int main(int argc, char** argv) {
     rc.workload = workload;
     rc.write_fraction = write_fraction;
     rc.seed = seed;
-    rc.clients = clients;
-    rc.window = window;
-    rc.crosscheck = crosscheck;
+    rc.clients = static_cast<std::size_t>(clients);
+    rc.window = static_cast<std::size_t>(window);
+    rc.crosscheck = crosscheck != 0;
     rc.summary_path = summary_path;
     return run_connect(rc, w);
   }
 
-  service::ServiceConfig cfg;
   cfg.sim.seed = seed;
   const std::optional<readduo::SchemeKind> kind =
       readduo::scheme_kind_by_name(scheme);
   RD_CHECK_MSG(kind.has_value(), "unknown scheme: " + scheme);
   cfg.scheme = *kind;
   cfg.workload = w;
-  service::apply_service_env(cfg);  // env defaults, flags override
-  if (!shards_flag.empty()) {
-    cfg.num_shards = static_cast<unsigned>(std::stoul(shards_flag));
-  }
-  if (!queue_flag.empty()) cfg.queue_capacity = std::stoull(queue_flag);
-  if (!batch_flag.empty()) cfg.batch_size = std::stoull(batch_flag);
+  cfg.num_shards = static_cast<unsigned>(shards);
+  cfg.queue_capacity = static_cast<std::size_t>(queue);
+  cfg.batch_size = static_cast<std::size_t>(batch);
 
   service::MemoryService svc(cfg);
   std::printf(

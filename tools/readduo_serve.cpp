@@ -16,12 +16,15 @@
 // wire are bit-identical to an in-process readduo_load run of the same
 // (seed, scheme, workload, shards) — the sequence-merge rule in
 // MemoryService makes socket arrival interleaving irrelevant.
+#include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
 
+#include "cli_flags.h"
 #include "common/check.h"
 #include "config/loader.h"
 #include "net/server.h"
@@ -29,6 +32,7 @@
 #include "trace/workload.h"
 
 using namespace rd;
+using cli::parse_flag;
 
 namespace {
 
@@ -53,29 +57,17 @@ void usage(const char* argv0) {
       "  --device=<file>   device config (overrides READDUO_DEVICE; a\n"
       "                    client hello naming another device is refused)\n"
       "  --seed=<n>        RNG seed (default 42)\n"
-      "  --shards=<n>      chips (default 4)\n"
+      "  --shards=<n>      chips, 1..1024 (default 4)\n"
       "  --queue=<n>       per-client admission bound\n"
       "  --batch=<n>       admission batch size\n"
       "  --oneshot         exit when the last client disconnects\n"
       "\n"
       "environment:\n"
       "  READDUO_THREADS          service worker threads\n"
-      "  READDUO_SERVICE_SHARDS   default for --shards\n"
-      "  READDUO_SERVICE_QUEUE    default for --queue\n"
-      "  READDUO_SERVICE_BATCH    default for --batch\n"
       "  READDUO_SERVE_MAX_FRAME  largest accepted frame payload, bytes\n"
       "  READDUO_SERVE_WBUF       per-connection write-buffer bound\n"
       "  READDUO_SERVE_CONNS     accepted-connection cap\n",
       argv0);
-}
-
-bool parse_flag(const char* arg, const char* name, std::string& out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    out = arg + n + 1;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -84,31 +76,38 @@ int main(int argc, char** argv) {
   std::string listen = "unix:/tmp/rd.sock";
   std::string scheme = "Hybrid";
   std::string workload = "mcf";
-  std::uint64_t seed = 42;
-  std::string shards_flag, queue_flag, batch_flag, device_path;
+  std::string device_path;
   bool oneshot = false;
+  net::ServerConfig cfg;
+  std::uint64_t seed = 42;
+  std::uint64_t shards = cfg.service.num_shards;
+  std::uint64_t queue = cfg.service.queue_capacity;
+  std::uint64_t batch = cfg.service.batch_size;
+  const cli::CountFlag numeric_flags[] = {
+      {"--seed", 0, ULLONG_MAX, &seed},
+      {"--shards", 1, cli::kMaxShards, &shards},
+      {"--queue", 1, SIZE_MAX, &queue},
+      {"--batch", 1, SIZE_MAX, &batch},
+  };
 
   for (int i = 1; i < argc; ++i) {
+    const char* a = argv[i];
+    const cli::Match numeric = cli::parse_counts(a, numeric_flags);
+    if (numeric == cli::Match::kBad) return 2;
+    if (numeric == cli::Match::kParsed) continue;
     std::string v;
-    if (parse_flag(argv[i], "--listen", v)) {
+    if (parse_flag(a, "--listen", v)) {
       listen = v;
-    } else if (parse_flag(argv[i], "--device", v)) {
+    } else if (parse_flag(a, "--device", v)) {
       device_path = v;
-    } else if (parse_flag(argv[i], "--scheme", v)) {
+    } else if (parse_flag(a, "--scheme", v)) {
       scheme = v;
-    } else if (parse_flag(argv[i], "--workload", v)) {
+    } else if (parse_flag(a, "--workload", v)) {
       workload = v;
-    } else if (parse_flag(argv[i], "--seed", v)) {
-      seed = std::stoull(v);
-    } else if (parse_flag(argv[i], "--shards", v)) {
-      shards_flag = v;
-    } else if (parse_flag(argv[i], "--queue", v)) {
-      queue_flag = v;
-    } else if (parse_flag(argv[i], "--batch", v)) {
-      batch_flag = v;
-    } else if (std::strcmp(argv[i], "--oneshot") == 0) {
+    } else if (std::strcmp(a, "--oneshot") == 0) {
       oneshot = true;
     } else {
+      std::fprintf(stderr, "unknown option: %s\n", a);
       usage(argv[0]);
       return 2;
     }
@@ -121,7 +120,6 @@ int main(int argc, char** argv) {
                               device_path);
   }
 
-  net::ServerConfig cfg;
   cfg.listen = listen;
   net::apply_server_env(cfg);
   cfg.service.sim.seed = seed;
@@ -130,14 +128,9 @@ int main(int argc, char** argv) {
   RD_CHECK_MSG(kind.has_value(), "unknown scheme: " + scheme);
   cfg.service.scheme = *kind;
   cfg.service.workload = trace::workload_by_name(workload);
-  service::apply_service_env(cfg.service);  // env defaults, flags override
-  if (!shards_flag.empty()) {
-    cfg.service.num_shards = static_cast<unsigned>(std::stoul(shards_flag));
-  }
-  if (!queue_flag.empty()) {
-    cfg.service.queue_capacity = std::stoull(queue_flag);
-  }
-  if (!batch_flag.empty()) cfg.service.batch_size = std::stoull(batch_flag);
+  cfg.service.num_shards = static_cast<unsigned>(shards);
+  cfg.service.queue_capacity = static_cast<std::size_t>(queue);
+  cfg.service.batch_size = static_cast<std::size_t>(batch);
 
   net::Server server(cfg);
   server.start();

@@ -11,14 +11,13 @@
 // selects a device from the zoo (configs/; schema in
 // docs/DEVICE_CONFIGS.md); a --config run file, in the same strict
 // grammar, sets the CPU parameters the device schema does not own.
-#include <cerrno>
 #include <climits>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
 
+#include "cli_flags.h"
 #include "config/apply.h"
 #include "config/loader.h"
 #include "memsim/env.h"
@@ -30,6 +29,7 @@
 #include "trace/workload.h"
 
 using namespace rd;
+using cli::parse_flag;
 
 namespace {
 
@@ -66,48 +66,15 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_flag(const char* arg, const char* name, std::string& out) {
-  const std::size_t n = std::strlen(name);
-  if (std::strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
-
-/// Parse `value` of numeric flag `flag` into `out`: base-10 digits only
-/// (no sign, space or trailing text) and within [lo, hi]. Prints why and
-/// returns false otherwise.
-bool parse_count(const char* flag, const std::string& value, std::uint64_t lo,
-                 std::uint64_t hi, std::uint64_t& out) {
-  errno = 0;
-  const unsigned long long v = std::strtoull(value.c_str(), nullptr, 10);
-  if (value.empty() ||
-      value.find_first_not_of("0123456789") != std::string::npos ||
-      errno == ERANGE || v < lo || v > hi) {
-    std::fprintf(stderr,
-                 "%s: expected a base-10 integer in [%llu, %llu], got '%s'\n",
-                 flag, static_cast<unsigned long long>(lo),
-                 static_cast<unsigned long long>(hi), value.c_str());
-    return false;
-  }
-  out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string scheme_name, workload_name = "mcf", config_path, value;
+  std::string scheme_name, workload_name = "mcf", config_path;
   std::string device_path;
   readduo::ReadDuoOptions opts;
   std::uint64_t instructions = 2'000'000, seed = 42, k = opts.k,
                 select_s = opts.select_s;
-  const struct {
-    const char* flag;
-    std::uint64_t lo, hi;
-    std::uint64_t* out;
-  } numeric_flags[] = {
+  const cli::CountFlag numeric_flags[] = {
       {"--instructions", 1, ULLONG_MAX, &instructions},
       {"--seed", 0, ULLONG_MAX, &seed},
       {"--k", 1, UINT_MAX, &k},
@@ -118,13 +85,9 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    bool numeric = false;
-    for (const auto& f : numeric_flags) {
-      if (!parse_flag(a, f.flag, value)) continue;
-      if (!parse_count(f.flag, value, f.lo, f.hi, *f.out)) return 2;
-      numeric = true;
-    }
-    if (numeric) continue;
+    const cli::Match numeric = cli::parse_counts(a, numeric_flags);
+    if (numeric == cli::Match::kBad) return 2;
+    if (numeric == cli::Match::kParsed) continue;
     if (std::strcmp(a, "--list") == 0) {
       for (const auto& w : trace::spec2006_workloads()) {
         std::printf("%-12s rpki=%.2f wpki=%.2f\n", w.name.c_str(), w.rpki,
