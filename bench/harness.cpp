@@ -294,6 +294,10 @@ std::string render_metrics_json() {
   return doc.str();
 }
 
+std::uint64_t run_count() {
+  return harness().run_count.load(std::memory_order_relaxed);
+}
+
 }  // namespace detail
 
 void set_bench_name(const std::string& name) {
@@ -316,19 +320,33 @@ RunResult run_scheme(readduo::SchemeKind kind, const trace::Workload& w,
 }
 
 std::vector<RunResult> run_schemes(const std::vector<RunSpec>& specs) {
-  std::vector<RunResult> results(specs.size());
-  std::vector<RunRecord> recs(specs.size());
-  parallel_for_shards(specs.size(), [&](std::size_t i) {
-    const RunSpec& s = specs[i];
-    results[i] = run_one(s.kind, s.workload, s.opts, s.seed, &recs[i]);
+  // Each spec maps to the first equal one. The key is the whole spec, so
+  // a field added to any of its structs joins it; a linear scan suffices
+  // for the few hundred specs of a bench.
+  std::vector<std::size_t> distinct;        // spec index of each distinct run
+  std::vector<std::size_t> run_of(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    std::size_t d = 0;
+    while (d < distinct.size() && !(specs[distinct[d]] == specs[i])) ++d;
+    if (d == distinct.size()) distinct.push_back(i);
+    run_of[i] = d;
+  }
+  std::vector<RunResult> runs(distinct.size());
+  std::vector<RunRecord> recs(distinct.size());
+  parallel_for_shards(distinct.size(), [&](std::size_t d) {
+    const RunSpec& s = specs[distinct[d]];
+    runs[d] = run_one(s.kind, s.workload, s.opts, s.seed, &recs[d]);
   });
-  // Register in spec order so the export is deterministic regardless of
-  // how the pool interleaved the runs.
+  // Register in order of first occurrence so the export is deterministic
+  // regardless of how the pool interleaved the runs.
   if (metrics_dest() != nullptr) {
     Harness& h = harness();
     MutexLock g(h.mu);
     for (RunRecord& rec : recs) h.runs.push_back(std::move(rec));
   }
+  std::vector<RunResult> results;
+  results.reserve(specs.size());
+  for (std::size_t d : run_of) results.push_back(runs[d]);
   return results;
 }
 

@@ -1,16 +1,16 @@
-// Shared harness for the per-figure/table bench binaries.
+// Shared harness for the bench binaries.
 //
-// Each bench binary regenerates one or more tables or figures of the
-// paper. Every run is computed fresh under the active device, so an edited
-// .cfg always reaches the output; figures that share runs (Figures 9, 10,
-// 11 and 15 are four views of one grid) are printed by one binary from one
-// batch. READDUO_INSTR=<n> changes the per-core instruction budget
-// (default 6,000,000).
+// bench_paper regenerates every figure built from full-system runs
+// (Figures 3, 4, 9-15 and the two ablations); the table and extension
+// benches each regenerate one artefact. Every run is computed fresh under
+// the active device, so an edited .cfg always reaches the output.
+// READDUO_INSTR=<n> changes the per-core instruction budget (default
+// 6,000,000).
 //
 // Independent (scheme x workload) simulations are embarrassingly parallel
-// — every Simulator owns its whole state — so bench binaries batch their
-// runs through run_schemes(), which fans the batch out over the
-// READDUO_THREADS pool (see common/parallel.h).
+// — every Simulator owns its whole state — so benches batch their runs
+// through run_schemes(), which simulates each distinct spec once and fans
+// the batch out over the READDUO_THREADS pool (see common/parallel.h).
 #pragma once
 
 #include <cstdint>
@@ -37,7 +37,7 @@ struct RunResult {
 /// the default budget.
 std::uint64_t instruction_budget();
 
-/// Name the running bench binary ("fig9", "table3", ...). Used to label
+/// Name the running bench binary ("paper", "table3", ...). Used to label
 /// the READDUO_METRICS export; optional (default "bench").
 void set_bench_name(const std::string& name);
 
@@ -54,6 +54,10 @@ std::string render_run_json(const std::string& workload, std::uint64_t seed,
 /// Exposed for the golden tests.
 std::string render_metrics_json();
 
+/// Simulations run so far in this process (the `runs=` of the harness
+/// line). Exposed for the tests.
+std::uint64_t run_count();
+
 }  // namespace detail
 
 /// Run `kind` on `workload` under the active device.
@@ -67,10 +71,13 @@ struct RunSpec {
   trace::Workload workload;
   readduo::ReadDuoOptions opts = {};
   std::uint64_t seed = 42;
+
+  bool operator==(const RunSpec&) const = default;
 };
 
-/// Execute every spec — concurrently over the READDUO_THREADS pool, since
-/// each simulation is independent — and return the results in spec order.
+/// Execute every distinct spec once — concurrently over the
+/// READDUO_THREADS pool, since each simulation is independent — and
+/// return one result per spec, in spec order (equal specs share a run).
 /// Results are identical to calling run_scheme() serially for each spec.
 std::vector<RunResult> run_schemes(const std::vector<RunSpec>& specs);
 

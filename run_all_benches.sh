@@ -1,8 +1,9 @@
 #!/bin/sh
 # Regenerate every table and figure of the paper, in order. Each bench
 # computes its runs fresh and fans them out over the READDUO_THREADS pool
-# (default: all cores; =1 forces serial execution); bench_fig9 prints
-# Figures 9, 10, 11 and 15 from one shared batch. Per-bench and total
+# (default: all cores; =1 forces serial execution); bench_paper prints
+# every figure built from full-system runs (Figures 3, 4, 9-15 and the two
+# ablations) from one batch that simulates each distinct run once. Per-bench and total
 # wall-clock are printed so perf changes have a trajectory to cite, and
 # the per-bench "== harness:" self-metrics lines (runs, simulated
 # wall-clock) are aggregated into a final summary.
@@ -12,7 +13,7 @@
 # summary: per-bench wall-clock, the Kernel_*_{ref,opt,vec} triples bench_micro
 # times for every rewritten hot-path kernel (DESIGN.md §10) with their
 # serial speedups, the kernel tier and SIMD level the _vec rows actually
-# dispatched to, host core count, a thread-scaling curve (bench_fig9
+# dispatched to, host core count, a thread-scaling curve (bench_paper
 # wall-clock at READDUO_THREADS in {1,2,4,8}, capped at the host core
 # count, scheme and sampler builds included), and a "service" section: the
 # READDUO_METRICS summary of one fixed-seed readduo_load run (service-level
@@ -51,9 +52,7 @@ trap 'rm -f "$harness_log" "$bench_times" "$kernel_json" "$scaling_times" \
             "$service_json" "$service_net_json"' EXIT
 
 benches="bench_tables_1_2 bench_table3 bench_table4 bench_table5 bench_table7
-    bench_fig3 bench_fig4 bench_fig6 bench_fig9
-    bench_fig12 bench_fig13 bench_fig14
-    bench_ablation_w1 bench_ablation_t bench_ext_wear
+    bench_fig6 bench_paper bench_ext_wear
     bench_ext_rowbuffer bench_ext_temperature bench_ext_pausing"
 # bench_micro times the hot-path kernels and regenerates no paper
 # artefact, so it runs only when the JSON summary asks for kernel numbers.
@@ -83,13 +82,13 @@ echo "===== total wall-clock: $(( total_end - total_start )) ms" \
      "(READDUO_THREADS=${READDUO_THREADS:-auto})"
 
 # Thread-scaling curve for the JSON summary: re-run one representative
-# full-system sweep at fixed widths: bench_fig9's 98-run batch. It also
+# full-system sweep at fixed widths: bench_paper's 212-run batch. It also
 # builds the Scrubbing and M-metric steady-state samplers, so a build that
 # does not scale shows here. Every point pays the whole simulation and
 # every build; widths above the core count are skipped (they would measure
 # oversubscription noise, not scaling).
 if [ -n "$json_out" ]; then
-  scaling_bench=bench_fig9
+  scaling_bench=bench_paper
   for t in 1 2 4 8; do
     if [ "$t" -gt "$(nproc)" ]; then continue; fi
     echo "##### thread scaling: $scaling_bench READDUO_THREADS=$t #####"

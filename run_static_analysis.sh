@@ -136,10 +136,10 @@ if [ "${SKIP_SANITIZER_SMOKE:-0}" != "1" ]; then
     skip "READDUO_TSAN_SOAK=0 — skipping the TSan service soak and race test"
   fi
 
-  step "sanitizer smoke: UBSan bench_fig9 at a small instruction budget"
+  step "sanitizer smoke: UBSan bench_paper at a small instruction budget"
   cmake -B build-ubsan -S . -DREADDUO_SANITIZE=undefined > /dev/null \
-    && cmake --build build-ubsan --target bench_fig9 -j \
-    && READDUO_INSTR=50000 ./build-ubsan/bench/bench_fig9 \
+    && cmake --build build-ubsan --target bench_paper -j \
+    && READDUO_INSTR=50000 ./build-ubsan/bench/bench_paper \
        > /dev/null \
     || failures=$((failures + 1))
 

@@ -126,6 +126,8 @@ struct SimResult {
         static_cast<double>(exec_time.v) * cpu.clock_ghz;
     return cycles > 0 ? static_cast<double>(instructions) / cycles : 0.0;
   }
+
+  bool operator==(const SimResult&) const = default;
 };
 
 /// One simulation: a workload run under a scheme.
@@ -187,6 +189,10 @@ class Simulator {
   /// Stop scheduling further scrub ticks, so the event queue can drain to
   /// empty (pending senses/rewrites still complete).
   void stop_scrub() { scrub_stopped_ = true; }
+
+  /// Virtual time between two scrub ticks of one bank: each tick senses
+  /// one row. Zero when the scheme does not scrub.
+  Ns scrub_period() const { return scrub_period_; }
 
   /// Live view of the aggregate result (histograms fill as events
   /// complete). exec_time/instructions are only final after run().

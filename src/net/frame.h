@@ -40,7 +40,7 @@ namespace rd::net {
 inline constexpr std::uint16_t kMagic = 0x5244;  // "RD"
 inline constexpr std::uint8_t kVersion = 1;
 inline constexpr std::size_t kHeaderSize = 24;
-/// Default payload bound (READDUO_SERVE_MAX_FRAME overrides server-side).
+/// Default payload bound (readduo_serve --max-frame overrides it).
 inline constexpr std::size_t kDefaultMaxPayload = 1u << 20;
 
 /// Request opcodes (client -> server). Values < 0x80.

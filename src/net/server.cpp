@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/env.h"
 #include "config/loader.h"
 #include "faults/injector.h"
 #include "net/socket.h"
@@ -17,23 +16,8 @@
 
 namespace rd::net {
 
-void apply_server_env(ServerConfig& cfg) {
-  if (const char* e = env_cstr("READDUO_SERVE_MAX_FRAME")) {
-    cfg.max_payload = static_cast<std::size_t>(
-        parse_env_u64("READDUO_SERVE_MAX_FRAME", e));
-  }
-  if (const char* e = env_cstr("READDUO_SERVE_WBUF")) {
-    cfg.write_buf_limit =
-        static_cast<std::size_t>(parse_env_u64("READDUO_SERVE_WBUF", e));
-  }
-  if (const char* e = env_cstr("READDUO_SERVE_CONNS")) {
-    cfg.max_conns =
-        static_cast<std::size_t>(parse_env_u64("READDUO_SERVE_CONNS", e));
-  }
-}
-
 Server::Server(const ServerConfig& cfg) : cfg_(cfg) {
-  RD_CHECK(cfg_.max_payload >= 64);  // room for every fixed body
+  RD_CHECK(cfg_.max_payload >= kMinMaxPayload);
   RD_CHECK(cfg_.write_buf_limit >= kHeaderSize);
   RD_CHECK(cfg_.max_conns >= 1);
   int p[2];

@@ -28,28 +28,28 @@
 
 namespace rd::net {
 
-/// Server knobs. READDUO_SERVE_MAX_FRAME / _WBUF / _CONNS override the
-/// wire bounds (see apply_server_env).
+/// Smallest accepted ServerConfig::max_payload: every fixed body fits.
+inline constexpr std::size_t kMinMaxPayload = 64;
+
+/// Server knobs. readduo_serve sets the three wire bounds from
+/// --max-frame, --wbuf and --conns.
 struct ServerConfig {
   service::ServiceConfig service;
   /// "unix:<path>" or "tcp:<host>:<port>" (socket.h).
   std::string listen = "unix:/tmp/readduo_serve.sock";
   /// Largest accepted frame payload; larger length fields are a fatal
-  /// framing error (READDUO_SERVE_MAX_FRAME).
+  /// framing error. At least kMinMaxPayload.
   std::size_t max_payload = kDefaultMaxPayload;
   /// Per-connection write-buffer bound; a reader slower than this sheds
-  /// (READDUO_SERVE_WBUF).
+  /// (at least kHeaderSize).
   std::size_t write_buf_limit = 4u << 20;
   /// Accepted-connection cap; excess connects wait in the listen backlog
-  /// (READDUO_SERVE_CONNS).
+  /// (at least 1).
   std::size_t max_conns = 64;
   /// SO_SNDBUF for accepted connections; 0 keeps the OS default. Tests
   /// shrink it so a slow reader backs up into write_buf_limit quickly.
   std::size_t sock_sndbuf = 0;
 };
-
-/// Overlay READDUO_SERVE_MAX_FRAME / _WBUF / _CONNS onto `cfg`.
-void apply_server_env(ServerConfig& cfg);
 
 /// Monotonic wire counters (relaxed atomics: written by the run()
 /// thread, readable from anywhere).

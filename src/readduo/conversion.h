@@ -5,7 +5,7 @@
 // Blind conversion wastes endurance, so the controller adjusts the
 // conversion percentage T in [0, 100] at steps of 10 per epoch, from two
 // signals (the paper's own wording is partially garbled; this is our
-// documented interpretation, ablated in bench_fig14):
+// documented interpretation, ablated in bench_paper's Figure 14):
 //   * P — the fraction of reads falling on un-tracked lines. If P exceeds
 //     85% despite conversion, converted data is not being re-read and the
 //     writes are wasted: decrease T (the paper's explicit 85% rule).
@@ -35,6 +35,8 @@ class ConversionController {
     /// conversions keeps measuring benefit, so workloads whose re-reads
     /// arrive later than one epoch (cyclic scans) can still ramp up.
     unsigned floor_t = 10;
+
+    bool operator==(const Config&) const = default;
   };
 
   ConversionController() : ConversionController(Config{}) {}

@@ -51,6 +51,8 @@ struct ReadDuoOptions {
   /// The paper cites ~20% of bits changing per write; with 2 bits/cell and
   /// independent changes that is 1 - 0.8^2 = 36% of cells.
   double changed_cell_fraction = 0.36;
+
+  bool operator==(const ReadDuoOptions&) const = default;
 };
 
 /// Instantiate a scheme. `opts` only affects the ReadDuo family. The

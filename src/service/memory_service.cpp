@@ -29,6 +29,7 @@ MemoryService::MemoryService(const ServiceConfig& cfg) : cfg_(cfg) {
     MutexLock g(sh->sim_mu);
     sh->sim = std::make_unique<memsim::Simulator>(sim_cfg, *sh->scheme,
                                                   cfg_.workload);
+    scrub_period_ = sh->sim->scrub_period();  // one scheme, one period
     shards_.push_back(std::move(sh));
   }
   const unsigned requested =

@@ -132,6 +132,10 @@ class MemoryService {
     return static_cast<unsigned>(line % shards_.size());
   }
 
+  /// Every shard's Simulator::scrub_period (zero when the scheme does not
+  /// scrub); the engines tick across idle virtual time too.
+  Ns scrub_period() const { return scrub_period_; }
+
   using Completion = memsim::Simulator::Completion;
 
   /// Enqueue a request; returns false when the target shard's bounded
@@ -247,6 +251,7 @@ class MemoryService {
   ServiceConfig cfg_;
   std::vector<std::unique_ptr<Shard>> shards_;
   unsigned worker_count_ = 1;
+  Ns scrub_period_{0};  ///< set in the constructor, immutable afterwards
   std::vector<std::thread> workers_;
 
   /// Condition-protocol mutex: it orders sleep/wake against the atomic

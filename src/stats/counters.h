@@ -47,6 +47,8 @@ struct Counters {
   double dynamic_energy_pj() const {
     return read_energy_pj + write_energy_pj + scrub_energy_pj;
   }
+
+  bool operator==(const Counters&) const = default;
 };
 
 }  // namespace rd::stats

@@ -30,6 +30,8 @@ struct RunSummary {
     return dynamic_energy_pj +
            static_watts * static_cast<double>(exec_time.v) * 1e3;
   }
+
+  bool operator==(const RunSummary&) const = default;
 };
 
 /// EDAP of `run` normalized to `base` (typically the TLC baseline), using

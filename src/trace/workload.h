@@ -37,6 +37,8 @@ struct Workload {
   /// Archive access pattern: cyclic sequential scan (sphinx3 streaming
   /// its model tables) instead of Zipf draws.
   bool archive_scan = false;
+
+  bool operator==(const Workload&) const = default;
 };
 
 /// The 14 SPEC2006 workloads of Table X. RPKI/WPKI approximate published

@@ -30,11 +30,19 @@ set(BAD_LOAD_FLAGS
     --write-fraction=-0.5
     --write-fraction=0x1
     --write-fraction=nan)
+# --max-frame, --wbuf and --conns start at net::Server's own minimums
+# (64, the 24-byte header, 1): a value below must exit 2, not abort.
 set(BAD_SERVE_FLAGS
     --queue=4x
     --shards=-1
     --seed=abc
-    --batch=0)
+    --batch=0
+    --max-frame=63
+    --max-frame=1k
+    --wbuf=23
+    --wbuf=abc
+    --conns=0
+    --conns=-1)
 
 function(expect_bad tool arg)
   string(REGEX REPLACE "=.*" "" flag "${arg}")
@@ -55,6 +63,22 @@ foreach(arg ${BAD_LOAD_FLAGS})
 endforeach()
 foreach(arg ${BAD_SERVE_FLAGS})
   expect_bad(${SERVE} ${arg})
+endforeach()
+
+# A rate so low that the scrub engines would tick for ages across idle
+# virtual time is refused up front, naming both flags.
+execute_process(COMMAND ${LOAD} --rps=1e-9 --requests=5 TIMEOUT 1
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "readduo_load --rps=1e-9 --requests=5: expected exit "
+                      "2 within 1 s, got '${rc}'")
+endif()
+foreach(flag --rps --requests)
+  string(FIND "${err}" "${flag}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "readduo_load --rps=1e-9 --requests=5: the message "
+                        "does not name ${flag}: ${err}")
+  endif()
 endforeach()
 
 # The edges of every range are valid: the run must go ahead.

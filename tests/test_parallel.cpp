@@ -1,7 +1,7 @@
 // The parallel substrate's contract: every shard runs exactly once,
 // exceptions propagate, READDUO_THREADS=1 is the in-order serial path, and
 // sharded consumers (mc_ler, run_schemes metrics) are bit-identical for
-// every thread count.
+// every thread count. run_schemes simulates each distinct spec once.
 #include "common/parallel.h"
 
 #include <gtest/gtest.h>
@@ -228,6 +228,52 @@ TEST(MetricsParallel, HistogramsBitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(merged_serial == merged_pooled);
   EXPECT_DOUBLE_EQ(merged_serial.demand_reads().p99(),
                    merged_pooled.demand_reads().p99());
+}
+
+// run_schemes keys its dedup on the whole spec: equal specs share one
+// simulation whose result equals a separate run_scheme call, and a spec
+// that differs in any one field (options, controller, seed, workload) runs
+// on its own.
+TEST(RunSchemesDedup, EqualSpecsShareOneRunAndNearDuplicatesDoNot) {
+  ScopedEnv instr("READDUO_INSTR", "20000");
+  const trace::Workload& mcf = trace::workload_by_name("mcf");
+  const bench::RunSpec base{readduo::SchemeKind::kLwt, mcf};
+
+  std::vector<bench::RunSpec> near;
+  near.push_back(base);
+  near.back().opts.controller.floor_t = 20;
+  near.push_back(base);
+  near.back().opts.changed_cell_fraction = 0.5;
+  near.push_back(base);
+  near.back().seed = 43;
+  near.push_back(base);
+  near.back().workload.archive_lines += 1;
+
+  // base, near[0], base, near[1], base, near[2], near[3], base.
+  const std::vector<bench::RunSpec> specs = {
+      base, near[0], base, near[1], base, near[2], near[3], base};
+  const std::size_t kDistinct = 1 + near.size();
+
+  for (const char* threads : {"1", "4"}) {
+    ScopedThreads t(threads);
+    const std::uint64_t before = bench::detail::run_count();
+    const std::vector<bench::RunResult> results = bench::run_schemes(specs);
+    // One simulation per distinct spec: no near-duplicate merged.
+    EXPECT_EQ(bench::detail::run_count() - before, kDistinct) << threads;
+    ASSERT_EQ(results.size(), specs.size());
+
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const bench::RunSpec& sp = specs[i];
+      const bench::RunResult alone =
+          bench::run_scheme(sp.kind, sp.workload, sp.opts, sp.seed);
+      const bench::RunResult& r = results[i];
+      EXPECT_TRUE(r.summary == alone.summary) << "spec " << i;
+      EXPECT_TRUE(r.counters == alone.counters) << "spec " << i;
+      EXPECT_TRUE(r.sim == alone.sim) << "spec " << i;
+      EXPECT_TRUE(r.sim.metrics == alone.sim.metrics)
+          << "spec " << i << " at THREADS=" << threads;
+    }
+  }
 }
 
 }  // namespace

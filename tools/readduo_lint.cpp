@@ -72,9 +72,8 @@ const std::set<std::string>& env_registry() {
       "READDUO_BENCH_COMPARE", "READDUO_BENCH_JSON", "READDUO_COVERAGE",
       "READDUO_DEVICE",        "READDUO_FAULTS",     "READDUO_INSTR",
       "READDUO_KERNELS",       "READDUO_METRICS",    "READDUO_REGEN_GOLDEN",
-      "READDUO_SANITIZE",      "READDUO_SERVE_CONNS",
-      "READDUO_SERVE_MAX_FRAME", "READDUO_SERVE_WBUF", "READDUO_THREADS",
-      "READDUO_TRACE",         "READDUO_TSAN_SOAK",
+      "READDUO_SANITIZE",      "READDUO_THREADS",    "READDUO_TRACE",
+      "READDUO_TSAN_SOAK",
   };
   return kRegistry;
 }

@@ -59,6 +59,11 @@ using cli::parse_flag;
 
 namespace {
 
+/// Most scrub senses an in-process run may predict before it starts. A
+/// sense costs about 1 us of wall time (four Hybrid shards on a 4-core
+/// x86 host), so the budget is about a minute of scrubbing.
+constexpr double kMaxScrubSenses = 5e7;
+
 void usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -259,26 +264,70 @@ void run_wire_client(net::Client& cli, const std::vector<GenReq>& stream,
   }
 }
 
-/// Everything the distributed-mode driver needs from flag parsing.
-struct ConnectRun {
-  std::string addr;
-  std::uint64_t requests = 0;
-  double rps = 0.0;
-  std::string scheme;
-  std::string workload;
-  double write_fraction = 0.0;
-  std::uint64_t seed = 0;
+/// Everything a run needs from flag parsing, with the flags' defaults.
+struct LoadRun {
+  std::string addr;  ///< --connect: distributed mode when set
+  std::uint64_t requests = 1'000'000;
+  double rps = 2e6;
+  std::string scheme = "Hybrid";
+  std::string workload = "mcf";
+  double write_fraction = -1.0;  ///< < 0: the workload's own write mix
+  std::uint64_t seed = 42;
   std::size_t clients = 1;
   std::size_t window = 256;
   bool crosscheck = true;
   std::string summary_path;
 };
 
+/// Print the READDUO_METRICS summary of a finished run (and write it to
+/// --summary). Both modes report the same virtual-time fields; `extras`
+/// adds a mode's own fields after the submission counts.
+template <typename Extras>
+void report(const LoadRun& lr, const service::ServiceStats& st,
+            const net::WireServiceInfo& shape, double wall, Extras extras) {
+  stats::JsonWriter j;
+  j.add("tool", std::string("readduo_load"))
+      .add("scheme", lr.scheme)
+      .add("device", config::active_device().name)
+      .add("workload", lr.workload)
+      .add("shards", shape.shards)
+      .add("threads", shape.threads)
+      .add("queue", shape.queue)
+      .add("batch", shape.batch)
+      .add("seed", lr.seed)
+      .add("rps_virtual", lr.rps)
+      .add("write_fraction", lr.write_fraction)
+      .add("requests", lr.requests)
+      .add("completed", st.completed)
+      .add("rejected_submissions", st.rejected);
+  extras(j);
+  j.add("virtual_time_ns", static_cast<std::int64_t>(st.virtual_time.v))
+      .add("wall_ms", wall * 1e3)
+      .add("throughput_rps_wall",
+           wall > 0 ? static_cast<double>(st.completed) / wall : 0.0)
+      .add("scrubs", st.scrubs)
+      .add("write_cancellations", st.write_cancellations)
+      .add("scrub_rewrites_dropped", st.scrub_rewrites_dropped)
+      .add_raw("demand_reads", class_json(st.metrics.demand_reads()));
+  for (std::size_t c = 0; c < stats::kNumReqClasses; ++c) {
+    const auto cls = static_cast<stats::ReqClass>(c);
+    if (st.metrics.lat(cls).count() == 0) continue;
+    j.add_raw(stats::req_class_name(cls), class_json(st.metrics.lat(cls)));
+  }
+  const std::string json = j.str();
+  std::printf("READDUO_METRICS %s", json.c_str());
+  if (!lr.summary_path.empty()) {
+    std::ofstream out(lr.summary_path);
+    RD_CHECK_MSG(out.good(), "cannot write --summary file");
+    out << json;
+  }
+}
+
 /// Distributed mode: pregenerate the exact in-process request stream,
 /// split it round-robin over N wire clients, drive a readduo_serve, then
 /// report from the server's stats blob — cross-checked bit-exactly
 /// against the merged client-side completion histograms.
-int run_connect(const ConnectRun& rc, const trace::Workload& w) {
+int run_connect(const LoadRun& rc, const trace::Workload& w) {
   RD_CHECK(rc.clients >= 1);
   RD_CHECK(rc.window >= 1);
   std::printf(
@@ -374,70 +423,30 @@ int run_connect(const ConnectRun& rc, const trace::Workload& w) {
   // Same virtual-time field lines as the in-process report (sourced from
   // the server blob); wire-only extras carry a wire_ prefix so the
   // sweep's determinism diffs can filter them alongside wall/spins.
-  stats::JsonWriter j;
-  j.add("tool", std::string("readduo_load"))
-      .add("scheme", rc.scheme)
-      .add("device", config::active_device().name)
-      .add("workload", rc.workload)
-      .add("shards", info.shards)
-      .add("threads", info.threads)
-      .add("queue", info.queue)
-      .add("batch", info.batch)
-      .add("seed", rc.seed)
-      .add("rps_virtual", rc.rps)
-      .add("write_fraction", rc.write_fraction)
-      .add("requests", rc.requests)
-      .add("completed", st.completed)
-      .add("rejected_submissions", st.rejected)
-      .add("wire_clients", static_cast<std::uint64_t>(rc.clients))
-      .add("wire_window", static_cast<std::uint64_t>(rc.window))
-      .add("wire_retries", retries)
-      .add("virtual_time_ns", static_cast<std::int64_t>(st.virtual_time.v))
-      .add("wall_ms", wall * 1e3)
-      .add("throughput_rps_wall",
-           wall > 0 ? static_cast<double>(st.completed) / wall : 0.0)
-      .add("scrubs", st.scrubs)
-      .add("write_cancellations", st.write_cancellations)
-      .add("scrub_rewrites_dropped", st.scrub_rewrites_dropped)
-      .add_raw("demand_reads", class_json(st.metrics.demand_reads()));
-  for (std::size_t c = 0; c < stats::kNumReqClasses; ++c) {
-    const auto cls = static_cast<stats::ReqClass>(c);
-    if (st.metrics.lat(cls).count() == 0) continue;
-    j.add_raw(stats::req_class_name(cls), class_json(st.metrics.lat(cls)));
-  }
-  const std::string json = j.str();
-  std::printf("READDUO_METRICS %s", json.c_str());
-  if (!rc.summary_path.empty()) {
-    std::ofstream out(rc.summary_path);
-    RD_CHECK_MSG(out.good(), "cannot write --summary file");
-    out << json;
-  }
+  report(rc, st, info, wall, [&](stats::JsonWriter& j) {
+    j.add("wire_clients", static_cast<std::uint64_t>(rc.clients))
+        .add("wire_window", static_cast<std::uint64_t>(rc.window))
+        .add("wire_retries", retries);
+  });
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t requests = 1'000'000;
-  double rps = 2e6;
-  std::string scheme = "Hybrid";
-  std::string workload = "mcf";
-  double write_fraction = -1.0;  // < 0: the workload's own write mix
-  std::uint64_t seed = 42;
+  LoadRun lr;
   std::uint64_t report_every = 100'000;
-  std::string summary_path;
-  std::string connect_addr;
   std::string device_path;
   service::ServiceConfig cfg;
   std::uint64_t shards = cfg.num_shards;
   std::uint64_t queue = cfg.queue_capacity;
   std::uint64_t batch = cfg.batch_size;
-  std::uint64_t clients = 1;
-  std::uint64_t window = 256;
-  std::uint64_t crosscheck = 1;
+  std::uint64_t clients = lr.clients;
+  std::uint64_t window = lr.window;
+  std::uint64_t crosscheck = lr.crosscheck ? 1 : 0;
   const cli::CountFlag numeric_flags[] = {
-      {"--requests", 1, ULLONG_MAX, &requests},
-      {"--seed", 0, ULLONG_MAX, &seed},
+      {"--requests", 1, ULLONG_MAX, &lr.requests},
+      {"--seed", 0, ULLONG_MAX, &lr.seed},
       {"--shards", 1, cli::kMaxShards, &shards},
       {"--queue", 1, SIZE_MAX, &queue},
       {"--batch", 1, SIZE_MAX, &batch},
@@ -457,24 +466,24 @@ int main(int argc, char** argv) {
       // One arrival per clock tick: a faster rate would still space
       // arrivals 1 ns apart.
       if (!cli::parse_real("--rps", v, 0.0, 1.0 / Ns{1}.seconds(),
-                           /*lo_open=*/true, rps)) {
+                           /*lo_open=*/true, lr.rps)) {
         return 2;
       }
     } else if (parse_flag(a, "--write-fraction", v)) {
       if (!cli::parse_real("--write-fraction", v, 0.0, 1.0,
-                           /*lo_open=*/false, write_fraction)) {
+                           /*lo_open=*/false, lr.write_fraction)) {
         return 2;
       }
     } else if (parse_flag(a, "--device", v)) {
       device_path = v;
     } else if (parse_flag(a, "--scheme", v)) {
-      scheme = v;
+      lr.scheme = v;
     } else if (parse_flag(a, "--workload", v)) {
-      workload = v;
+      lr.workload = v;
     } else if (parse_flag(a, "--summary", v)) {
-      summary_path = v;
+      lr.summary_path = v;
     } else if (parse_flag(a, "--connect", v)) {
-      connect_addr = v;
+      lr.addr = v;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a);
       usage(argv[0]);
@@ -484,12 +493,12 @@ int main(int argc, char** argv) {
   // Arrivals are 1/rps apart (rounded to whole ns) on the int64 ns clock;
   // the last one must still fit on it.
   const double span_s =
-      static_cast<double>(requests) * (1.0 / rps + Ns{1}.seconds());
+      static_cast<double>(lr.requests) * (1.0 / lr.rps + Ns{1}.seconds());
   if (!(span_s < Ns{std::numeric_limits<std::int64_t>::max()}.seconds())) {
     std::fprintf(stderr,
                  "--rps: %g req/s places %llu arrivals beyond the int64 ns "
                  "clock\n",
-                 rps, static_cast<unsigned long long>(requests));
+                 lr.rps, static_cast<unsigned long long>(lr.requests));
     return 2;
   }
 
@@ -500,31 +509,22 @@ int main(int argc, char** argv) {
                               device_path);
   }
 
-  const trace::Workload& w = trace::workload_by_name(workload);
-  if (write_fraction < 0.0) {
-    write_fraction = w.wpki / (w.rpki + w.wpki);
+  const trace::Workload& w = trace::workload_by_name(lr.workload);
+  if (lr.write_fraction < 0.0) {
+    lr.write_fraction = w.wpki / (w.rpki + w.wpki);
   }
 
-  if (!connect_addr.empty()) {
-    ConnectRun rc;
-    rc.addr = connect_addr;
-    rc.requests = requests;
-    rc.rps = rps;
-    rc.scheme = scheme;
-    rc.workload = workload;
-    rc.write_fraction = write_fraction;
-    rc.seed = seed;
-    rc.clients = static_cast<std::size_t>(clients);
-    rc.window = static_cast<std::size_t>(window);
-    rc.crosscheck = crosscheck != 0;
-    rc.summary_path = summary_path;
-    return run_connect(rc, w);
+  if (!lr.addr.empty()) {
+    lr.clients = static_cast<std::size_t>(clients);
+    lr.window = static_cast<std::size_t>(window);
+    lr.crosscheck = crosscheck != 0;
+    return run_connect(lr, w);
   }
 
-  cfg.sim.seed = seed;
+  cfg.sim.seed = lr.seed;
   const std::optional<readduo::SchemeKind> kind =
-      readduo::scheme_kind_by_name(scheme);
-  RD_CHECK_MSG(kind.has_value(), "unknown scheme: " + scheme);
+      readduo::scheme_kind_by_name(lr.scheme);
+  RD_CHECK_MSG(kind.has_value(), "unknown scheme: " + lr.scheme);
   cfg.scheme = *kind;
   cfg.workload = w;
   cfg.num_shards = static_cast<unsigned>(shards);
@@ -532,18 +532,36 @@ int main(int argc, char** argv) {
   cfg.batch_size = static_cast<std::size_t>(batch);
 
   service::MemoryService svc(cfg);
+  // The scrub engines tick across idle virtual time too, so a low --rps
+  // costs wall time however few requests it carries: every bank of every
+  // shard senses a row per scrub period of the arrival span.
+  const Ns gap{std::max<std::int64_t>(1, from_seconds(1.0 / lr.rps).v)};
+  const double senses =
+      svc.scrub_period().v > 0
+          ? static_cast<double>(lr.requests) * static_cast<double>(gap.v) /
+                static_cast<double>(svc.scrub_period().v) *
+                svc.num_shards() * cfg.sim.org.num_banks
+          : 0.0;
+  if (senses > kMaxScrubSenses) {
+    std::fprintf(stderr,
+                 "--rps, --requests: %llu requests at %g req/s would take "
+                 "%.3g scrub senses (budget %.3g); raise --rps or lower "
+                 "--requests\n",
+                 static_cast<unsigned long long>(lr.requests), lr.rps,
+                 senses, kMaxScrubSenses);
+    return 2;
+  }
   std::printf(
       "[load] scheme=%s workload=%s shards=%u threads=%u queue=%zu "
       "batch=%zu rps=%.0f write_fraction=%.3f requests=%llu seed=%llu\n",
-      scheme.c_str(), workload.c_str(), svc.num_shards(),
-      svc.worker_threads(), cfg.queue_capacity, cfg.batch_size, rps,
-      write_fraction, static_cast<unsigned long long>(requests),
-      static_cast<unsigned long long>(seed));
+      lr.scheme.c_str(), lr.workload.c_str(), svc.num_shards(),
+      svc.worker_threads(), cfg.queue_capacity, cfg.batch_size, lr.rps,
+      lr.write_fraction, static_cast<unsigned long long>(lr.requests),
+      static_cast<unsigned long long>(lr.seed));
 
   // Client-side draws use their own decorrelated stream so the request
   // sequence is a pure function of the seed.
-  Rng rng(seed, /*stream=*/0x10ad);
-  const Ns gap{std::max<std::int64_t>(1, from_seconds(1.0 / rps).v)};
+  Rng rng(lr.seed, /*stream=*/0x10ad);
   const auto t0 = std::chrono::steady_clock::now();
   auto wall_s = [&t0] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -554,8 +572,8 @@ int main(int argc, char** argv) {
   Ns t{0};
   std::uint64_t backpressure_spins = 0;
   std::uint64_t next_report = report_every;
-  for (std::uint64_t i = 1; i <= requests; ++i) {
-    const GenReq g = next_request(rng, t, gap, write_fraction, w);
+  for (std::uint64_t i = 1; i <= lr.requests; ++i) {
+    const GenReq g = next_request(rng, t, gap, lr.write_fraction, w);
     service::Request r;
     r.id = i;
     r.arrival = g.arrival;
@@ -569,55 +587,24 @@ int main(int argc, char** argv) {
     }
     if (report_every > 0 && i >= next_report) {
       const service::ServiceStats st = svc.stats();
-      live_report(st, wall_s(), requests);
+      live_report(st, wall_s(), lr.requests);
       next_report = i + report_every;
     }
   }
   svc.drain();
   const service::ServiceStats st = svc.stats();
-  live_report(st, wall_s(), requests);
+  live_report(st, wall_s(), lr.requests);
   svc.stop();
   const double wall = wall_s();
 
-  RD_CHECK_MSG(st.completed == requests,
+  RD_CHECK_MSG(st.completed == lr.requests,
                "service lost requests: completed != submitted");
 
-  stats::JsonWriter j;
-  j.add("tool", std::string("readduo_load"))
-      .add("scheme", scheme)
-      .add("device", config::active_device().name)
-      .add("workload", workload)
-      .add("shards", static_cast<std::uint64_t>(svc.num_shards()))
-      .add("threads", static_cast<std::uint64_t>(svc.worker_threads()))
-      .add("queue", static_cast<std::uint64_t>(cfg.queue_capacity))
-      .add("batch", static_cast<std::uint64_t>(cfg.batch_size))
-      .add("seed", seed)
-      .add("rps_virtual", rps)
-      .add("write_fraction", write_fraction)
-      .add("requests", requests)
-      .add("completed", st.completed)
-      .add("rejected_submissions", st.rejected)
-      .add("backpressure_spins", backpressure_spins)
-      .add("virtual_time_ns",
-           static_cast<std::int64_t>(st.virtual_time.v))
-      .add("wall_ms", wall * 1e3)
-      .add("throughput_rps_wall",
-           wall > 0 ? static_cast<double>(st.completed) / wall : 0.0)
-      .add("scrubs", st.scrubs)
-      .add("write_cancellations", st.write_cancellations)
-      .add("scrub_rewrites_dropped", st.scrub_rewrites_dropped)
-      .add_raw("demand_reads", class_json(st.metrics.demand_reads()));
-  for (std::size_t c = 0; c < stats::kNumReqClasses; ++c) {
-    const auto cls = static_cast<stats::ReqClass>(c);
-    if (st.metrics.lat(cls).count() == 0) continue;
-    j.add_raw(stats::req_class_name(cls), class_json(st.metrics.lat(cls)));
-  }
-  const std::string json = j.str();
-  std::printf("READDUO_METRICS %s", json.c_str());
-  if (!summary_path.empty()) {
-    std::ofstream out(summary_path);
-    RD_CHECK_MSG(out.good(), "cannot write --summary file");
-    out << json;
-  }
+  report(lr, st,
+         {svc.num_shards(), cfg.queue_capacity, cfg.batch_size,
+          svc.worker_threads()},
+         wall, [&](stats::JsonWriter& j) {
+           j.add("backpressure_spins", backpressure_spins);
+         });
   return 0;
 }

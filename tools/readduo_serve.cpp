@@ -60,13 +60,13 @@ void usage(const char* argv0) {
       "  --shards=<n>      chips, 1..1024 (default 4)\n"
       "  --queue=<n>       per-client admission bound\n"
       "  --batch=<n>       admission batch size\n"
+      "  --max-frame=<n>   largest frame payload (>= 64; default 1 MiB)\n"
+      "  --wbuf=<n>        per-connection write bound (>= 24; default 4 MiB)\n"
+      "  --conns=<n>       accepted-connection cap (>= 1; default 64)\n"
       "  --oneshot         exit when the last client disconnects\n"
       "\n"
       "environment:\n"
-      "  READDUO_THREADS          service worker threads\n"
-      "  READDUO_SERVE_MAX_FRAME  largest accepted frame payload, bytes\n"
-      "  READDUO_SERVE_WBUF       per-connection write-buffer bound\n"
-      "  READDUO_SERVE_CONNS     accepted-connection cap\n",
+      "  READDUO_THREADS   service worker threads\n",
       argv0);
 }
 
@@ -83,11 +83,18 @@ int main(int argc, char** argv) {
   std::uint64_t shards = cfg.service.num_shards;
   std::uint64_t queue = cfg.service.queue_capacity;
   std::uint64_t batch = cfg.service.batch_size;
+  std::uint64_t max_frame = cfg.max_payload;
+  std::uint64_t wbuf = cfg.write_buf_limit;
+  std::uint64_t conns = cfg.max_conns;
+  // The lower bounds are the ones net::Server checks.
   const cli::CountFlag numeric_flags[] = {
       {"--seed", 0, ULLONG_MAX, &seed},
       {"--shards", 1, cli::kMaxShards, &shards},
       {"--queue", 1, SIZE_MAX, &queue},
       {"--batch", 1, SIZE_MAX, &batch},
+      {"--max-frame", net::kMinMaxPayload, SIZE_MAX, &max_frame},
+      {"--wbuf", net::kHeaderSize, SIZE_MAX, &wbuf},
+      {"--conns", 1, SIZE_MAX, &conns},
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -121,7 +128,9 @@ int main(int argc, char** argv) {
   }
 
   cfg.listen = listen;
-  net::apply_server_env(cfg);
+  cfg.max_payload = static_cast<std::size_t>(max_frame);
+  cfg.write_buf_limit = static_cast<std::size_t>(wbuf);
+  cfg.max_conns = static_cast<std::size_t>(conns);
   cfg.service.sim.seed = seed;
   const std::optional<readduo::SchemeKind> kind =
       readduo::scheme_kind_by_name(scheme);
