@@ -145,25 +145,31 @@ void ensure_exit_hook() {
   std::call_once(once, [] { std::atexit(emit_metrics); });
 }
 
-RunResult run_fresh(readduo::SchemeKind kind, const trace::Workload& w,
-                    const readduo::ReadDuoOptions& opts, std::uint64_t seed,
-                    std::uint64_t budget) {
+RunResult run_fresh(const RunSpec& s) {
   RunResult result;
   memsim::SimConfig cfg;
   config::apply_device(config::active_device(), cfg);
-  cfg.instructions_per_core = budget;
-  cfg.seed = seed;
+  cfg.instructions_per_core =
+      s.instructions > 0 ? s.instructions : instruction_budget();
+  cfg.seed = s.seed;
+  cfg.row_buffer.enabled = s.open_page;
+  // An open-page policy pairs with row-interleaved address mapping so
+  // sequential lines land in the same latched row.
+  if (s.open_page) cfg.address_map = memsim::AddressMap::kRowInterleave;
+  cfg.write_preemption = s.write_preemption;
+  cfg.write_cancellation = s.write_cancellation;
   cfg.trace_events = stats::trace_ring_capacity_from_env();
-  readduo::SchemeEnv env = memsim::make_scheme_env(w, cfg.cpu, seed);
-  auto scheme = readduo::make_scheme(kind, env, opts);
-  memsim::Simulator sim(cfg, *scheme, w);
+  readduo::SchemeEnv env =
+      memsim::make_scheme_env(s.workload, cfg.cpu, s.seed);
+  auto scheme = readduo::make_scheme(s.kind, env, s.opts);
+  memsim::Simulator sim(cfg, *scheme, s.workload);
   result.sim = sim.run();
   result.counters = scheme->counters();
   result.summary.scheme = scheme->name();
   result.summary.exec_time = result.sim.exec_time;
   result.summary.dynamic_energy_pj = result.counters.dynamic_energy_pj();
   result.summary.static_watts = env.energy.static_watts;
-  result.summary.cells_per_line = readduo::cells_per_line(kind, opts);
+  result.summary.cells_per_line = readduo::cells_per_line(s.kind, s.opts);
   result.summary.cell_writes =
       static_cast<double>(result.counters.cell_writes);
   return result;
@@ -173,12 +179,10 @@ RunResult run_fresh(readduo::SchemeKind kind, const trace::Workload& w,
 /// the metrics export is on) but does NOT register it — the caller owns
 /// registration order, so batch exports list runs in spec order no matter
 /// how the pool interleaved them.
-RunResult run_one(readduo::SchemeKind kind, const trace::Workload& w,
-                  const readduo::ReadDuoOptions& opts, std::uint64_t seed,
-                  RunRecord* rec) {
+RunResult run_one(const RunSpec& s, RunRecord* rec) {
   ensure_exit_hook();
   const auto t0 = std::chrono::steady_clock::now();
-  RunResult result = run_fresh(kind, w, opts, seed, instruction_budget());
+  RunResult result = run_fresh(s);
   const auto us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -193,8 +197,8 @@ RunResult run_one(readduo::SchemeKind kind, const trace::Workload& w,
   }
 
   if (rec != nullptr && metrics_dest() != nullptr) {
-    rec->workload = w.name;
-    rec->seed = seed;
+    rec->workload = s.workload.name;
+    rec->seed = s.seed;
     rec->wall_ms = static_cast<double>(us) / 1000.0;
     rec->result = result;
   }
@@ -310,7 +314,7 @@ RunResult run_scheme(readduo::SchemeKind kind, const trace::Workload& w,
                      const readduo::ReadDuoOptions& opts,
                      std::uint64_t seed) {
   RunRecord rec;
-  RunResult result = run_one(kind, w, opts, seed, &rec);
+  RunResult result = run_one({kind, w, opts, seed}, &rec);
   if (metrics_dest() != nullptr) {
     Harness& h = harness();
     MutexLock g(h.mu);
@@ -334,8 +338,7 @@ std::vector<RunResult> run_schemes(const std::vector<RunSpec>& specs) {
   std::vector<RunResult> runs(distinct.size());
   std::vector<RunRecord> recs(distinct.size());
   parallel_for_shards(distinct.size(), [&](std::size_t d) {
-    const RunSpec& s = specs[distinct[d]];
-    runs[d] = run_one(s.kind, s.workload, s.opts, s.seed, &recs[d]);
+    runs[d] = run_one(specs[distinct[d]], &recs[d]);
   });
   // Register in order of first occurrence so the export is deterministic
   // regardless of how the pool interleaved the runs.

@@ -1,16 +1,16 @@
 // Shared harness for the bench binaries.
 //
-// bench_paper regenerates every figure built from full-system runs
-// (Figures 3, 4, 9-15 and the two ablations); the table and extension
-// benches each regenerate one artefact. Every run is computed fresh under
-// the active device, so an edited .cfg always reaches the output.
-// READDUO_INSTR=<n> changes the per-core instruction budget (default
-// 6,000,000).
+// bench_paper regenerates every table and figure of the paper and the
+// extensions; its full-system runs, the row-buffer and write-preemption
+// extensions' included, go through one run_schemes() batch. Every run is
+// computed fresh under the active device, so an edited .cfg always
+// reaches the output. READDUO_INSTR=<n> changes the per-core instruction
+// budget (default 6,000,000).
 //
 // Independent (scheme x workload) simulations are embarrassingly parallel
-// — every Simulator owns its whole state — so benches batch their runs
-// through run_schemes(), which simulates each distinct spec once and fans
-// the batch out over the READDUO_THREADS pool (see common/parallel.h).
+// — every Simulator owns its whole state — so run_schemes() simulates each
+// distinct spec once and fans the batch out over the READDUO_THREADS pool
+// (see common/parallel.h).
 #pragma once
 
 #include <cstdint>
@@ -65,12 +65,20 @@ RunResult run_scheme(readduo::SchemeKind kind, const trace::Workload& w,
                      const readduo::ReadDuoOptions& opts = {},
                      std::uint64_t seed = 42);
 
-/// One (scheme, workload) run request for the batch API.
+/// One (scheme, workload) run request for the batch API. The defaults
+/// are the paper's closed-page, cancel-on-read system; the row-buffer and
+/// write-preemption extensions set the policy fields.
 struct RunSpec {
   readduo::SchemeKind kind;
   trace::Workload workload;
   readduo::ReadDuoOptions opts = {};
   std::uint64_t seed = 42;
+  /// Open-page row buffer with row-interleaved address mapping.
+  bool open_page = false;
+  memsim::WritePreemption write_preemption = memsim::WritePreemption::kCancel;
+  bool write_cancellation = true;
+  /// Per-core instruction budget; 0 = instruction_budget().
+  std::uint64_t instructions = 0;
 
   bool operator==(const RunSpec&) const = default;
 };

@@ -1,12 +1,11 @@
 #!/bin/sh
-# Regenerate every table and figure of the paper, in order. Each bench
-# computes its runs fresh and fans them out over the READDUO_THREADS pool
-# (default: all cores; =1 forces serial execution); bench_paper prints
-# every figure built from full-system runs (Figures 3, 4, 9-15 and the two
-# ablations) from one batch that simulates each distinct run once. Per-bench and total
-# wall-clock are printed so perf changes have a trajectory to cite, and
-# the per-bench "== harness:" self-metrics lines (runs, simulated
-# wall-clock) are aggregated into a final summary.
+# Regenerate every table and figure of the paper, in order: bench_paper
+# prints them all, with the ablations and extensions, computing its
+# full-system runs fresh as one batch that simulates each distinct run once
+# over the READDUO_THREADS pool (default: all cores; =1 forces serial
+# execution). Per-bench and total wall-clock are printed so perf changes
+# have a trajectory to cite, and the per-bench "== harness:" self-metrics
+# lines (runs, simulated wall-clock) are aggregated into a final summary.
 #
 # READDUO_BENCH_JSON=path additionally runs bench_micro (the kernel
 # micro-benchmarks; skipped otherwise) and writes a machine-readable
@@ -51,9 +50,7 @@ service_net_json=$(mktemp)
 trap 'rm -f "$harness_log" "$bench_times" "$kernel_json" "$scaling_times" \
             "$service_json" "$service_net_json"' EXIT
 
-benches="bench_tables_1_2 bench_table3 bench_table4 bench_table5 bench_table7
-    bench_fig6 bench_paper bench_ext_wear
-    bench_ext_rowbuffer bench_ext_temperature bench_ext_pausing"
+benches="bench_paper"
 # bench_micro times the hot-path kernels and regenerates no paper
 # artefact, so it runs only when the JSON summary asks for kernel numbers.
 if [ -n "$json_out" ]; then
@@ -82,7 +79,7 @@ echo "===== total wall-clock: $(( total_end - total_start )) ms" \
      "(READDUO_THREADS=${READDUO_THREADS:-auto})"
 
 # Thread-scaling curve for the JSON summary: re-run one representative
-# full-system sweep at fixed widths: bench_paper's 212-run batch. It also
+# full-system sweep at fixed widths: bench_paper's 248-run batch. It also
 # builds the Scrubbing and M-metric steady-state samplers, so a build that
 # does not scale shows here. Every point pays the whole simulation and
 # every build; widths above the core count are skipped (they would measure

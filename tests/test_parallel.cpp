@@ -231,9 +231,9 @@ TEST(MetricsParallel, HistogramsBitIdenticalAcrossThreadCounts) {
 }
 
 // run_schemes keys its dedup on the whole spec: equal specs share one
-// simulation whose result equals a separate run_scheme call, and a spec
-// that differs in any one field (options, controller, seed, workload) runs
-// on its own.
+// simulation whose result equals a separate run of that spec, and a spec
+// that differs in any one field (options, controller, seed, workload,
+// system policy, budget) runs on its own.
 TEST(RunSchemesDedup, EqualSpecsShareOneRunAndNearDuplicatesDoNot) {
   ScopedEnv instr("READDUO_INSTR", "20000");
   const trace::Workload& mcf = trace::workload_by_name("mcf");
@@ -248,10 +248,19 @@ TEST(RunSchemesDedup, EqualSpecsShareOneRunAndNearDuplicatesDoNot) {
   near.back().seed = 43;
   near.push_back(base);
   near.back().workload.archive_lines += 1;
+  const std::size_t first_policy = near.size();
+  near.push_back(base);
+  near.back().open_page = true;
+  near.push_back(base);
+  near.back().write_preemption = memsim::WritePreemption::kPause;
+  near.push_back(base);
+  near.back().write_cancellation = false;
+  near.push_back(base);
+  near.back().instructions = 10000;
 
-  // base, near[0], base, near[1], base, near[2], near[3], base.
-  const std::vector<bench::RunSpec> specs = {
-      base, near[0], base, near[1], base, near[2], near[3], base};
+  // base, then each near-duplicate followed by base again.
+  std::vector<bench::RunSpec> specs = {base};
+  for (const bench::RunSpec& n : near) specs.insert(specs.end(), {n, base});
   const std::size_t kDistinct = 1 + near.size();
 
   for (const char* threads : {"1", "4"}) {
@@ -262,10 +271,12 @@ TEST(RunSchemesDedup, EqualSpecsShareOneRunAndNearDuplicatesDoNot) {
     EXPECT_EQ(bench::detail::run_count() - before, kDistinct) << threads;
     ASSERT_EQ(results.size(), specs.size());
 
+    // The system-policy fields reach the simulator.
+    for (std::size_t n = first_policy; n < near.size(); ++n) {
+      EXPECT_FALSE(results[1 + 2 * n].sim == results[0].sim) << "near " << n;
+    }
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const bench::RunSpec& sp = specs[i];
-      const bench::RunResult alone =
-          bench::run_scheme(sp.kind, sp.workload, sp.opts, sp.seed);
+      const bench::RunResult alone = bench::run_schemes({specs[i]})[0];
       const bench::RunResult& r = results[i];
       EXPECT_TRUE(r.summary == alone.summary) << "spec " << i;
       EXPECT_TRUE(r.counters == alone.counters) << "spec " << i;
