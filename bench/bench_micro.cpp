@@ -2,12 +2,11 @@
 // substrate: BCH codec, drift analytics, device Monte-Carlo, and the
 // event-driven simulator core.
 //
-// The BM_Kernel_* benchmarks time each rewritten hot-path kernel in all
-// its implementations — `_ref` (straight-line reference), `_opt`
-// (table-driven / batched) and `_vec` (SoA + SIMD lanes: AVX2 where the
-// host has it, else the scalar fallback) — in one binary, so every run is
-// a self-contained before/after measurement. run_all_benches.sh extracts
-// the triples into BENCH_pr6.json (see README "Profiling the hot paths").
+// The BM_Kernel_* benchmarks time each rewritten hot-path kernel in both
+// its implementations — `_ref` (straight-line reference) and `_opt`
+// (table-driven / batched) — in one binary, so every run is a
+// self-contained before/after measurement. run_all_benches.sh extracts
+// the pairs into a BENCH JSON (see README "Profiling the hot paths").
 //
 // For a smoke run that only checks the benchmarks still execute, pass
 // google-benchmark's own --benchmark_min_time=0.003 (run_test_sweep.sh
@@ -38,12 +37,7 @@ const ecc::BchCode& bch8() {
 const ecc::BchCode& bch8_mode(KernelMode mode) {
   static const ecc::BchCode ref(10, 8, 512, KernelMode::kReference);
   static const ecc::BchCode opt(10, 8, 512, KernelMode::kOptimized);
-  static const ecc::BchCode vec(10, 8, 512, KernelMode::kVectorized);
-  switch (mode) {
-    case KernelMode::kReference: return ref;
-    case KernelMode::kVectorized: return vec;
-    default: return opt;
-  }
+  return mode == KernelMode::kReference ? ref : opt;
 }
 
 BitVec random_payload(Rng& rng, std::size_t n) {
@@ -154,16 +148,12 @@ void BM_TraceGen(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceGen);
 
-// --- Kernel before/after triples (DESIGN.md §10, §10.5) ------------------
+// --- Kernel before/after pairs (DESIGN.md §10) ----------------------------
 //
-// Each triple runs the identical workload through the reference, the
-// optimized and the vectorized implementation; the ratios are the serial
-// speedups of that kernel on this host. Registered with
-// Kernel_<name>_{ref,opt,vec} names so run_all_benches.sh can group them
-// mechanically. The _vec entries measure whatever SIMD level dispatch
-// lands on (run_all_benches.sh records rd::simd_level() next to them);
-// on a host without AVX2 they measure the fallback-to-optimized routing
-// overhead instead.
+// Each pair runs the identical workload through the reference and the
+// optimized implementation; the ratio is the serial speedup of that
+// kernel on this host. Registered with Kernel_<name>_{ref,opt} names so
+// run_all_benches.sh can group them mechanically.
 
 void BM_KernelBchSyndrome(benchmark::State& state, KernelMode mode) {
   Rng rng(21);
@@ -180,8 +170,6 @@ BENCHMARK_CAPTURE(BM_KernelBchSyndrome, ref, KernelMode::kReference)
     ->Name("Kernel_bch_syndrome_ref");
 BENCHMARK_CAPTURE(BM_KernelBchSyndrome, opt, KernelMode::kOptimized)
     ->Name("Kernel_bch_syndrome_opt");
-BENCHMARK_CAPTURE(BM_KernelBchSyndrome, vec, KernelMode::kVectorized)
-    ->Name("Kernel_bch_syndrome_vec");
 
 void BM_KernelBchDecode8(benchmark::State& state, KernelMode mode) {
   Rng rng(22);
@@ -199,8 +187,6 @@ BENCHMARK_CAPTURE(BM_KernelBchDecode8, ref, KernelMode::kReference)
     ->Name("Kernel_bch_decode8_ref");
 BENCHMARK_CAPTURE(BM_KernelBchDecode8, opt, KernelMode::kOptimized)
     ->Name("Kernel_bch_decode8_opt");
-BENCHMARK_CAPTURE(BM_KernelBchDecode8, vec, KernelMode::kVectorized)
-    ->Name("Kernel_bch_decode8_vec");
 
 void BM_KernelMlcLineRead(benchmark::State& state, KernelMode mode) {
   Rng rng(23);
@@ -215,8 +201,6 @@ BENCHMARK_CAPTURE(BM_KernelMlcLineRead, ref, KernelMode::kReference)
     ->Name("Kernel_mlc_line_read_ref");
 BENCHMARK_CAPTURE(BM_KernelMlcLineRead, opt, KernelMode::kOptimized)
     ->Name("Kernel_mlc_line_read_opt");
-BENCHMARK_CAPTURE(BM_KernelMlcLineRead, vec, KernelMode::kVectorized)
-    ->Name("Kernel_mlc_line_read_vec");
 
 void BM_KernelDriftErrorScan(benchmark::State& state, KernelMode mode) {
   // The Monte-Carlo LER / Figure 6 inner loop: count misread cells of a
@@ -238,8 +222,6 @@ BENCHMARK_CAPTURE(BM_KernelDriftErrorScan, ref, KernelMode::kReference)
     ->Name("Kernel_drift_error_scan_ref");
 BENCHMARK_CAPTURE(BM_KernelDriftErrorScan, opt, KernelMode::kOptimized)
     ->Name("Kernel_drift_error_scan_opt");
-BENCHMARK_CAPTURE(BM_KernelDriftErrorScan, vec, KernelMode::kVectorized)
-    ->Name("Kernel_drift_error_scan_vec");
 
 void BM_SimulatorRun(benchmark::State& state) {
   const auto& w = trace::workload_by_name("bzip2");
@@ -257,19 +239,15 @@ BENCHMARK(BM_SimulatorRun)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// BENCHMARK_MAIN() plus the kernel tier and SIMD level as report context.
+// BENCHMARK_MAIN() plus the kernel tier as report context.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  // Record the active kernel tier and SIMD dispatch level in the report
-  // context, so a BENCH_*.json states what the _vec rows actually ran
-  // (run_all_benches.sh copies both into its summary).
-  const KernelMode resolved = resolve_kernel_mode(KernelMode::kAuto);
+  // Record the process-wide kernel tier (what the untiered rows ran) in
+  // the report context; run_all_benches.sh copies it into its summary.
   benchmark::AddCustomContext(
-      "readduo_kernels", resolved == KernelMode::kReference  ? "reference"
-                         : resolved == KernelMode::kOptimized ? "optimized"
-                                                              : "vector");
-  benchmark::AddCustomContext("readduo_simd", simd_level_name(simd_level()));
+      "readduo_kernels",
+      kernels_mode() == KernelMode::kReference ? "reference" : "optimized");
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   return 0;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <iterator>
 #include <span>
 #include <string>
@@ -1206,17 +1207,24 @@ constexpr Figure kFigures[] = {
 
 int main() {
   bench::set_bench_name("paper");
-  std::vector<RunSpec> specs;
-  for (const Figure& f : kFigures) {
-    const std::vector<RunSpec> own = f.specs();
-    specs.insert(specs.end(), own.begin(), own.end());
-  }
-  const std::vector<RunResult> results = run_schemes(specs);
-  Results rest = results;
-  for (const Figure& f : kFigures) {
-    const std::size_t n = f.specs().size();
-    f.print(rest.first(n));
-    rest = rest.subspan(n);
+  // A run the active device cannot serve (an infeasible scrub, say) throws
+  // out of the pool; report it and exit 1 instead of aborting.
+  try {
+    std::vector<RunSpec> specs;
+    for (const Figure& f : kFigures) {
+      const std::vector<RunSpec> own = f.specs();
+      specs.insert(specs.end(), own.begin(), own.end());
+    }
+    const std::vector<RunResult> results = run_schemes(specs);
+    Results rest = results;
+    for (const Figure& f : kFigures) {
+      const std::size_t n = f.specs().size();
+      f.print(rest.first(n));
+      rest = rest.subspan(n);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_paper: %s\n", e.what());
+    return 1;
   }
   return 0;
 }

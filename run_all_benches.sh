@@ -9,15 +9,15 @@
 #
 # READDUO_BENCH_JSON=path additionally runs bench_micro (the kernel
 # micro-benchmarks; skipped otherwise) and writes a machine-readable
-# summary: per-bench wall-clock, the Kernel_*_{ref,opt,vec} triples bench_micro
+# summary: per-bench wall-clock, the Kernel_*_{ref,opt} pairs bench_micro
 # times for every rewritten hot-path kernel (DESIGN.md §10) with their
-# serial speedups, the kernel tier and SIMD level the _vec rows actually
-# dispatched to, host core count, a thread-scaling curve (bench_paper
+# serial speedups, the process-wide kernel tier, host core count, a
+# thread-scaling curve (bench_paper
 # wall-clock at READDUO_THREADS in {1,2,4,8}, capped at the host core
 # count, scheme and sampler builds included), and a "service" section: the
 # READDUO_METRICS summary of one fixed-seed readduo_load run (service-level
 # p50/p95/p99, DESIGN.md §11).
-# BENCH_pr18.json was produced this way.
+# BENCH_pr24.json was produced this way; it is the perf gate's baseline.
 #
 # READDUO_BENCH_COMPARE=<baseline.json> gates the run on the perf budget:
 # after writing READDUO_BENCH_JSON (required), the kernels_ns sections of
@@ -205,17 +205,14 @@ if [ -n "$json_out" ]; then
     # Same for the wire-path run ("service_net").
     nsn = 0
     while ((getline line < servicenetfile) > 0) svn[++nsn] = line
-    # Kernel_<name>_{ref,opt,vec} real_time entries plus the custom
-    # context keys (active tier / SIMD level) from the google-benchmark
-    # JSON report. bench_micro registers one triple per rewritten kernel.
-    name = ""; nk = 0; tier = "unknown"; simd = "unknown"
+    # Kernel_<name>_{ref,opt} real_time entries plus the custom context
+    # key (active tier) from the google-benchmark JSON report. bench_micro
+    # registers one pair per rewritten kernel.
+    name = ""; nk = 0; tier = "unknown"
     while ((getline line < kernelfile) > 0) {
       if (line ~ /"readduo_kernels":/) {
         gsub(/.*"readduo_kernels": "/, "", line); gsub(/".*/, "", line)
         tier = line
-      } else if (line ~ /"readduo_simd":/) {
-        gsub(/.*"readduo_simd": "/, "", line); gsub(/".*/, "", line)
-        simd = line
       } else if (line ~ /^ *"name":/) {
         gsub(/.*"name": "/, "", line); gsub(/".*/, "", line)
         name = line
@@ -227,7 +224,6 @@ if [ -n "$json_out" ]; then
           opt[k] = line + 0
           if (!(k in seen)) { seen[k] = 1; order[++nk] = k }
         }
-        else if (name ~ /_vec$/) { vec[k] = line + 0; hasvec[k] = 1 }
         name = ""
       }
     }
@@ -268,16 +264,12 @@ if [ -n "$json_out" ]; then
         else               printf "  %s\n", line
       }
     }
-    printf "  \"kernel_env\": {\"tier\": \"%s\", \"simd\": \"%s\"},\n", \
-           tier, simd
+    printf "  \"kernel_env\": {\"tier\": \"%s\"},\n", tier
     printf "  \"kernels_ns\": {\n"
     for (i = 1; i <= nk; ++i) {
       k = order[i]
       printf "    \"%s\": {\"ref\": %.0f, \"opt\": %.0f", k, ref[k], opt[k]
-      if (k in hasvec) printf ", \"vec\": %.0f", vec[k]
-      printf ", \"speedup\": %.2f", ref[k] / opt[k]
-      if (k in hasvec) printf ", \"speedup_vec\": %.2f", ref[k] / vec[k]
-      printf "}%s\n", i < nk ? "," : ""
+      printf ", \"speedup\": %.2f}%s\n", ref[k] / opt[k], i < nk ? "," : ""
     }
     printf "  }\n"
     printf "}\n"

@@ -16,24 +16,20 @@
 #      reference implementation. The golden suite is not re-run: it never
 #      reaches BchCode, MlcLine, MlcChip or mc_ler, so no READDUO_KERNELS
 #      value can change what it runs.
-#   4. The same suite under READDUO_KERNELS=vector. Its Vector* cases run
-#      each check twice in-process, at native SIMD dispatch and forced to
-#      the scalar fallback, so the vectorized tier's decisions stay
-#      bit-identical whatever the host CPU offers (DESIGN.md §10.5).
-#   5. A smoke run of bench_micro with --benchmark_min_time=0.003: every
-#      registered microbench (including the _vec rows) must still
-#      execute; the numbers are sampled for milliseconds and thrown away.
-#   6. A service soak: a short fixed-seed readduo_load run under 1 and 4
+#   4. A smoke run of bench_micro with --benchmark_min_time=0.003: every
+#      registered microbench must still execute; the numbers are sampled
+#      for milliseconds and thrown away.
+#   5. A service soak: a short fixed-seed readduo_load run under 1 and 4
 #      worker threads. The tool itself rc-checks that every submitted
 #      request completed; the lane additionally pins the two runs'
 #      virtual-time metrics against each other (the service determinism
 #      contract, DESIGN.md §11).
-#   7. Concurrency discipline: the readduo_lint fixture self-test (the
+#   6. Concurrency discipline: the readduo_lint fixture self-test (the
 #      lock/atomic rules of DESIGN.md §8 must keep firing on their seeded
 #      violations) and the same fixed-seed service soak under TSan, with
 #      its virtual-time metrics pinned against the plain run.
 #      READDUO_TSAN_SOAK=0 skips just the TSan half of this lane.
-#   8. A socket soak: readduo_serve (--oneshot) with three readduo_load
+#   7. A socket soak: readduo_serve (--oneshot) with three readduo_load
 #      --connect clients pushing the same fixed-seed 100k-request stream
 #      over the wire, under 1 and 4 server worker threads. Both runs'
 #      virtual-time metrics must be bit-identical to each other AND to
@@ -41,7 +37,7 @@
 #      (DESIGN.md §12): socket interleaving must not be observable. The
 #      THREADS=4 run repeats with a TSan-built server unless
 #      READDUO_TSAN_SOAK=0.
-#   9. Device-config equivalence: the golden suite and the fixed-seed
+#   8. Device-config equivalence: the golden suite and the fixed-seed
 #      service soak re-run under READDUO_DEVICE=configs/pcm_readduo_t1.cfg.
 #      The file is the builtin device written down (DESIGN.md §13), so the
 #      goldens must pass unchanged and the soak's virtual-time metrics
@@ -85,11 +81,9 @@ done
 if [ ! -x "$BUILD/tests/test_kernels" ]; then
   cmake --build "$BUILD" --target test_kernels -j || exit 1
 fi
-for kernels in reference vector; do
-  step "kernel bit-identity: test_kernels under READDUO_KERNELS=$kernels"
-  READDUO_KERNELS=$kernels "$BUILD/tests/test_kernels" --gtest_brief=1 \
-    || failures=$((failures + 1))
-done
+step "kernel bit-identity: test_kernels under READDUO_KERNELS=reference"
+READDUO_KERNELS=reference "$BUILD/tests/test_kernels" --gtest_brief=1 \
+  || failures=$((failures + 1))
 
 step "microbench smoke: bench_micro --benchmark_min_time=0.003"
 if [ ! -x "$BUILD/bench/bench_micro" ]; then

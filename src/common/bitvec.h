@@ -72,7 +72,7 @@ class BitVec {
 
   /// Overwrite 64-bit word `w` (bits [64w, 64w + 64)) wholesale — the
   /// fast-packing counterpart of 64 set() calls for batched producers
-  /// (MlcLine's vectorized read, the chip's sense). Bits past size() in
+  /// (pcm::pack_cells, the BCH encoder). Bits past size() in
   /// the last word are masked off, preserving the all-zero-tail invariant
   /// popcount() and operator== rely on.
   void set_word(std::size_t w, std::uint64_t v) {

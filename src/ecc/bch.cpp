@@ -4,20 +4,12 @@
 #include <bit>
 
 #include "common/check.h"
-#include "common/simd_kernels.h"
 
 namespace rd::ecc {
 
 using gf::Elem;
 using gf::Field;
 using gf::Poly;
-
-namespace {
-/// The SIMD syndrome kernel keeps all odd syndromes in registers: at most
-/// 32 lanes (4 AVX2 accumulators). Larger t runs the scalar kernel on the
-/// same table.
-constexpr unsigned kSimdMaxT = 32;
-}  // namespace
 
 BchCode::BchCode(unsigned m, unsigned t, unsigned data_bits, KernelMode mode)
     : field_(m),
@@ -182,30 +174,10 @@ bool BchCode::syndromes_optimized(const BitVec& word,
   return true;
 }
 
-bool BchCode::syndromes_vectorized(const BitVec& word,
-                                   std::vector<Elem>& s) const {
-  if (simd_level() != SimdLevel::kAvx2 || t_ > kSimdMaxT) {
-    return syndromes_optimized(word, s);
-  }
-  // One XOR-accumulation pass over the set bits fills all odd syndromes
-  // at once from the position-major table; evens follow by Frobenius.
-  alignas(32) std::uint32_t acc[kSimdMaxT] = {};
-  simd::bch_syndrome_acc_avx2(word.words().data(), word.size(), data_bits_,
-                              parity_bits_, syn_pos_.data(), syn_stride_, acc);
-  s.assign(2 * t_ + 1, 0);  // s[1..2t]; s[0] unused
-  for (unsigned r = 0; r < t_; ++r) s[2 * r + 1] = acc[r];
-  for (unsigned k = 2; k <= 2 * t_; k += 2) s[k] = field_.sqr(s[k / 2]);
-  for (unsigned k = 1; k <= 2 * t_; ++k) {
-    if (s[k] != 0) return false;
-  }
-  return true;
-}
-
 bool BchCode::syndromes(const BitVec& word, std::vector<Elem>& s) const {
   RD_CHECK(word.size() == codeword_bits());
   switch (mode_) {
     case KernelMode::kReference: return syndromes_reference(word, s);
-    case KernelMode::kVectorized: return syndromes_vectorized(word, s);
     default: return syndromes_optimized(word, s);
   }
 }
@@ -292,33 +264,6 @@ std::vector<std::size_t> BchCode::chien_optimized(const std::vector<Elem>& C,
   return error_positions;
 }
 
-std::vector<std::size_t> BchCode::chien_vectorized(const std::vector<Elem>& C,
-                                                   unsigned limit) const {
-  // Same incremental arithmetic as chien_optimized, 8 positions per step
-  // via AVX2 gathers (see bch_chien_scan_avx2). A scalar host runs the
-  // optimized scan; so does a locator too large for the kernel's
-  // register-resident term cap.
-  if (simd_level() != SimdLevel::kAvx2) return chien_optimized(C, limit);
-  const std::uint32_t n = field_.order();
-  const std::size_t terms = C.size();
-  std::vector<std::uint32_t> step(terms), expo(terms);
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < terms; ++i) {
-    if (C[i] == 0) continue;
-    step[live] = n - static_cast<std::uint32_t>(i % n);
-    expo[live] = field_.log(C[i]);
-    ++live;
-  }
-  if (live > 33 || limit == 0) return chien_optimized(C, limit);
-  std::vector<std::size_t> error_positions(limit);
-  const std::size_t found = simd::bch_chien_scan_avx2(
-      field_.exp_table(), n, step.data(), expo.data(), live,
-      static_cast<std::uint32_t>(codeword_bits()), limit,
-      error_positions.data());
-  error_positions.resize(found);
-  return error_positions;
-}
-
 BchDecodeResult BchCode::decode(BitVec& codeword) const {
   BchDecodeResult result;
   std::vector<Elem> s;
@@ -374,10 +319,8 @@ BchDecodeResult BchCode::decode(BitVec& codeword) const {
   }
 
   const std::vector<std::size_t> error_positions =
-      mode_ == KernelMode::kReference
-          ? chien_reference(C, L)
-          : (mode_ == KernelMode::kVectorized ? chien_vectorized(C, L)
-                                              : chien_optimized(C, L));
+      mode_ == KernelMode::kReference ? chien_reference(C, L)
+                                      : chien_optimized(C, L);
 
   if (error_positions.size() != L) {
     result.detected_uncorrectable = true;

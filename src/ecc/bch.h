@@ -18,15 +18,9 @@
 //     the odd k only (the even syndromes follow from S_2k = S_k^2 in
 //     characteristic 2), one contiguous row per set bit, and an
 //     incremental log-stepped Chien search over the shortened positions
-//     with an early exit once all roots are found;
-//   * vectorized — the optimized arithmetic in SIMD lanes (DESIGN.md
-//     §10.5): the same position-major syndrome table XOR-accumulated 8
-//     odd syndromes at a time per set bit, and a gather-based Chien scan
-//     evaluating 8 positions per step, both AVX2. Dispatch is per call on
-//     rd::simd_level(); scalar hosts route to the optimized kernels, so
-//     kVectorized never changes results, only speed.
+//     with an early exit once all roots are found.
 //
-// All tiers produce identical syndromes, identical decode outcomes, and
+// Both tiers produce identical syndromes, identical decode outcomes, and
 // identical corrected words for every input — these are pure GF(2^m)
 // integer kernels, so the equality is exact, not approximate
 // (tests/test_kernels.cpp cross-checks them exhaustively per weight and
@@ -122,17 +116,14 @@ class BchCode {
   bool syndromes(const BitVec& word, std::vector<gf::Elem>& s) const;
   bool syndromes_reference(const BitVec& word, std::vector<gf::Elem>& s) const;
   bool syndromes_optimized(const BitVec& word, std::vector<gf::Elem>& s) const;
-  bool syndromes_vectorized(const BitVec& word, std::vector<gf::Elem>& s) const;
 
   /// Chien search: collect the polynomial positions p with C(alpha^-p) == 0.
   /// `limit` bounds how many roots the caller can use (locator degree L);
-  /// all implementations return the same positions in increasing order.
+  /// both implementations return the same positions in increasing order.
   std::vector<std::size_t> chien_reference(const std::vector<gf::Elem>& C,
                                            unsigned limit) const;
   std::vector<std::size_t> chien_optimized(const std::vector<gf::Elem>& C,
                                            unsigned limit) const;
-  std::vector<std::size_t> chien_vectorized(const std::vector<gf::Elem>& C,
-                                            unsigned limit) const;
 
   gf::Field field_;
   unsigned t_;
@@ -147,14 +138,11 @@ class BchCode {
   /// Syndrome table, position-major: syn_pos_[pos * syn_stride_ + r] =
   /// alpha^(pos * (2r + 1)) for each odd syndrome 2r + 1 in [1, 2t]; even
   /// syndromes are derived by squaring. The stride is t rounded up to 8
-  /// lanes (zero padded), so one set bit reads one contiguous row: blocks
-  /// of 8 scalar XORs on the optimized tier, a single 256-bit XOR at t = 8
-  /// on the vectorized one. Positions only span the shortened codeword
+  /// lanes (zero padded), so one set bit reads one contiguous row in
+  /// blocks of 8 XORs. Positions only span the shortened codeword
   /// [0, codeword_bits), not all of [0, n): a received bit can never map
-  /// beyond that. 19 KiB for the paper's BCH-8 over GF(2^10). Shared by
-  /// both non-reference tiers and empty in reference mode; the SIMD
-  /// kernels take t <= 32 (their register cap), larger t runs the scalar
-  /// kernel on this table.
+  /// beyond that. 19 KiB for the paper's BCH-8 over GF(2^10). Empty in
+  /// reference mode.
   std::vector<gf::Elem> syn_pos_;
   std::size_t syn_stride_ = 0;
 };

@@ -79,12 +79,6 @@ class Field {
   /// [0, order).
   std::uint32_t log(Elem a) const;
 
-  /// Raw pointer to the doubled exp table (exp_table()[k] ==
-  /// alpha_pow_reduced(k), k in [0, 2 * order)). For the vectorized BCH
-  /// kernels, whose gather instructions need a flat base address; the
-  /// table lives as long as the Field.
-  const Elem* exp_table() const { return exp_.data(); }
-
   /// The primitive polynomial used for this m (bits, degree m term
   /// included), e.g. 0x409 = x^10 + x^3 + 1 for m = 10.
   std::uint32_t primitive_poly() const { return prim_; }

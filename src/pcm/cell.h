@@ -89,8 +89,7 @@ class Cell {
   /// The level set_stuck pinned (meaningful only when is_stuck()).
   std::size_t stuck_level() const { return stuck_level_; }
 
-  /// The cell's raw percentiles, for structure-of-arrays gathers
-  /// (MlcLine's vectorized read path, DESIGN.md §10.5). Together with
+  /// The cell's raw percentiles. Together with
   /// programmed_level() and write_time() they determine every metric this
   /// cell can produce: x = (mu + z_program * sigma) + (mu_alpha +
   /// z_alpha * sigma_alpha) * log10(age / t0).

@@ -11,18 +11,6 @@
 // one per run of same-age cells. Selectable vs the straight per-cell
 // reference via KernelMode; outputs are bit-identical (the batch calls the
 // same Cell arithmetic with the hoisted operand).
-//
-// The vectorized tier (DESIGN.md §10.5) adds a lazily built
-// structure-of-arrays mirror of the cells — parallel arrays of programmed
-// level, percentiles, write time and stuck state — so the whole-line
-// drift-metric evaluation runs as AVX2 lanes (drift_levels_avx2) with a
-// stuck-cell fixup afterwards. The cache is invalidated by every
-// mutator (writes, refresh, cell_at) and rebuilt on the next vectorized
-// read; it makes the const read paths internally caching, which is safe
-// here because a line is only ever read from the thread that owns it
-// (shards own disjoint chips/lines — see common/parallel.h users).
-// Level decisions are bit-identical to the scalar tiers: the lanes run
-// the same unfused expression tree (kernels.h FP contract).
 #pragma once
 
 #include <cstdint>
@@ -58,13 +46,6 @@ inline constexpr std::uint64_t kLevelPairs[drift::kNumStates] = {
 /// the values are.
 BitVec pack_cells(const std::uint8_t* values, std::size_t ncells,
                   const std::uint64_t (&pairs)[drift::kNumStates]);
-
-/// Fill `params` with `cfg` in the drift lane kernel's layout
-/// (simd_kernels.h drift_levels_avx2). False when the lanes cannot run:
-/// the host has no AVX2, or the read boundaries are not monotone (the
-/// kernel counts boundary exceedances, which equals
-/// Cell::level_from_metric only for monotone boundaries).
-bool drift_lane_params(const drift::MetricConfig& cfg, double (&params)[19]);
 
 /// An array of MLC cells holding one memory line (codeword).
 ///
@@ -112,13 +93,10 @@ class MlcLine {
   /// metric disturbances (the READDUO_FAULTS "sense" seam; stuck cells
   /// ignore theirs). This is the batched kernel behind read() and the
   /// chip's sense path: one log10 per distinct cell age, not per cell.
-  /// `mode` kVectorized additionally routes the metric evaluation through
-  /// the SIMD lane kernels when the host supports them (identical levels);
-  /// kReference and kOptimized both run the scalar batched loop here —
-  /// the per-cell reference split lives in read()/count_drift_errors().
+  /// It has no tier of its own: the per-cell reference split lives in
+  /// read()/count_drift_errors() and the chip's sense.
   void read_levels(double t_seconds, const drift::MetricConfig& cfg,
-                   const double* offsets, std::uint8_t* out_levels,
-                   KernelMode mode = KernelMode::kAuto) const;
+                   const double* offsets, std::uint8_t* out_levels) const;
 
   /// Number of cells that would be misread at time t under `cfg`.
   /// Dispatches like read().
@@ -132,38 +110,8 @@ class MlcLine {
  private:
   std::size_t target_level(const BitVec& bits, std::size_t cell) const;
 
-  /// Rebuild the SoA mirror from cells_ if a mutator invalidated it.
-  void ensure_soa() const;
-  /// The SIMD lane read path; falls back to the scalar batched loop when
-  /// drift_lane_params() says the lanes cannot run.
-  void read_levels_vectorized(double t_seconds,
-                              const drift::MetricConfig& cfg,
-                              const double* offsets,
-                              std::uint8_t* out_levels) const;
-  void read_levels_batched(double t_seconds, const drift::MetricConfig& cfg,
-                           const double* offsets,
-                           std::uint8_t* out_levels) const;
-
   std::vector<Cell> cells_;
   BitVec programmed_;
-
-  /// Structure-of-arrays mirror of cells_ for the vectorized read path,
-  /// plus per-call scratch. Lazily built under const reads (hence
-  /// mutable); invalidated by every mutator. num_stuck lets the common
-  /// no-stuck case skip the fixup scan entirely.
-  struct SoaCache {
-    bool valid = false;
-    std::vector<std::int32_t> level;
-    std::vector<double> z_program;
-    std::vector<double> z_alpha;
-    std::vector<double> t_write;
-    std::vector<std::uint8_t> stuck;
-    std::vector<std::uint8_t> stuck_level;
-    std::size_t num_stuck = 0;
-    std::vector<double> log_t;            ///< scratch: per-cell log10(age/t0)
-    std::vector<std::uint8_t> levels_tmp; ///< scratch: read()/count buffers
-  };
-  mutable SoaCache soa_;
 };
 
 }  // namespace rd::pcm

@@ -36,9 +36,10 @@ struct McLerResult {
 /// fixed-size blocks with per-shard Rng(seed, shard) streams and an
 /// ordered reduction, so the result is a pure function of the arguments:
 /// bit-identical for every thread count (enforced by test_parallel) and
-/// for every kernel mode (`mode` kAuto: READDUO_KERNELS; the optimized
-/// kernel hoists the shared log10(t / t0) out of the cell loop —
-/// enforced by test_kernels).
+/// for both kernel tiers (`mode` kAuto: READDUO_KERNELS; the optimized
+/// tier hoists the shared log10(t / t0) out of the cell loop and draws
+/// the same RNG sequence as the per-cell reference — enforced by
+/// test_kernels).
 McLerResult mc_ler(const drift::MetricConfig& config,
                    const drift::LineGeometry& geometry,
                    unsigned e, double t_seconds, std::uint64_t lines,

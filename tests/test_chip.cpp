@@ -189,8 +189,7 @@ TEST(Chip, OddCodewordAndUnalignedPayloadRoundTripInEveryTier) {
   for (ReadoutPolicy readout :
        {ReadoutPolicy::kHybrid, ReadoutPolicy::kMSense}) {
     std::vector<std::unique_ptr<MlcChip>> chips;
-    for (KernelMode mode : {KernelMode::kReference, KernelMode::kOptimized,
-                            KernelMode::kVectorized}) {
+    for (KernelMode mode : {KernelMode::kReference, KernelMode::kOptimized}) {
       ChipConfig cfg;
       cfg.num_lines = 8;
       cfg.bch_t = 17;

@@ -354,268 +354,28 @@ TEST(ChipKernelEquivalence, FullLifetimeIsIdentical) {
   EXPECT_EQ(rs.uncorrectable, os.uncorrectable);
 }
 
-// --- Vectorized tier (DESIGN.md §10.5) -----------------------------------
-//
-// The kVectorized lanes must match the reference bit for bit at every
-// dispatch level this host can reach. Each check therefore runs twice:
-// once under native dispatch (whatever simd_level() detected — AVX2 or
-// already scalar) and once with the dispatch forced to the
-// scalar fallback, which must route through the optimized kernels. On a
-// scalar-only host the two passes coincide and both still run.
+// --- Tier selection --------------------------------------------------------
 
-/// Force simd_level() for a scope, restoring the previous level after.
-/// The restore is always legal: the previous level was at or below what
-/// detection allows by construction.
-class ScopedSimdLevel {
- public:
-  explicit ScopedSimdLevel(SimdLevel level) : prev_(simd_level()) {
-    set_simd_level_for_testing(level);
-  }
-  ~ScopedSimdLevel() { set_simd_level_for_testing(prev_); }
-
- private:
-  SimdLevel prev_;
-};
-
-class VectorBchEquivalence : public ::testing::Test {
- protected:
-  const ecc::BchCode ref_{10, 8, 512, KernelMode::kReference};
-  const ecc::BchCode vec_{10, 8, 512, KernelMode::kVectorized};
-};
-
-TEST_F(VectorBchEquivalence, ModeResolvesAndLevelHasAName) {
-  EXPECT_EQ(vec_.kernel_mode(), KernelMode::kVectorized);
-  const std::string name = simd_level_name(simd_level());
-  EXPECT_TRUE(name == "scalar" || name == "avx2") << name;
+TEST(KernelModeSelection, AutoResolvesToTheProcessWideTier) {
+  // kAuto reads READDUO_KERNELS, which names one of the two tiers; any
+  // other value makes this throw (ctest kernels_env_strict runs this case
+  // under READDUO_KERNELS=vector and under a typo).
+  const KernelMode m = resolve_kernel_mode(KernelMode::kAuto);
+  EXPECT_EQ(m, kernels_mode());
+  EXPECT_TRUE(m == KernelMode::kReference || m == KernelMode::kOptimized);
 }
 
-TEST_F(VectorBchEquivalence, SyndromesMatchForEveryWeightThroughDetection) {
-  for (SimdLevel level : {simd_level(), SimdLevel::kScalar}) {
-    ScopedSimdLevel scoped(level);
-    Rng rng(201);
-    for (unsigned e = 0; e <= 17; ++e) {
-      for (unsigned trial = 0; trial < 3; ++trial) {
-        BitVec cw = ref_.encode(random_bits(rng, 512));
-        for (unsigned p :
-             distinct_positions(e, e * 13 + trial, ref_.codeword_bits())) {
-          cw.set(p, !cw.get(p));
-        }
-        EXPECT_EQ(ref_.compute_syndromes(cw), vec_.compute_syndromes(cw))
-            << "e=" << e << " trial=" << trial << " level="
-            << simd_level_name(level);
-      }
-    }
-  }
-}
-
-TEST_F(VectorBchEquivalence, SyndromesMatchOnRandomNoise) {
-  for (SimdLevel level : {simd_level(), SimdLevel::kScalar}) {
-    ScopedSimdLevel scoped(level);
-    Rng rng(202);
-    const unsigned n = ref_.codeword_bits();
-    std::vector<BitVec> words;
-    words.push_back(BitVec(n));  // all zero
-    BitVec ones(n);
-    for (unsigned i = 0; i < n; ++i) ones.set(i, true);
-    words.push_back(ones);
-    for (int i = 0; i < 6; ++i) words.push_back(random_bits(rng, n));
-    for (const BitVec& w : words) {
-      EXPECT_EQ(ref_.compute_syndromes(w), vec_.compute_syndromes(w))
-          << simd_level_name(level);
-    }
-  }
-}
-
-TEST_F(VectorBchEquivalence, DecodeOutcomesMatchForEveryWeight) {
-  for (SimdLevel level : {simd_level(), SimdLevel::kScalar}) {
-    ScopedSimdLevel scoped(level);
-    Rng rng(203);
-    for (unsigned e = 0; e <= 20; ++e) {
-      for (unsigned trial = 0; trial < 3; ++trial) {
-        const BitVec clean = ref_.encode(random_bits(rng, 512));
-        BitVec noisy = clean;
-        for (unsigned p :
-             distinct_positions(e, e * 19 + trial, ref_.codeword_bits())) {
-          noisy.set(p, !noisy.get(p));
-        }
-        BitVec wr = noisy;
-        BitVec wv = noisy;
-        const ecc::BchDecodeResult dr = ref_.decode(wr);
-        const ecc::BchDecodeResult dv = vec_.decode(wv);
-        EXPECT_EQ(dr.corrected, dv.corrected)
-            << "e=" << e << " t=" << trial << " " << simd_level_name(level);
-        EXPECT_EQ(dr.num_corrected, dv.num_corrected)
-            << "e=" << e << " t=" << trial << " " << simd_level_name(level);
-        EXPECT_EQ(dr.detected_uncorrectable, dv.detected_uncorrectable)
-            << "e=" << e << " t=" << trial << " " << simd_level_name(level);
-        EXPECT_TRUE(wr == wv)
-            << "e=" << e << " t=" << trial << " " << simd_level_name(level);
-        if (e <= 8) {
-          EXPECT_TRUE(wv == clean) << "e=" << e << " t=" << trial;
-        }
-      }
-    }
-  }
-}
-
-TEST(VectorLineEquivalence, ReadMatchesMixedAgesOffsetsAndStuck) {
-  // The hardest line shape at once: three write generations (so the
-  // log_t SoA fill hits its run boundaries), per-cell sense offsets, and
-  // stuck cells (which must ignore both metric and offset), against the
-  // per-cell reference — at native dispatch and through the scalar
-  // fallback.
-  for (SimdLevel level : {simd_level(), SimdLevel::kScalar}) {
-    ScopedSimdLevel scoped(level);
-    Rng rng(204);
-    pcm::MlcLine line(592);
-    line.write_full(random_bits(rng, 592), 0.0, rng, drift::r_metric());
-    line.write_differential(random_bits(rng, 592), 100.0, rng,
-                            drift::r_metric());
-    line.write_differential(random_bits(rng, 592), 300.0, rng,
-                            drift::r_metric());
-    line.cell_at(17).set_stuck(2);
-    line.cell_at(0).set_stuck(0);
-    line.cell_at(295).set_stuck(3);
-    std::vector<double> offsets(line.num_cells());
-    for (double& o : offsets) o = rng.normal(0.0, 0.02);
-    for (const drift::MetricConfig& cfg :
-         {drift::r_metric(), drift::m_metric()}) {
-      for (double t : {301.0, 640.0, 6400.0, 1e6}) {
-        std::vector<std::uint8_t> lanes(line.num_cells());
-        line.read_levels(t, cfg, offsets.data(), lanes.data(),
-                         KernelMode::kVectorized);
-        for (std::size_t c = 0; c < line.num_cells(); ++c) {
-          ASSERT_EQ(line.cells()[c].read_level(t, cfg, offsets[c]), lanes[c])
-              << "cell " << c << " t=" << t << " "
-              << simd_level_name(level);
-        }
-        const BitVec r = line.read(t, cfg, KernelMode::kReference);
-        const BitVec v = line.read(t, cfg, KernelMode::kVectorized);
-        EXPECT_TRUE(r == v) << "t=" << t << " " << simd_level_name(level);
-        EXPECT_EQ(line.count_drift_errors(t, cfg, KernelMode::kReference),
-                  line.count_drift_errors(t, cfg, KernelMode::kVectorized))
-            << "t=" << t << " " << simd_level_name(level);
-      }
-    }
-  }
-}
-
-TEST(VectorLineEquivalence, SoaCacheInvalidatesOnEveryMutator) {
-  // Read (building the SoA mirror), mutate through each mutator in turn,
-  // read again: the vectorized image must track the reference image
-  // across every rebuild.
-  for (SimdLevel level : {simd_level(), SimdLevel::kScalar}) {
-    ScopedSimdLevel scoped(level);
-    Rng rng(205);
-    const drift::MetricConfig cfg = drift::r_metric();
-    pcm::MlcLine line(592);
-    line.write_full(random_bits(rng, 592), 0.0, rng, cfg);
-    auto check = [&](double t, const char* what) {
-      const BitVec r = line.read(t, cfg, KernelMode::kReference);
-      const BitVec v = line.read(t, cfg, KernelMode::kVectorized);
-      EXPECT_TRUE(r == v) << what << " " << simd_level_name(level);
-    };
-    check(64.0, "after write_full");
-    line.write_differential(random_bits(rng, 592), 100.0, rng, cfg);
-    check(164.0, "after write_differential");
-    line.refresh_drifted(1e5, rng, cfg);
-    check(1e5 + 64.0, "after refresh_drifted");
-    line.cell_at(42).set_stuck(1);
-    check(1e5 + 128.0, "after cell_at().set_stuck");
-  }
-}
-
-TEST(VectorMcLerEquivalence, CountsMatchBitIdentically) {
-  // The population scan with its RNG-stream replication on failing lines
-  // (the early-exit contract): failure counts must equal the reference
-  // count exactly, not statistically. e=0 at a late age maximizes
-  // failing lines, stressing the snapshot/replay path; e=2 exercises
-  // mid-line exits.
-  const drift::MetricConfig cfg = drift::r_metric();
-  const drift::LineGeometry geom;
-  for (SimdLevel level : {simd_level(), SimdLevel::kScalar}) {
-    ScopedSimdLevel scoped(level);
-    for (unsigned e : {0u, 2u}) {
-      for (double t : {64.0, 640.0}) {
-        const pcm::McLerResult r =
-            pcm::mc_ler(cfg, geom, e, t, 20000, 9, KernelMode::kReference);
-        const pcm::McLerResult v =
-            pcm::mc_ler(cfg, geom, e, t, 20000, 9, KernelMode::kVectorized);
-        EXPECT_EQ(r.lines, v.lines);
-        EXPECT_EQ(r.failures, v.failures)
-            << "e=" << e << " t=" << t << " " << simd_level_name(level);
-      }
-    }
-  }
-}
-
-TEST(VectorChipEquivalence, FullLifetimeIsIdentical) {
-  // The composed system under kVectorized: same seed, same faults, same
-  // scrub schedule as a reference chip — data, flags, and counters must
-  // all agree (this routes the SIMD lanes through sense(), ECP patching,
-  // and the BCH decode path together).
-  for (SimdLevel level : {simd_level(), SimdLevel::kScalar}) {
-    ScopedSimdLevel scoped(level);
-    SCOPED_TRACE(simd_level_name(level));
-    pcm::ChipConfig base;
-    base.num_lines = 8;
-    base.seed = 77;
-    pcm::ChipConfig ref_cfg = base;
-    ref_cfg.kernels = KernelMode::kReference;
-    pcm::ChipConfig vec_cfg = base;
-    vec_cfg.kernels = KernelMode::kVectorized;
-    pcm::MlcChip ref_chip(ref_cfg);
-    pcm::MlcChip vec_chip(vec_cfg);
-
-    Rng data_rng(206);
-    for (std::size_t l = 0; l < base.num_lines; ++l) {
-      std::vector<std::uint8_t> p(base.data_bytes);
-      for (auto& b : p) b = static_cast<std::uint8_t>(data_rng.next());
-      ref_chip.write(l, p);
-      vec_chip.write(l, p);
-    }
-    ref_chip.inject_stuck_cell(3, 11, 1);
-    vec_chip.inject_stuck_cell(3, 11, 1);
-
-    for (double dt : {100.0, 600.0, 1200.0}) {
-      ref_chip.advance_time(dt);
-      vec_chip.advance_time(dt);
-      for (std::size_t l = 0; l < base.num_lines; ++l) {
-        const pcm::ChipReadResult r = ref_chip.read(l);
-        const pcm::ChipReadResult v = vec_chip.read(l);
-        EXPECT_EQ(r.data, v.data) << "line " << l;
-        EXPECT_EQ(r.used_m_sense, v.used_m_sense) << "line " << l;
-        EXPECT_EQ(r.corrected, v.corrected) << "line " << l;
-        EXPECT_EQ(r.errors_corrected, v.errors_corrected) << "line " << l;
-      }
-    }
-    const pcm::ChipStats& rs = ref_chip.stats();
-    const pcm::ChipStats& vs = vec_chip.stats();
-    EXPECT_EQ(rs.reads, vs.reads);
-    EXPECT_EQ(rs.m_fallbacks, vs.m_fallbacks);
-    EXPECT_EQ(rs.writes, vs.writes);
-    EXPECT_EQ(rs.scrub_passes, vs.scrub_passes);
-    EXPECT_EQ(rs.scrub_rewrites, vs.scrub_rewrites);
-    EXPECT_EQ(rs.uncorrectable, vs.uncorrectable);
-  }
-}
-
-TEST(VectorDispatchContract, ForcingAboveDetectionThrows) {
-  // The test seam only narrows: asking for a level the build/host cannot
-  // run must fail loudly (a silent downgrade would mislabel benchmarks).
-  // The cap is raw detection, not the current (possibly test-lowered)
-  // level, so probe by attempting the top level directly.
-  const SimdLevel prev = simd_level();
-  bool threw = false;
-  try {
-    set_simd_level_for_testing(SimdLevel::kAvx2);
-  } catch (const CheckFailure&) {
-    threw = true;
-  }
-  set_simd_level_for_testing(prev);  // a restore never exceeds detection
-  if (!threw) {
-    GTEST_SKIP() << "build/host can dispatch AVX2; nothing above it to ask";
-  }
+TEST(KernelModeSelection, RetiredVectorizedTierThrows) {
+  // The retired enumerator is refused wherever a tier is resolved, never
+  // silently run as another tier; the SIMD level it dispatched on is
+  // scalar for good.
+  EXPECT_THROW(resolve_kernel_mode(KernelMode::kVectorized), CheckFailure);
+  EXPECT_THROW(ecc::BchCode(10, 8, 512, KernelMode::kVectorized),
+               CheckFailure);
+  pcm::MlcLine line(592);
+  EXPECT_THROW(line.read(64.0, drift::r_metric(), KernelMode::kVectorized),
+               CheckFailure);
+  EXPECT_STREQ(simd_level_name(simd_level()), "scalar");
 }
 
 // --- GF(2^m) helper identities -------------------------------------------

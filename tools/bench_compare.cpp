@@ -4,7 +4,7 @@
 //
 // Reads the "kernels_ns" section that run_all_benches.sh emits under
 // READDUO_BENCH_JSON (one object per rewritten kernel, with nanosecond
-// entries like "ref"/"opt"/"vec" plus derived "speedup*" ratios) and
+// entries "ref" and "opt" plus a derived "speedup" ratio) and
 // compares every nanosecond entry present in both files. A metric that
 // got slower by more than max_regress_pct percent (default 10) is a
 // regression; any regression — or a kernel metric that disappeared from
