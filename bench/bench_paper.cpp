@@ -971,7 +971,12 @@ void print_ext_wear(Results) {
   stats::Table t({"Write skew (zipf s)", "no WL: max/mean wear",
                   "Start-Gap: max/mean wear", "lifetime gain",
                   "gap-move overhead"});
-  for (double s : {0.0, 0.5, 0.8, 0.95}) {
+  // Each skew is its own Rng(101) stream, so the rows run on the pool and
+  // print in order.
+  constexpr double kSkews[] = {0.0, 0.5, 0.8, 0.95};
+  std::vector<std::vector<std::string>> rows(std::size(kSkews));
+  parallel_for_shards(rows.size(), [&](std::size_t r) {
+    const double s = kSkews[r];
     Rng rng(101);
     std::vector<std::uint64_t> raw(kLines, 0);
     std::vector<std::uint64_t> leveled(kLines + 1, 0);
@@ -992,12 +997,13 @@ void print_ext_wear(Results) {
     const double max_lvl = static_cast<double>(
         *std::max_element(leveled.begin(), leveled.end()));
     // PCM lifetime is set by the most-worn line.
-    t.add_row({stats::fmt("%.2f", s), stats::fmt("%.1fx", max_raw / mean_raw),
+    rows[r] = {stats::fmt("%.2f", s), stats::fmt("%.1fx", max_raw / mean_raw),
                stats::fmt("%.1fx", max_lvl / mean_lvl),
                stats::fmt("%.1fx", max_raw / max_lvl),
                stats::fmt("%.2f%%", 100.0 * static_cast<double>(gap_moves) /
-                                        static_cast<double>(kWrites))});
-  }
+                                        static_cast<double>(kWrites))};
+  });
+  for (auto& row : rows) t.add_row(std::move(row));
   t.print();
 
   std::printf("\nReading: without leveling, lifetime is set by the hottest "

@@ -56,7 +56,9 @@ struct ThreadPool::Impl {
   std::size_t active RD_GUARDED_BY(mu) = 0;  ///< workers inside run_shards
   std::uint64_t generation RD_GUARDED_BY(mu) = 0;
   bool stop RD_GUARDED_BY(mu) = false;
+  /// The failure of the lowest failing shard so far, and that shard.
   std::exception_ptr error RD_GUARDED_BY(mu);
+  std::size_t error_shard RD_GUARDED_BY(mu) = 0;
 
   std::vector<std::thread> workers;
 
@@ -72,7 +74,13 @@ struct ThreadPool::Impl {
         f(i);
       } catch (...) {
         MutexLock g(mu);
-        if (!error) error = std::current_exception();
+        // Keep the lowest failing shard: shards are claimed in increasing
+        // order, so every lower one was claimed before this one and runs
+        // to completion, and the survivor is the serial path's error.
+        if (!error || i < error_shard) {
+          error = std::current_exception();
+          error_shard = i;
+        }
         // Abandon the remaining shards; in-flight ones finish.
         next.store(count, std::memory_order_relaxed);
       }

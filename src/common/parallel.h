@@ -51,8 +51,10 @@ class ThreadPool {
 
   /// Run fn(i) for every i in [0, n), blocking until all shards finish.
   /// Shards are claimed dynamically (good load balance for uneven shard
-  /// costs). The first exception thrown by any shard is rethrown here
-  /// after remaining shards are abandoned. Serial pools (size() == 1),
+  /// costs). If shards throw, the exception of the lowest failing shard
+  /// index is rethrown here, after the unclaimed shards are abandoned and
+  /// the in-flight ones finish: the same error the serial path throws,
+  /// whatever the thread count or timing. Serial pools (size() == 1),
   /// n <= 1, and nested calls from inside a shard all run inline on the
   /// calling thread in index order.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);

@@ -108,16 +108,14 @@ void SchemeBase::init_line(LineState&, std::uint64_t, Ns, bool) {}
 
 LineState& SchemeBase::state_of(std::uint64_t line, Ns now, bool archive,
                                 FirstTouch touch) {
-  auto it = lines_.find(line);
-  if (it == lines_.end()) {
-    LineState st;
-    const double age = sample_initial_age(line, archive, touch);
-    st.last_write_s = now.seconds() - age;
-    st.last_full_write_s = st.last_write_s;
-    it = lines_.emplace(line, st).first;
-    init_line(it->second, line, now, archive);
-  }
-  return it->second;
+  if (LineState* st = lines_.find(line)) return *st;
+  LineState st;
+  const double age = sample_initial_age(line, archive, touch);
+  st.last_write_s = now.seconds() - age;
+  st.last_full_write_s = st.last_write_s;
+  LineState& added = lines_.insert(line, st);
+  init_line(added, line, now, archive);
+  return added;
 }
 
 unsigned SchemeBase::sample_r_errors(std::uint64_t line,
@@ -150,25 +148,20 @@ WriteOutcome SchemeBase::full_write(LineState& st, Ns now) {
   w.cells_written = env_.geometry.total_cells();
   w.full_line = true;
   counters_.cell_writes += w.cells_written;
+  counters_.write_energy_pj +=
+      env_.energy.cell_write.v * static_cast<double>(w.cells_written);
   return w;
 }
 
 WriteOutcome SchemeBase::on_write(std::uint64_t line, Ns now) {
-  LineState& st = state_of(line, now, /*archive=*/false, FirstTouch::kWrite);
-  WriteOutcome w = full_write(st, now);
   ++counters_.demand_full_writes;
-  counters_.write_energy_pj +=
-      env_.energy.cell_write.v * static_cast<double>(w.cells_written);
-  return w;
+  return full_write(
+      state_of(line, now, /*archive=*/false, FirstTouch::kWrite), now);
 }
 
 WriteOutcome SchemeBase::on_converted_write(std::uint64_t line, Ns now) {
-  LineState& st = state_of(line, now, /*archive=*/false);
-  WriteOutcome w = full_write(st, now);
   ++counters_.conversion_writes;
-  counters_.write_energy_pj +=
-      env_.energy.cell_write.v * static_cast<double>(w.cells_written);
-  return w;
+  return full_write(state_of(line, now, /*archive=*/false), now);
 }
 
 ReadOutcome SchemeBase::serve(ReadMode mode) {

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -14,7 +13,7 @@
 #include "common/rng.h"
 #include "drift/error_model.h"
 #include "pcm/params.h"
-#include "readduo/lwt_flags.h"
+#include "readduo/line_table.h"
 #include "readduo/scheme.h"
 #include "readduo/steady_state.h"
 
@@ -65,22 +64,6 @@ struct SchemeEnv {
 
 /// How a line is first touched; selects the initial-age population.
 enum class FirstTouch { kRead, kWrite };
-
-/// Per-line simulator-side state.
-struct LineState {
-  /// Absolute time (seconds, may be negative = before the window) of the
-  /// last write of any kind.
-  double last_write_s = 0.0;
-  /// Last *full-line* write; differs from last_write_s only under
-  /// ReadDuo-Select. Drift-error sampling keys off this one: differential
-  /// writes leave unmodified cells drifting from the older time.
-  double last_full_write_s = 0.0;
-  /// LWT flag bits (only meaningful for LWT/Select schemes).
-  LwtFlags flags{4};
-  /// Set when the line was written back by R-M-read conversion; tracked
-  /// reads hitting such lines are the controller's benefit signal.
-  bool converted = false;
-};
 
 /// How a scheme services a demand read (Section III-B thresholds: BCH-8
 /// corrects up to 8 errors and detects up to 17).
@@ -158,7 +141,8 @@ class SchemeBase : public Scheme {
   /// Count a read serviced in `mode`, charge its energy, and return it.
   ReadOutcome serve(ReadMode mode);
 
-  /// Record a full-line write of `line` (demand / conversion / rewrite).
+  /// Record a full-line write of a line (demand or conversion) and charge
+  /// its cells; the caller counts which kind it was.
   WriteOutcome full_write(LineState& st, Ns now);
 
   /// Hook: initialize flags or other per-line metadata after the age was
@@ -200,10 +184,9 @@ class SchemeBase : public Scheme {
   /// at construction so the hot path is a plain pointer test.
   const faults::FaultEngine* faults_;
   Rng rng_;
-  /// Ordered by line address: lookups are keyed, but an ordered map keeps
-  /// any future iteration (dumps, scrubs walking the population)
-  /// deterministic by construction.
-  std::map<std::uint64_t, LineState> lines_;
+  /// Flat and insert-only (line_table.h): never iterated, so hash order
+  /// cannot reach an output.
+  LineTable lines_;
 };
 
 }  // namespace rd::readduo

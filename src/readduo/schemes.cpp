@@ -145,15 +145,15 @@ class LwtScheme : public SchemeBase {
   }
 
   WriteOutcome on_write(std::uint64_t line, Ns now) override {
-    WriteOutcome w = SchemeBase::on_write(line, now);
-    track_full_write(line, now);
-    return w;
+    return demand_full_write(state_of(line, now, false, FirstTouch::kWrite),
+                             line, now);
   }
 
   WriteOutcome on_converted_write(std::uint64_t line, Ns now) override {
-    WriteOutcome w = SchemeBase::on_converted_write(line, now);
-    track_full_write(line, now);
-    state_of(line, now, false).converted = true;
+    LineState& st = state_of(line, now, false);
+    ++counters_.conversion_writes;
+    WriteOutcome w = tracked_full_write(st, line, now);
+    st.converted = true;
     return w;
   }
 
@@ -166,12 +166,7 @@ class LwtScheme : public SchemeBase {
   /// The line's scrub phase in [0, S): scrubs fire when
   /// (t - phase) mod S == 0, and label 0 starts at each scrub.
   double phase_of(std::uint64_t line) const {
-    // splitmix64 hash for a deterministic, well-spread phase.
-    std::uint64_t z = line + 0x9e3779b97f4a7c15ull;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    z ^= z >> 31;
-    return static_cast<double>(z % 1000000ull) * 1e-6 *
+    return static_cast<double>(line_hash(line) % 1000000ull) * 1e-6 *
            scrub_interval_seconds();
   }
 
@@ -203,9 +198,16 @@ class LwtScheme : public SchemeBase {
     }
   }
 
-  void track_full_write(std::uint64_t line, Ns now) {
-    LineState& st = state_of(line, now, false);
+  /// A full-line write of `line` (state `st`), recorded in its flags.
+  WriteOutcome tracked_full_write(LineState& st, std::uint64_t line, Ns now) {
+    WriteOutcome w = full_write(st, now);
     st.flags.on_write(label_of(line, now.seconds()));
+    return w;
+  }
+
+  WriteOutcome demand_full_write(LineState& st, std::uint64_t line, Ns now) {
+    ++counters_.demand_full_writes;
+    return tracked_full_write(st, line, now);
   }
 
   const ReadDuoOptions opts_;
@@ -244,7 +246,7 @@ class SelectScheme : public LwtScheme {
       w.full_line = false;
       return w;
     }
-    return LwtScheme::on_write(line, now);
+    return demand_full_write(st, line, now);
   }
 };
 

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -122,6 +124,27 @@ TEST(ThreadPool, ExceptionsPropagateToCaller) {
   std::atomic<int> ran{0};
   pool.parallel_for(10, [&](std::size_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 10);
+}
+
+TEST(ThreadPool, LowestFailingShardIsRethrown) {
+  // Shard 7 fails at once while shard 3 is still running, so the first
+  // failure in time is usually shard 7's; the serial path's error, shard
+  // 3's, must win every time.
+  ThreadPool pool(4);
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    try {
+      pool.parallel_for(16, [&](std::size_t i) {
+        if (i == 3) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          throw std::runtime_error("shard 3");
+        }
+        if (i == 7) throw std::runtime_error("shard 7");
+      });
+      ADD_FAILURE() << "repeat " << repeat << ": nothing was rethrown";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "shard 3") << "repeat " << repeat;
+    }
+  }
 }
 
 TEST(ThreadPool, SerialPoolRunsInIndexOrder) {

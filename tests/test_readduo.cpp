@@ -18,6 +18,7 @@
 #include "memsim/env.h"
 #include "memsim/simulator.h"
 #include "readduo/conversion.h"
+#include "readduo/line_table.h"
 #include "readduo/scheme_base.h"
 #include "readduo/schemes.h"
 #include "readduo/steady_state.h"
@@ -380,6 +381,102 @@ SchemeEnv test_env(std::uint64_t seed = 7) {
   env.zipf_s = 0.6;
   env.per_core_write_rate = 1e5;
   return env;
+}
+
+// ---------------------------------------------------------- LineTable ----
+
+TEST(LineTable, ReferencesSurviveDoublings) {
+  LineTable t;
+  LineState marked;
+  marked.last_write_s = -1.25;
+  marked.last_full_write_s = -2.5;
+  marked.flags = LwtFlags(8);
+  marked.flags.on_write(5);
+  marked.converted = true;
+  LineState& ref = t.insert(42, marked);
+  // 100k more lines take the index through fourteen doublings.
+  for (std::uint64_t line = 1000; line < 101000; ++line) {
+    LineState st;
+    st.last_write_s = static_cast<double>(line);
+    t.insert(line, st);
+  }
+  ASSERT_EQ(t.size(), 100001u);
+  EXPECT_EQ(t.find(42), &ref);
+  EXPECT_EQ(ref.last_write_s, -1.25);
+  EXPECT_EQ(ref.last_full_write_s, -2.5);
+  EXPECT_EQ(ref.flags.k(), 8u);
+  EXPECT_EQ(ref.flags.vector_flag(), marked.flags.vector_flag());
+  EXPECT_EQ(ref.flags.index_flag(), 5u);
+  EXPECT_TRUE(ref.converted);
+}
+
+TEST(LineTable, CollidingAndHighBitKeysRoundTrip) {
+  std::vector<std::uint64_t> keys = {0, ~std::uint64_t{0}};
+  // Equal low 32 bits, differing only above them.
+  for (std::uint64_t hi = 1; hi <= 64; ++hi) keys.push_back(hi << 32 | 5);
+  // Equal in the low 20 bits of the key itself.
+  for (std::uint64_t i = 1; i <= 64; ++i) keys.push_back(i << 20 | 7);
+  // Equal in the hash's low 10 bits: one home slot while the index has at
+  // most 1024 slots, so they probe one long chain.
+  const std::size_t plain = keys.size();
+  for (std::uint64_t k = 1; keys.size() < plain + 64; ++k) {
+    if ((line_hash(k) & 1023) == (line_hash(0) & 1023)) keys.push_back(k);
+  }
+  LineTable t;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    LineState st;
+    st.last_write_s = static_cast<double>(i);
+    t.insert(keys[i], st);
+  }
+  ASSERT_EQ(t.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const LineState* st = t.find(keys[i]);
+    ASSERT_NE(st, nullptr) << "key " << keys[i];
+    EXPECT_EQ(st->last_write_s, static_cast<double>(i)) << "key " << keys[i];
+  }
+  EXPECT_EQ(t.find(6), nullptr);
+  EXPECT_EQ(t.find(std::uint64_t{65} << 32 | 5), nullptr);
+  EXPECT_THROW(t.insert(keys[1], LineState{}), CheckFailure);
+}
+
+TEST(LineTable, FailsInsteadOfWrappingWhenFull) {
+  // A slot names its entry as index + 1 in 32 bits, so the default limit
+  // is the most a slot can name; a smaller limit reaches the same check
+  // without allocating 4 G entries.
+  static_assert(LineTable::kMaxEntries ==
+                std::numeric_limits<std::uint32_t>::max());
+  LineTable t(3);
+  for (std::uint64_t line = 0; line < 3; ++line) t.insert(line, LineState{});
+  EXPECT_THROW(t.insert(3, LineState{}), CheckFailure);
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.find(3), nullptr);
+  EXPECT_NE(t.find(2), nullptr);
+}
+
+/// SchemeBase with its per-line lookup and RNG exposed.
+class ProbeScheme : public SchemeBase {
+ public:
+  using SchemeBase::SchemeBase;
+  using SchemeBase::rng;
+  using SchemeBase::state_of;
+};
+
+TEST(LineTable, StateOfHitDrawsNothing) {
+  // Hybrid's policy: every first touch samples an age.
+  ProbeScheme s("probe", test_env(),
+                {ReadPolicy::kRThenM, 1.0, ScrubSense::kM, 0});
+  const Rng fresh = s.rng();
+  LineState& first = s.state_of(99, Ns{1000}, /*archive=*/false);
+  const Rng after_miss = s.rng();
+  EXPECT_NE(Rng(after_miss).next(), Rng(fresh).next())
+      << "a first touch samples the line's age";
+  for (int i = 0; i < 3; ++i) {
+    LineState& again = s.state_of(99, Ns{5000 + i}, /*archive=*/i == 1,
+                                  i == 2 ? FirstTouch::kWrite
+                                         : FirstTouch::kRead);
+    EXPECT_EQ(&again, &first);
+  }
+  EXPECT_EQ(s.rng().next(), Rng(after_miss).next());
 }
 
 TEST(Schemes, FactoryNames) {
