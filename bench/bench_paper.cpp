@@ -1045,14 +1045,19 @@ std::vector<RunSpec> rowbuffer_specs() {
   return specs;
 }
 
+/// "exec time / avg read latency" in us / ns: one cell of the row-buffer
+/// and write-preemption tables. Microseconds keep the extension budget's
+/// short runs readable.
+std::string exec_us_read_ns(const memsim::SimResult& r) {
+  return stats::fmt("%.1f", static_cast<double>(r.exec_time.v) * 1e-3) +
+         " / " + stats::fmt("%.0f", r.avg_read_latency_ns());
+}
+
 void print_ext_rowbuffer(Results results) {
   std::printf("== Extension: open-page row buffer vs the closed-page "
               "baseline\n\n");
-  stats::Table t({"Workload", "Scheme", "closed (ms / ns)",
-                  "open (ms / ns)", "hit rate", "speedup"});
-  auto exec_ms = [](const memsim::SimResult& r) {
-    return static_cast<double>(r.exec_time.v) * 1e-6;
-  };
+  stats::Table t({"Workload", "Scheme", "closed (us / ns)",
+                  "open (us / ns)", "hit rate", "speedup"});
   for (std::size_t i = 0; i < results.size(); i += 2) {
     const RunResult& closed = results[i];
     const memsim::SimResult& open = results[i + 1].sim;
@@ -1062,13 +1067,11 @@ void print_ext_rowbuffer(Results results) {
                             : 0.0;
     t.add_row({kRowBufferNames[i / 2 / std::size(kRowBufferKinds)],
                closed.summary.scheme,
-               stats::fmt("%.2f", exec_ms(closed.sim)) + " / " +
-                   stats::fmt("%.0f", closed.sim.avg_read_latency_ns()),
-               stats::fmt("%.2f", exec_ms(open)) + " / " +
-                   stats::fmt("%.0f", open.avg_read_latency_ns()),
+               exec_us_read_ns(closed.sim), exec_us_read_ns(open),
                stats::fmt("%.1f%%", 100.0 * hit_rate),
                stats::fmt("%+.1f%%",
-                          100.0 * (exec_ms(closed.sim) / exec_ms(open) -
+                          100.0 * (static_cast<double>(closed.sim.exec_time.v) /
+                                       static_cast<double>(open.exec_time.v) -
                                    1.0))});
   }
   t.print();
@@ -1156,13 +1159,9 @@ std::vector<RunSpec> pausing_specs() {
 
 void print_ext_pausing(Results results) {
   std::printf("== Extension: read-over-write preemption policies "
-              "(Ideal scheme; exec ms / avg read ns)\n\n");
+              "(Ideal scheme; exec us / avg read ns)\n\n");
   stats::Table t({"Workload", "no preemption", "cancel (paper)", "pause",
                   "preemptions", "bank-busy saved by pausing"});
-  auto cell = [](const memsim::SimResult& r) {
-    return stats::fmt("%.2f", static_cast<double>(r.exec_time.v) * 1e-6) +
-           " / " + stats::fmt("%.0f", r.avg_read_latency_ns());
-  };
   for (std::size_t i = 0; i < results.size(); i += 3) {
     const memsim::SimResult& none = results[i].sim;
     const memsim::SimResult& cancel = results[i + 1].sim;
@@ -1170,7 +1169,8 @@ void print_ext_pausing(Results results) {
     const double busy_saved =
         1.0 - static_cast<double>(pause.bank_busy_ns) /
                   static_cast<double>(cancel.bank_busy_ns);
-    t.add_row({kPausingNames[i / 3], cell(none), cell(cancel), cell(pause),
+    t.add_row({kPausingNames[i / 3], exec_us_read_ns(none),
+               exec_us_read_ns(cancel), exec_us_read_ns(pause),
                std::to_string(cancel.write_cancellations),
                stats::fmt("%.1f%%", 100.0 * busy_saved)});
   }

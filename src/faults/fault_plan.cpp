@@ -136,7 +136,6 @@ const char* fault_class_name(FaultClass c) {
     case FaultClass::kLwtVector: return "lwt-vec";
     case FaultClass::kLwtIndex: return "lwt-ind";
     case FaultClass::kBchError: return "bch";
-    case FaultClass::kTraceShortRead: return "trace";
     case FaultClass::kWireCorrupt: return "wire";
   }
   return "?";
@@ -148,8 +147,7 @@ bool FaultPlan::affects_simulation() const {
 }
 
 bool FaultPlan::any() const {
-  return affects_simulation() || trace_p > 0.0 || trace_fail_reads > 0 ||
-         wire_p > 0.0;
+  return affects_simulation() || wire_p > 0.0;
 }
 
 bool operator==(const FaultPlan& a, const FaultPlan& b) {
@@ -157,9 +155,7 @@ bool operator==(const FaultPlan& a, const FaultPlan& b) {
          a.stuck_level == b.stuck_level && a.stuck_cells == b.stuck_cells &&
          a.sense_p == b.sense_p && a.sense_mag == b.sense_mag &&
          a.lwt_vec_p == b.lwt_vec_p && a.lwt_ind_p == b.lwt_ind_p &&
-         a.bch_p == b.bch_p && a.bch_e == b.bch_e &&
-         a.trace_p == b.trace_p &&
-         a.trace_fail_reads == b.trace_fail_reads && a.wire_p == b.wire_p;
+         a.bch_p == b.bch_p && a.bch_e == b.bch_e && a.wire_p == b.wire_p;
 }
 
 FaultPlan FaultPlan::parse(const std::string& spec) {
@@ -239,8 +235,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
       cls = FaultClass::kLwtIndex;
     } else if (name == "bch") {
       cls = FaultClass::kBchError;
-    } else if (name == "trace") {
-      cls = FaultClass::kTraceShortRead;
     } else if (name == "wire") {
       cls = FaultClass::kWireCorrupt;
     } else {
@@ -295,18 +289,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
         }
         break;
       }
-      case FaultClass::kTraceShortRead: {
-        const KvList kvs = parse_kvs(clause, body, {"p", "n"});
-        RD_CHECK_MSG(kvs.has("p") || kvs.has("n"),
-                     "READDUO_FAULTS clause '" << clause
-                                               << "': needs p= or n=");
-        if (kvs.has("p")) plan.trace_p = parse_prob(clause, kvs.get("p"));
-        if (kvs.has("n")) {
-          plan.trace_fail_reads =
-              static_cast<unsigned>(parse_uint(clause, kvs.get("n")));
-        }
-        break;
-      }
       case FaultClass::kWireCorrupt: {
         const KvList kvs = parse_kvs(clause, body, {"p"});
         RD_CHECK_MSG(kvs.has("p"),
@@ -339,14 +321,6 @@ std::string FaultPlan::canonical() const {
   if (lwt_ind_p > 0.0) os << ";lwt-ind:p=" << render_real(lwt_ind_p);
   if (bch_p > 0.0) {
     os << ";bch:p=" << render_real(bch_p) << ",e=" << bch_e;
-  }
-  if (trace_p > 0.0 || trace_fail_reads > 0) {
-    os << ";trace:";
-    if (trace_p > 0.0) os << "p=" << render_real(trace_p);
-    if (trace_fail_reads > 0) {
-      if (trace_p > 0.0) os << ",";
-      os << "n=" << trace_fail_reads;
-    }
   }
   if (wire_p > 0.0) os << ";wire:p=" << render_real(wire_p);
   return os.str();

@@ -11,7 +11,7 @@
 //   spec    := clause (';' clause)*         empty clauses are skipped
 //   clause  := 'seed=' <uint> | class (':' kv (',' kv)*)?
 //   class   := 'stuck' | 'sense' | 'lwt-vec' | 'lwt-ind'
-//            | 'bch' | 'trace' | 'wire'
+//            | 'bch' | 'wire'
 //   kv      := key '=' value
 //
 // When the READDUO_FAULTS value names an existing file, the spec is read
@@ -24,9 +24,6 @@
 //   lwt-vec p=<prob>                   vector-flag bit flip per read
 //   lwt-ind p=<prob>                   index-flag overwrite per read
 //   bch     p=<prob> e=<9..17>         adversarial error burst per R-sense
-//   trace   p=<prob> n=<attempts>      trace-file short reads (n > 0:
-//                                      deterministically fail the first n
-//                                      load attempts instead of drawing p)
 //   wire    p=<prob>                   frame-payload corruption at the
 //                                      readduo_serve socket boundary (the
 //                                      CRC catches it; the client retries)
@@ -47,11 +44,10 @@ enum class FaultClass : unsigned {
   kLwtVector,       ///< "lwt-vec": LWT vector-flag bit flips
   kLwtIndex,        ///< "lwt-ind": LWT index-flag overwrites
   kBchError,        ///< "bch": 9..17-bit bursts at the detection boundary
-  kTraceShortRead,  ///< "trace": trace-file short reads
   kWireCorrupt,     ///< "wire": inbound frame-payload corruption
 };
 
-inline constexpr std::size_t kNumFaultClasses = 7;
+inline constexpr std::size_t kNumFaultClasses = 6;
 
 /// The spec keyword of a class ("stuck", "sense", ...).
 const char* fault_class_name(FaultClass c);
@@ -88,15 +84,11 @@ struct FaultPlan {
   double bch_p = 0.0;
   unsigned bch_e = 12;  ///< injected burst weight, 9..17
 
-  // trace
-  double trace_p = 0.0;
-  unsigned trace_fail_reads = 0;  ///< fail the first n attempts outright
-
   // wire
   double wire_p = 0.0;
 
   /// True when any injector can perturb simulation results (stuck, sense,
-  /// lwt-*, bch). Harness-only faults (trace, wire) never change
+  /// lwt-*, bch). The harness-only fault (wire) never changes
   /// what a run computes, only how the harness gets there — a corrupted
   /// frame is caught by the CRC and resent, so the admitted request
   /// sequence (and every virtual-time metric) is unchanged.

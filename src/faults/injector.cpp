@@ -12,14 +12,15 @@ namespace rd::faults {
 namespace {
 
 // Per-class decision salts: distinct constants so the classes' streams
-// are decorrelated even at identical keys.
+// are decorrelated even at identical keys. Salts 7 and 8 are retired with
+// their deleted classes; the others never change value, so a plan keeps
+// drawing the same faults.
 constexpr std::uint64_t kSaltStuck = 0x5a5a0001d00dfeedull;
 constexpr std::uint64_t kSaltSense = 0x5a5a0002d00dfeedull;
 constexpr std::uint64_t kSaltExtraErr = 0x5a5a0003d00dfeedull;
 constexpr std::uint64_t kSaltLwtVec = 0x5a5a0004d00dfeedull;
 constexpr std::uint64_t kSaltLwtInd = 0x5a5a0005d00dfeedull;
 constexpr std::uint64_t kSaltBch = 0x5a5a0006d00dfeedull;
-constexpr std::uint64_t kSaltTrace = 0x5a5a0008d00dfeedull;
 constexpr std::uint64_t kSaltWire = 0x5a5a0009d00dfeedull;
 
 /// splitmix64 finalizer: the avalanche step used throughout the repo for
@@ -37,7 +38,7 @@ std::uint64_t mix(std::uint64_t k1, std::uint64_t k2, std::uint64_t k3) {
   return mix64(h ^ k3);
 }
 
-/// FNV-1a for raw bytes (frame payloads) and strings (trace paths).
+/// FNV-1a over raw bytes (frame payloads).
 std::uint64_t fnv1a(const char* p, std::size_t n) {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (std::size_t i = 0; i < n; ++i) {
@@ -46,8 +47,6 @@ std::uint64_t fnv1a(const char* p, std::size_t n) {
   }
   return h;
 }
-
-std::uint64_t fnv1a(const std::string& s) { return fnv1a(s.data(), s.size()); }
 
 }  // namespace
 
@@ -151,30 +150,6 @@ std::vector<unsigned> FaultEngine::bch_error_positions(
   }
   bump(FaultClass::kBchError);
   return positions;
-}
-
-bool FaultEngine::trace_short_read(const std::string& path, unsigned attempt,
-                                   std::string& bytes) const {
-  bool fire = attempt < plan_.trace_fail_reads;
-  if (!fire && plan_.trace_p > 0.0) {
-    Rng s = stream(kSaltTrace, fnv1a(path), attempt);
-    fire = s.bernoulli(plan_.trace_p);
-  }
-  if (!fire || bytes.empty()) return false;
-  bump(FaultClass::kTraceShortRead);
-  // Model a short read: keep a prefix, cutting just after the last op
-  // kind before the 2/3 mark so the final line is mid-token (a trace
-  // parser must reject it rather than silently return fewer ops).
-  std::size_t cut = bytes.size() * 2 / 3;
-  for (std::size_t i = cut; i > 1; --i) {
-    const char c = bytes[i - 1];
-    if ((c == 'R' || c == 'W') && bytes[i - 2] == ' ') {
-      cut = i;
-      break;
-    }
-  }
-  bytes.resize(cut);
-  return true;
 }
 
 bool FaultEngine::wire_corrupt(char* bytes, std::size_t n,

@@ -2,7 +2,7 @@
 //
 // Every decision is a pure function of (plan.seed, a per-class salt, the
 // stable identifiers of the decision point) — a line address, a cell index,
-// a read serial, a trace path — hashed into an Rng stream that is drawn
+// a read serial, a frame payload — hashed into an Rng stream that is drawn
 // exactly once per decision. Nothing depends on thread count, scheduling
 // order, or wall clock, so a FaultPlan + seed reproduces the same faults
 // bit-for-bit under READDUO_THREADS=1 and =N (test-enforced; see
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -69,12 +68,6 @@ class FaultEngine {
   std::vector<unsigned> bch_error_positions(std::uint64_t line,
                                             std::uint64_t serial,
                                             unsigned codeword_bits) const;
-
-  /// Short-read `bytes` of trace file `path` on load attempt `attempt`
-  /// (0-based); true when the bytes were truncated. Keyed per attempt, so
-  /// a bounded retry can succeed when the plan is probabilistic.
-  bool trace_short_read(const std::string& path, unsigned attempt,
-                        std::string& bytes) const;
 
   /// Corrupt `n` payload bytes of an inbound frame at the readduo_serve
   /// boundary; true when a byte was flipped. The decision is keyed by

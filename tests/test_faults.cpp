@@ -2,15 +2,12 @@
 // determinism, the chip / ECC / LWT / harness seams, and the PR's
 // acceptance criteria — (a) identical plan + seed gives bit-identical
 // results across thread counts, (b) harness-only plans leave simulation
-// outputs bit-identical to faults-off, (c) truncated trace files are
-// absorbed with a report, never an abort.
+// outputs bit-identical to faults-off.
 #include "faults/injector.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,7 +21,6 @@
 #include "pcm/chip.h"
 #include "readduo/schemes.h"
 #include "scoped_env.h"
-#include "trace/trace_io.h"
 #include "trace/workload.h"
 
 namespace rd {
@@ -62,7 +58,7 @@ TEST(FaultPlanParse, DefaultsAndSingleClass) {
 TEST(FaultPlanParse, AllClassesAndSeed) {
   const FaultPlan p = FaultPlan::parse(
       "seed=99;stuck:p=0.1,level=0;sense:p=0.2,mag=0.75;lwt-vec:p=0.3;"
-      "lwt-ind:p=0.4;bch:p=0.5,e=17;trace:p=0.7,n=2;wire:p=0.8");
+      "lwt-ind:p=0.4;bch:p=0.5,e=17;wire:p=0.8");
   EXPECT_EQ(p.seed, 99u);
   EXPECT_DOUBLE_EQ(p.stuck_p, 0.1);
   EXPECT_EQ(p.stuck_level, 0u);
@@ -72,8 +68,6 @@ TEST(FaultPlanParse, AllClassesAndSeed) {
   EXPECT_DOUBLE_EQ(p.lwt_ind_p, 0.4);
   EXPECT_DOUBLE_EQ(p.bch_p, 0.5);
   EXPECT_EQ(p.bch_e, 17u);
-  EXPECT_DOUBLE_EQ(p.trace_p, 0.7);
-  EXPECT_EQ(p.trace_fail_reads, 2u);
   EXPECT_DOUBLE_EQ(p.wire_p, 0.8);
 }
 
@@ -93,11 +87,11 @@ TEST(FaultPlanParse, FileFormCommentsAndNewlines) {
       "seed=3\n"
       "bch:p=0.5,e=9   # boundary bursts\n"
       "\n"
-      "trace:n=1\n");
+      "wire:p=0.25\n");
   EXPECT_EQ(p.seed, 3u);
   EXPECT_DOUBLE_EQ(p.bch_p, 0.5);
   EXPECT_EQ(p.bch_e, 9u);
-  EXPECT_EQ(p.trace_fail_reads, 1u);
+  EXPECT_DOUBLE_EQ(p.wire_p, 0.25);
   EXPECT_TRUE(p.affects_simulation());
 }
 
@@ -106,9 +100,9 @@ TEST(FaultPlanParse, CanonicalRoundTrips) {
       "seed=7;stuck:p=0.125,level=2",
       "stuck:line=1,cell=2,level=0;stuck:line=4,cell=9",
       "seed=42;sense:p=0.001,mag=0.5;bch:p=0.25,e=12",
-      "lwt-vec:p=0.5;lwt-ind:p=0.25;trace:p=0.5,n=3",
+      "lwt-vec:p=0.5;lwt-ind:p=0.25",
       "seed=11;wire:p=0.01",
-      "trace:n=1;wire:p=0.125",
+      "wire:p=0.125",
   };
   for (const char* s : specs) {
     const FaultPlan p = FaultPlan::parse(s);
@@ -127,6 +121,8 @@ TEST(FaultPlanParse, RejectsMalformedSpecsLoudly) {
       "bch:p=0.1,e=8",          // below the detection boundary
       "bch:p=0.1,e=18",         // above the design distance
       "cache:p=1",              // unknown class
+      "trace:p=1",              // unknown class
+      "trace:n=1",              // unknown class
       "seed=abc",               // malformed integer
       "seed=1x",                // trailing garbage in value
       "stuck:p=0.1;stuck:p=0.2",  // duplicate probabilistic clause
@@ -144,7 +140,7 @@ TEST(FaultPlanParse, RejectsMalformedSpecsLoudly) {
 }
 
 TEST(FaultPlanParse, HarnessOnlyClassesDoNotAffectSimulation) {
-  const FaultPlan p = FaultPlan::parse("trace:p=1,n=2;wire:p=1");
+  const FaultPlan p = FaultPlan::parse("wire:p=1");
   EXPECT_TRUE(p.any());
   EXPECT_FALSE(p.affects_simulation());
 }
@@ -237,7 +233,7 @@ TEST(WireFaults, CorruptionIsDeterministicAndAlwaysChangesBytes) {
 }
 
 TEST(WireFaults, DisabledPlanAndEmptyPayloadNeverFire) {
-  const FaultEngine off(FaultPlan::parse("trace:n=1"));
+  const FaultEngine off(FaultPlan::parse("seed=1"));
   std::string bytes = "abc";
   EXPECT_FALSE(off.wire_corrupt(bytes.data(), bytes.size(), 1));
   EXPECT_EQ(bytes, "abc");
@@ -401,7 +397,7 @@ TEST(FaultsOff, HarnessOnlyPlanLeavesSimulationBitIdentical) {
   const bench::RunResult base =
       bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, /*seed=*/77);
   {
-    ScopedFaultEngine fe("trace:p=1,n=2");
+    ScopedFaultEngine fe("wire:p=1");
     const bench::RunResult faulted =
         bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, 77);
     expect_runs_equal(base, faulted, "harness-only plan");
@@ -415,59 +411,6 @@ TEST(FaultsOff, HarnessOnlyPlanLeavesSimulationBitIdentical) {
   // A clean document has no fault block at all.
   const std::string doc = bench::detail::render_metrics_json();
   EXPECT_EQ(doc.find("\"faults\""), std::string::npos);
-}
-
-// --- trace short reads (acceptance criterion c) -----------------------------
-
-std::string write_test_trace(const char* name, std::size_t ops) {
-  const std::string path = std::string("faults_") + name + ".trace";
-  std::ofstream out(path);
-  out << "# readduo trace v1: <gap_instructions> R|W <line> [A]\n";
-  for (std::size_t i = 0; i < ops; ++i) {
-    out << (i % 7) << ' ' << (i % 3 == 0 ? 'W' : 'R') << ' ' << (100 + i)
-        << '\n';
-  }
-  return path;
-}
-
-TEST(TraceFaults, CleanLoadSucceedsFirstAttempt) {
-  const std::string path = write_test_trace("clean", 40);
-  const trace::TraceFileResult r = trace::load_trace_file(path);
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.attempts, 1u);
-  EXPECT_EQ(r.ops.size(), 40u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceFaults, TransientShortReadRecoversOnRetry) {
-  const std::string path = write_test_trace("transient", 40);
-  ScopedFaultEngine fe("trace:n=1");
-  const trace::TraceFileResult r = trace::load_trace_file(path);
-  EXPECT_TRUE(r.ok);
-  EXPECT_EQ(r.attempts, 2u);
-  EXPECT_EQ(r.ops.size(), 40u);
-  EXPECT_NE(r.message.find("recovered"), std::string::npos);
-  EXPECT_GE(fe.get()->count(FaultClass::kTraceShortRead), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(TraceFaults, PersistentShortReadSkipsWithReport) {
-  const std::string path = write_test_trace("persistent", 40);
-  ScopedFaultEngine fe("trace:n=99");
-  const trace::TraceFileResult r = trace::load_trace_file(path);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.attempts, 3u);
-  EXPECT_TRUE(r.ops.empty());
-  EXPECT_FALSE(r.message.empty());
-  std::remove(path.c_str());
-}
-
-TEST(TraceFaults, MissingFileFailsWithoutRetry) {
-  const trace::TraceFileResult r =
-      trace::load_trace_file("does_not_exist.trace");
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.attempts, 1u);
-  EXPECT_NE(r.message.find("cannot open"), std::string::npos);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include "trace/workload.h"
 
 #include <map>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -113,6 +114,16 @@ TEST(TraceGen, ArchiveIsNeverWritten) {
       EXPECT_GE(op.line, w.footprint_lines);
     }
   }
+}
+
+TEST(TraceGen, FootprintSpansManyLines) {
+  // The Zipf stream must spread over the workload's footprint, not
+  // collapse onto a few hot lines.
+  const Workload& w = workload_by_name("lbm");
+  TraceGen g(w, 0, 3);
+  std::set<std::uint64_t> lines;
+  for (int i = 0; i < 50000; ++i) lines.insert(g.next().line);
+  EXPECT_GT(lines.size(), 1000u);
 }
 
 TEST(TraceGen, ZipfLocalityHotterLowRanks) {

@@ -25,7 +25,6 @@
 #include "readduo/schemes.h"
 #include "stats/edap.h"
 #include "stats/json.h"
-#include "trace/trace_io.h"
 #include "trace/workload.h"
 
 using namespace rd;
