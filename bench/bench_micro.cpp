@@ -9,8 +9,9 @@
 // the pairs into a BENCH JSON (see README "Profiling the hot paths").
 //
 // For a smoke run that only checks the benchmarks still execute, pass
-// google-benchmark's own --benchmark_min_time=0.003 (run_test_sweep.sh
-// does); the numbers it prints are NOT stable, never record them.
+// google-benchmark's own --benchmark_min_time=0.003 (ctest
+// bench_micro_smoke does); the numbers it prints are NOT stable, never
+// record them.
 #include <benchmark/benchmark.h>
 
 #include "common/kernels.h"

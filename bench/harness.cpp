@@ -142,7 +142,15 @@ void emit_metrics() {
 
 void ensure_exit_hook() {
   static std::once_flag once;
-  std::call_once(once, [] { std::atexit(emit_metrics); });
+  std::call_once(once, [] {
+    // Statics are destroyed in reverse order of construction, interleaved
+    // with atexit hooks. Build every static emit_metrics reads before
+    // registering it, so none is destroyed before the hook runs.
+    harness();
+    faults::engine();
+    config::active_device();
+    std::atexit(emit_metrics);
+  });
 }
 
 RunResult run_fresh(const RunSpec& s) {

@@ -15,21 +15,26 @@
 #      armed, not silently inert. Skipped (with a notice) when the host
 #      has no clang++; the annotations themselves still compile under GCC
 #      as no-ops in every other stage.
-#   4. Sanitizer matrix: the fixed-seed readduo_load service soak under
-#      TSan (100k requests), with its virtual-time metrics diffed
-#      bit-for-bit against the plain build's run — instrumentation must
-#      not change results — and the sampler-cache race test
-#      (Schemes.ConcurrentSamplerBuildsFinishAndAgree: a plain thread and
-#      pool shards build one sampler at once) under TSan.
-#      READDUO_TSAN_SOAK=0 skips just these TSan runs (e.g. on hosts where
-#      TSan is unavailable); the UBSan bench smoke then still runs.
+#   4. Sanitizer matrix. With a TSan build of readduo_load,
+#      readduo_serve and test_readduo (build-tsan/):
+#      - the fixed-seed 100k-request service soak (tests/soak.sh) run
+#        in-process by the TSan readduo_load, and over the wire against a
+#        TSan readduo_serve with three plain clients, each at 4 threads
+#        and each pinned bit-for-bit to the plain build's in-process run:
+#        instrumentation and its rescheduling must not change results;
+#      - the sampler-cache race test
+#        (Schemes.ConcurrentSamplerBuildsFinishAndAgree: a plain thread and
+#        pool shards build one sampler at once).
+#      Then UBSan: a bench_paper smoke and the test_wire frame corpus.
+#      READDUO_TSAN_SOAK=0 skips just the TSan runs (e.g. on hosts where
+#      TSan is unavailable); the UBSan stages still run.
 #
 # CI and the verify skill both run exactly this.
 #
 # Usage: ./run_static_analysis.sh [build-dir]          (default: build)
 #   SKIP_SANITIZER_SMOKE=1   skip the whole sanitizer matrix (e.g. when
 #                            the caller already ran a sanitized suite)
-#   READDUO_TSAN_SOAK=0      skip only the TSan service soak and race test
+#   READDUO_TSAN_SOAK=0      skip only the TSan soaks and race test
 set -u
 cd "$(dirname "$0")"
 BUILD=${1:-build}
@@ -101,31 +106,21 @@ fi
 
 if [ "${SKIP_SANITIZER_SMOKE:-0}" != "1" ]; then
   if [ "${READDUO_TSAN_SOAK:-1}" != "0" ]; then
-    step "sanitizer matrix: TSan service soak (readduo_load, fixed seed)"
-    soak_dir=$(mktemp -d)
-    if [ ! -x "$BUILD/tools/readduo_load" ]; then
-      cmake --build "$BUILD" --target readduo_load -j || exit 1
+    step "sanitizer matrix: TSan service soak (in-process)"
+    if [ ! -x "$BUILD/tools/readduo_load" ] \
+       || [ ! -x "$BUILD/tools/readduo_serve" ]; then
+      cmake --build "$BUILD" --target readduo_load readduo_serve -j || exit 1
     fi
     cmake -B build-tsan -S . -DREADDUO_SANITIZE=thread > /dev/null \
-      && cmake --build build-tsan --target readduo_load test_readduo -j \
+      && cmake --build build-tsan \
+           --target readduo_load readduo_serve test_readduo -j \
       || failures=$((failures + 1))
-    for run in plain:"$BUILD" tsan:build-tsan; do
-      name=${run%%:*}; tree=${run#*:}
-      echo "-- readduo_load 100k requests ($name build)"
-      READDUO_THREADS=4 "$tree/tools/readduo_load" --requests=100000 \
-        --report-every=0 --seed=7 --summary="$soak_dir/soak_$name.json" \
-        > /dev/null || failures=$((failures + 1))
-    done
-    # Virtual-time metrics must be bit-identical with TSan on: the
-    # instrumentation may only change wall-clock and backpressure fields.
-    if ! diff \
-        <(grep -Ev 'wall|spins|rejected|threads' "$soak_dir/soak_plain.json") \
-        <(grep -Ev 'wall|spins|rejected|threads' "$soak_dir/soak_tsan.json")
-    then
-      echo "TSan soak: instrumented metrics diverge from plain build"
-      failures=$((failures + 1))
-    fi
-    rm -rf "$soak_dir"
+    tests/soak.sh "$BUILD/tools" inproc,READDUO_THREADS=4 \
+      inproc@build-tsan/tools,READDUO_THREADS=4 || failures=$((failures + 1))
+
+    step "sanitizer matrix: TSan socket soak (TSan readduo_serve)"
+    tests/soak.sh "$BUILD/tools" inproc,READDUO_THREADS=4 \
+      wire@build-tsan/tools,READDUO_THREADS=4 || failures=$((failures + 1))
 
     step "sanitizer matrix: TSan sampler-cache race (test_readduo)"
     # The timeout turns a deadlock into a failure instead of a hang.
@@ -133,7 +128,7 @@ if [ "${SKIP_SANITIZER_SMOKE:-0}" != "1" ]; then
       --gtest_filter=Schemes.ConcurrentSamplerBuildsFinishAndAgree \
       || failures=$((failures + 1))
   else
-    skip "READDUO_TSAN_SOAK=0 — skipping the TSan service soak and race test"
+    skip "READDUO_TSAN_SOAK=0 — skipping the TSan soaks and race test"
   fi
 
   step "sanitizer smoke: UBSan bench_paper at a small instruction budget"
@@ -152,7 +147,7 @@ if [ "${SKIP_SANITIZER_SMOKE:-0}" != "1" ]; then
     || failures=$((failures + 1))
 else
   step "sanitizer matrix"
-  skip "SKIP_SANITIZER_SMOKE=1 — skipping the TSan soak and both UBSan smokes"
+  skip "SKIP_SANITIZER_SMOKE=1 — skipping the TSan soaks and both UBSan smokes"
   skipped=$((skipped + 2))
 fi
 

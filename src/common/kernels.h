@@ -15,8 +15,8 @@
 // The contract is strict bit identity across both tiers, with no
 // tolerance lane: identical syndromes, decode flags, corrected words,
 // levels, counts and intermediate doubles for every input (enforced by
-// tests/test_kernels.cpp, which run_test_sweep.sh also replays under
-// READDUO_KERNELS=reference).
+// tests/test_kernels.cpp, which ctest also replays under
+// READDUO_KERNELS=reference as `test_kernels_reference`).
 //
 // A third, vectorized tier (AVX2 lanes over a structure-of-arrays mirror
 // of every line) was retired: no workload selected it, and its mirror

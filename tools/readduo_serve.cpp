@@ -6,9 +6,9 @@
 // Binds the framed wire protocol (src/net/) in front of one
 // service::MemoryService and runs the poll loop until SIGINT/SIGTERM —
 // or, with --oneshot, until at least one client has connected and all
-// connections are gone (the harness mode: run_test_sweep.sh lane 8
-// starts a server, points readduo_load --connect at it, and the server
-// exits by itself when the load generator hangs up).
+// connections are gone (the harness mode: tests/soak.sh starts a server,
+// points readduo_load --connect at it, and the server exits by itself
+// when the load generator hangs up).
 //
 // The first stdout line is `READDUO_SERVE listening <addr>` with the
 // resolved address (tcp port 0 is filled in), so scripts can wait for
