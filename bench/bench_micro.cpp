@@ -14,6 +14,8 @@
 // record them.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/kernels.h"
 #include "common/rng.h"
 #include "drift/error_model.h"
@@ -202,6 +204,31 @@ BENCHMARK_CAPTURE(BM_KernelMlcLineRead, ref, KernelMode::kReference)
     ->Name("Kernel_mlc_line_read_ref");
 BENCHMARK_CAPTURE(BM_KernelMlcLineRead, opt, KernelMode::kOptimized)
     ->Name("Kernel_mlc_line_read_opt");
+
+void BM_KernelMlcChipSense(benchmark::State& state, KernelMode mode) {
+  // The chip's and the scrub's access pattern: 1024 written lines sensed
+  // in a seeded random order. The lines' cells span ~10 MB, so each sense
+  // starts cache-cold and its level decisions are unpredictable, which
+  // Kernel_mlc_line_read's one hot line hides.
+  constexpr std::size_t kLines = 1024;
+  Rng rng(24);
+  const drift::MetricConfig cfg = drift::r_metric();
+  std::vector<pcm::MlcLine> lines(kLines, pcm::MlcLine(592));
+  for (pcm::MlcLine& line : lines) {
+    line.write_full(random_payload(rng, 592), 0.0, rng, cfg);
+  }
+  std::vector<std::size_t> order(4 * kLines);
+  for (std::size_t& l : order) l = rng.uniform_below(kLines);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lines[order[next]].read(640.0, cfg, mode));
+    next = next + 1 == order.size() ? 0 : next + 1;
+  }
+}
+BENCHMARK_CAPTURE(BM_KernelMlcChipSense, ref, KernelMode::kReference)
+    ->Name("Kernel_mlc_chip_sense_ref");
+BENCHMARK_CAPTURE(BM_KernelMlcChipSense, opt, KernelMode::kOptimized)
+    ->Name("Kernel_mlc_chip_sense_opt");
 
 void BM_KernelDriftErrorScan(benchmark::State& state, KernelMode mode) {
   // The Monte-Carlo LER / Figure 6 inner loop: count misread cells of a

@@ -9,7 +9,7 @@ namespace rd::pcm {
 void Cell::program(std::size_t level, double t_write_seconds, Rng& rng,
                    const drift::MetricConfig& cfg) {
   RD_CHECK(level < drift::kNumStates);
-  level_ = level;
+  level_ = static_cast<std::uint8_t>(level);
   t_write_ = t_write_seconds;
   // The programming percentile is write noise: redrawn per program. The
   // drift percentile is cell-intrinsic process variation: drawn once and
@@ -23,30 +23,15 @@ void Cell::program(std::size_t level, double t_write_seconds, Rng& rng,
   }
 }
 
-double Cell::metric_at_logt(double log_t_ratio,
-                            const drift::MetricConfig& cfg) const {
-  const drift::StateParams& sp = cfg.states[level_];
-  const double x0 = sp.mu + z_program_ * sp.sigma;
-  const double alpha = sp.mu_alpha + z_alpha_ * sp.sigma_alpha;
-  return x0 + alpha * log_t_ratio;
-}
-
-double Cell::metric_programmed(const drift::MetricConfig& cfg) const {
-  const drift::StateParams& sp = cfg.states[level_];
-  return sp.mu + z_program_ * sp.sigma;
-}
-
-double Cell::metric_at(double t_seconds,
-                       const drift::MetricConfig& cfg) const {
-  const double age = t_seconds - t_write_;
-  if (age <= cfg.t0_seconds) return metric_programmed(cfg);
-  return metric_at_logt(std::log10(age / cfg.t0_seconds), cfg);
-}
-
 void Cell::set_stuck(std::size_t level) {
   RD_CHECK(level < drift::kNumStates);
   stuck_ = true;
-  stuck_level_ = level;
+  stuck_level_ = static_cast<std::uint8_t>(level);
+}
+
+Cell::Boundaries Cell::upper_boundaries(const drift::MetricConfig& cfg) {
+  return {cfg.upper_boundary(0), cfg.upper_boundary(1),
+          cfg.upper_boundary(2)};
 }
 
 std::size_t Cell::level_from_metric(double x,
@@ -79,11 +64,8 @@ std::size_t Cell::read_level(double t_seconds,
 std::size_t Cell::read_level_logt(bool drifted, double log_t_ratio,
                                   const drift::MetricConfig& cfg,
                                   double metric_offset) const {
-  if (stuck_) return stuck_level_;
-  const double x =
-      (drifted ? metric_at_logt(log_t_ratio, cfg) : metric_programmed(cfg)) +
-      metric_offset;
-  return level_from_metric(x, cfg);
+  return read_level_logt(drifted, log_t_ratio, cfg, upper_boundaries(cfg),
+                         metric_offset);
 }
 
 }  // namespace rd::pcm

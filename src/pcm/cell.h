@@ -7,16 +7,24 @@
 // are consistent: a cell whose R drifts hard also sits high in the (much
 // slower) M drift distribution.
 //
-// Performance note (DESIGN.md §10): evaluating the drift law
+// Performance note (DESIGN.md §10.2): evaluating the drift law
 // R(t) = R0 * (t / t0)^alpha costs one log10 per readout in log space, and
 // that log10 depends only on the cell's age — which whole-line reads and
 // Monte-Carlo sweeps share across hundreds of cells. The *_logt entry
 // points below take the precomputed log10(age / t0) so batched callers
 // (MlcLine::read_levels, pcm::mc_ler) hoist it; they are the same
 // arithmetic as metric_at / read_level, so the results are bit-identical
-// (the scalar paths are implemented on top of them).
+// (the scalar paths are implemented on top of them). The batched paths
+// also hoist the three upper boundaries (upper_boundaries) and place the
+// metric with a branch-free decision (decide_level) instead of the
+// reference tier's first-match walk, which mispredicts on random levels;
+// both give the same level for any boundary order and for NaN. A Cell is
+// 32 bytes (three doubles, then the two levels as bytes and the two
+// flags), so a 296-cell line spans 148 cache lines.
 #pragma once
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 
 #include "common/rng.h"
@@ -43,18 +51,30 @@ class Cell {
   /// The metric value (log10 units) at absolute time t under `cfg`.
   /// Before t_write + t0 the drift term is zero (the drift law starts at
   /// t0 after programming).
-  double metric_at(double t_seconds, const drift::MetricConfig& cfg) const;
+  double metric_at(double t_seconds, const drift::MetricConfig& cfg) const {
+    const double age = t_seconds - t_write_;
+    if (age <= cfg.t0_seconds) return metric_programmed(cfg);
+    return metric_at_logt(std::log10(age / cfg.t0_seconds), cfg);
+  }
 
   /// The metric value given log_t_ratio = log10(age / t0) precomputed by a
   /// batched caller. Requires age > t0 (callers use metric_programmed()
   /// otherwise). metric_at(t, cfg) == metric_at_logt(log10((t - t_write)
   /// / t0), cfg) exactly — same arithmetic, hoisted log10.
   double metric_at_logt(double log_t_ratio,
-                        const drift::MetricConfig& cfg) const;
+                        const drift::MetricConfig& cfg) const {
+    const drift::StateParams& sp = cfg.states[level_];
+    const double x0 = sp.mu + z_program_ * sp.sigma;
+    const double alpha = sp.mu_alpha + z_alpha_ * sp.sigma_alpha;
+    return x0 + alpha * log_t_ratio;
+  }
 
   /// The metric value with no drift term (age <= t0): the as-programmed
   /// log10 metric.
-  double metric_programmed(const drift::MetricConfig& cfg) const;
+  double metric_programmed(const drift::MetricConfig& cfg) const {
+    const drift::StateParams& sp = cfg.states[level_];
+    return sp.mu + z_program_ * sp.sigma;
+  }
 
   /// Read out the level at time t by comparing against the reference
   /// boundaries of `cfg` (three references, Section II-A). Drift only
@@ -75,6 +95,39 @@ class Cell {
   std::size_t read_level_logt(bool drifted, double log_t_ratio,
                               const drift::MetricConfig& cfg,
                               double metric_offset) const;
+
+  /// The upper read boundaries of states 0..2 of `cfg`, in state order.
+  /// The loader only requires the means to increase, so they need not be
+  /// sorted.
+  using Boundaries = std::array<double, drift::kNumStates - 1>;
+  static Boundaries upper_boundaries(const drift::MetricConfig& cfg);
+
+  /// The level of metric `x` without a data-dependent branch: the index
+  /// of the first boundary with x <= ub[i], or 3 if there is none — the
+  /// reference walk's answer for any boundary order and for NaN (every
+  /// comparison with NaN is false, so both give 3). Each term is 1 only
+  /// while every earlier boundary was passed, which is why the plain
+  /// count of passed boundaries would be wrong for unsorted ones.
+  static std::size_t decide_level(double x, const Boundaries& ub) {
+    const unsigned a0 = !(x <= ub[0]);
+    const unsigned a1 = a0 & !(x <= ub[1]);
+    const unsigned a2 = a1 & !(x <= ub[2]);
+    return a0 + a1 + a2;
+  }
+
+  /// read_level_logt against boundaries the caller hoisted with
+  /// upper_boundaries(cfg); inline, so the line-sense loop carries no
+  /// call per cell.
+  std::size_t read_level_logt(bool drifted, double log_t_ratio,
+                              const drift::MetricConfig& cfg,
+                              const Boundaries& ub,
+                              double metric_offset) const {
+    if (stuck_) return stuck_level_;
+    const double x = (drifted ? metric_at_logt(log_t_ratio, cfg)
+                              : metric_programmed(cfg)) +
+                     metric_offset;
+    return decide_level(x, ub);
+  }
 
   /// True if reading at time t under cfg would return the wrong level.
   bool drift_error(double t_seconds, const drift::MetricConfig& cfg) const {
@@ -98,17 +151,20 @@ class Cell {
 
  private:
   /// Locate metric value x among the three upper boundaries of `cfg` —
-  /// the two-round reference comparison shared by every read path.
+  /// the two-round reference comparison of the reference tier's
+  /// read_level (the batched paths use decide_level).
   static std::size_t level_from_metric(double x,
                                        const drift::MetricConfig& cfg);
 
-  std::size_t level_ = 0;
   double t_write_ = 0.0;
   double z_program_ = 0.0;  ///< programming percentile, truncated normal
   double z_alpha_ = 0.0;    ///< drift-coefficient percentile, standard normal
+  std::uint8_t level_ = 0;  ///< < kNumStates, so a byte holds it
+  std::uint8_t stuck_level_ = 0;
   bool has_identity_ = false;
   bool stuck_ = false;
-  std::size_t stuck_level_ = 0;
 };
+
+static_assert(sizeof(Cell) == 32, "two cells per 64-byte cache line");
 
 }  // namespace rd::pcm

@@ -91,12 +91,19 @@ void MlcLine::read_levels(double t_seconds, const drift::MetricConfig& cfg,
   // full write, or each run of a differential write) share one
   // log10(age / t0). The cached value is exactly what the scalar path
   // would compute, so levels are bit-identical to per-cell read_level.
+  // The boundaries are hoisted too, and each level is decided without a
+  // data-dependent branch (Cell::decide_level).
+  const Cell::Boundaries ub = Cell::upper_boundaries(cfg);
   bool have_cached = false;
   double cached_tw = 0.0;
   bool cached_drifted = false;
   double cached_logt = 0.0;
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    const Cell& cell = cells_[c];
+  // The size and base are read once: stores through out_levels may alias
+  // the vector's members.
+  const Cell* cells = cells_.data();
+  const std::size_t n = cells_.size();
+  for (std::size_t c = 0; c < n; ++c) {
+    const Cell& cell = cells[c];
     const double tw = cell.write_time();
     if (!have_cached || tw != cached_tw) {
       const double age = t_seconds - tw;
@@ -106,8 +113,9 @@ void MlcLine::read_levels(double t_seconds, const drift::MetricConfig& cfg,
       cached_tw = tw;
       have_cached = true;
     }
-    out_levels[c] = static_cast<std::uint8_t>(cell.read_level_logt(
-        cached_drifted, cached_logt, cfg, offsets != nullptr ? offsets[c] : 0.0));
+    out_levels[c] = static_cast<std::uint8_t>(
+        cell.read_level_logt(cached_drifted, cached_logt, cfg, ub,
+                             offsets != nullptr ? offsets[c] : 0.0));
   }
 }
 

@@ -8,9 +8,13 @@
 // one instant). The batched read_levels path computes log10(age / t0)
 // once per distinct write time instead of once per cell — after a full
 // write that is one log10 for the whole line; after differential writes,
-// one per run of same-age cells. Selectable vs the straight per-cell
-// reference via KernelMode; outputs are bit-identical (the batch calls the
-// same Cell arithmetic with the hoisted operand).
+// one per run of same-age cells. It also hoists the three read
+// boundaries and decides each level without a data-dependent branch
+// (Cell::decide_level), so random levels cost no mispredicts. Selectable
+// vs the straight per-cell reference via KernelMode; outputs are
+// bit-identical (the batch runs the same Cell metric arithmetic with the
+// hoisted operand, and its decision equals the reference walk for any
+// boundary order).
 #pragma once
 
 #include <cstdint>

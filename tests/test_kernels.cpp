@@ -288,6 +288,59 @@ TEST(LineKernelEquivalence, ReadLevelsMatchesPerCellWithOffsetsAndStuck) {
   }
 }
 
+/// The R-metric with state 1's sigma raised so its upper boundary sits
+/// above state 2's (ub1 = 4 + 3.08 * 0.6 = 5.85 > ub2 = 5 + 3.08 / 6 =
+/// 5.51). The loader only requires the means to increase, so it accepts
+/// such a config; the reference walk then reads a metric in (ub2, ub1]
+/// as level 1, which a count of passed boundaries would call level 2.
+drift::MetricConfig unsorted_boundaries_metric() {
+  drift::MetricConfig cfg = drift::r_metric();
+  cfg.states[1].sigma = 0.6;
+  return cfg;
+}
+
+TEST(LineKernelEquivalence, ReadMatchesWithUnsortedBoundaries) {
+  // Full and differential writes (the last one younger than t0 at the
+  // first read), sense offsets on every cell and one stuck cell, read
+  // through both tiers. The optimized tier's branch-free decision must
+  // give the reference walk's level even where the walk skips a
+  // boundary.
+  const drift::MetricConfig cfg = unsorted_boundaries_metric();
+  ASSERT_GT(cfg.upper_boundary(1), cfg.upper_boundary(2));
+  Rng rng(108);
+  pcm::MlcLine line(592);
+  line.write_full(random_bits(rng, 592), 0.0, rng, cfg);
+  line.write_differential(random_bits(rng, 592), 100.0, rng, cfg);
+  line.write_differential(random_bits(rng, 592), 300.0, rng, cfg);
+  line.cell_at(29).set_stuck(3);
+  std::vector<double> offsets(line.num_cells());
+  for (double& o : offsets) o = rng.normal(0.0, 0.05);
+  std::size_t skipped = 0;  // metrics in (ub2, ub1]: the walk skips ub2
+  for (double t : {300.5, 640.0, 6400.0}) {
+    const BitVec r = line.read(t, cfg, KernelMode::kReference);
+    const BitVec o = line.read(t, cfg, KernelMode::kOptimized);
+    EXPECT_TRUE(r == o) << "t=" << t;
+    EXPECT_EQ(line.count_drift_errors(t, cfg, KernelMode::kReference),
+              line.count_drift_errors(t, cfg, KernelMode::kOptimized))
+        << "t=" << t;
+    std::vector<std::uint8_t> batched(line.num_cells());
+    line.read_levels(t, cfg, offsets.data(), batched.data());
+    for (std::size_t c = 0; c < line.num_cells(); ++c) {
+      const pcm::Cell& cell = line.cells()[c];
+      EXPECT_EQ(cell.read_level(t, cfg, offsets[c]), batched[c])
+          << "t=" << t << " cell " << c;
+      const double x = cell.metric_at(t, cfg) + offsets[c];
+      if (!cell.is_stuck() && x > cfg.upper_boundary(2) &&
+          x <= cfg.upper_boundary(1)) {
+        ++skipped;
+      }
+    }
+  }
+  // The case is only a test of the decision if some metric lands where
+  // the two forms disagree.
+  EXPECT_GT(skipped, 0u);
+}
+
 // --- Monte-Carlo LER: hoisted drift law ----------------------------------
 
 TEST(McLerKernelEquivalence, CountsMatchBitIdentically) {
@@ -300,6 +353,24 @@ TEST(McLerKernelEquivalence, CountsMatchBitIdentically) {
         pcm::mc_ler(cfg, geom, 2, t, 20000, 9, KernelMode::kOptimized);
     EXPECT_EQ(r.lines, o.lines);
     EXPECT_EQ(r.failures, o.failures) << "t=" << t;
+  }
+}
+
+TEST(McLerKernelEquivalence, CountsMatchWithUnsortedBoundaries) {
+  // Under this config every state-2 cell reads as level 1 while its
+  // metric is below ub1, so a line carries ~90 misreads: E = 90 puts the
+  // failure count mid-range.
+  const drift::MetricConfig cfg = unsorted_boundaries_metric();
+  const drift::LineGeometry geom;
+  for (double t : {0.5, 640.0}) {
+    const pcm::McLerResult r =
+        pcm::mc_ler(cfg, geom, 90, t, 4000, 10, KernelMode::kReference);
+    const pcm::McLerResult o =
+        pcm::mc_ler(cfg, geom, 90, t, 4000, 10, KernelMode::kOptimized);
+    EXPECT_EQ(r.failures, o.failures) << "t=" << t;
+    // Neither none nor all: a count that moves with the decision.
+    EXPECT_GT(r.failures, 0u) << "t=" << t;
+    EXPECT_LT(r.failures, r.lines) << "t=" << t;
   }
 }
 
