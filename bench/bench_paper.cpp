@@ -89,7 +89,7 @@ void print_tables_1_2(Results) {
   std::printf("  Memory: %llu GB MLC PCM, %u banks, %u B lines, %u cells "
               "per line, %u lines per scrub row\n",
               static_cast<unsigned long long>(org.capacity_bytes >> 30),
-              org.num_banks, org.line_bytes, org.cells_per_line,
+              org.num_banks, org.line_bytes, dev.geometry.total_cells(),
               org.lines_per_scrub);
   std::printf("  Timing: R-read %lld ns, M-read %lld ns, R-M-read %lld ns, "
               "write %lld ns, bus %lld ns\n",
@@ -107,7 +107,7 @@ void print_tables_1_2(Results) {
               e.r_read.v, e.m_read.v, e.cell_write.v, e.static_watts);
   pcm::PnvParams pnv;
   std::printf("  P&V pulses per cell write (avg over levels): %.2f\n",
-              pcm::average_write_pulses(pnv));
+              pcm::mean_pulses_per_write(pnv));
 }
 
 /// One grid entry of Tables III-V: the probability, starred when it meets
@@ -623,12 +623,14 @@ void print_fig11(const Grid& g) {
 
   // Cells needed to store one 64 B line (the area axis of EDAP).
   readduo::ReadDuoOptions opts;
-  std::printf("Cells per 64 B line (normalized to TLC = 384):\n");
+  const double tlc_cells = readduo::cells_per_line(readduo::SchemeKind::kTlc);
+  std::printf("Cells per 64 B line (normalized to TLC = %.0f):\n",
+              tlc_cells);
   stats::Table dt({"Scheme", "cells/line", "vs TLC"});
   for (auto kind : g.kinds) {
     const double cells = readduo::cells_per_line(kind, opts);
     dt.add_row({readduo::scheme_name(kind, opts), stats::fmt("%.0f", cells),
-                stats::fmt("%.3f", cells / 384.0)});
+                stats::fmt("%.3f", cells / tlc_cells)});
   }
   dt.print();
 
@@ -869,7 +871,9 @@ void print_ablation_w1(Results results) {
 
   stats::Table t({"Scheme", "exec time", "dyn energy", "lifetime",
                   "cells/line"});
-  t.add_row({"Ideal", "1.000", "1.000", "1.000", "296"});
+  t.add_row({"Ideal", "1.000", "1.000", "1.000",
+             stats::fmt("%.0f", readduo::cells_per_line(
+                                    readduo::SchemeKind::kIdeal))});
   for (std::size_t i = 0; i < kN; ++i) {
     t.add_row({readduo::scheme_name(kinds[i]),
                stats::fmt("%.3f", geomean(time[i])),

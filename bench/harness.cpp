@@ -160,10 +160,7 @@ RunResult run_fresh(const RunSpec& s) {
   cfg.instructions_per_core =
       s.instructions > 0 ? s.instructions : instruction_budget();
   cfg.seed = s.seed;
-  cfg.row_buffer.enabled = s.open_page;
-  // An open-page policy pairs with row-interleaved address mapping so
-  // sequential lines land in the same latched row.
-  if (s.open_page) cfg.address_map = memsim::AddressMap::kRowInterleave;
+  if (s.open_page) cfg.enable_open_page();
   cfg.write_preemption = s.write_preemption;
   cfg.write_cancellation = s.write_cancellation;
   cfg.trace_events = stats::trace_ring_capacity_from_env();
@@ -183,11 +180,11 @@ RunResult run_fresh(const RunSpec& s) {
   return result;
 }
 
-/// The single run path behind both public entry points. Fills `rec` (when
-/// the metrics export is on) but does NOT register it — the caller owns
-/// registration order, so batch exports list runs in spec order no matter
-/// how the pool interleaved them.
-RunResult run_one(const RunSpec& s, RunRecord* rec) {
+/// One run of run_schemes(). Fills `rec` (when the metrics export is on)
+/// but does NOT register it — the caller owns registration order, so
+/// batch exports list runs in spec order no matter how the pool
+/// interleaved them.
+RunResult run_one(const RunSpec& s, RunRecord& rec) {
   ensure_exit_hook();
   const auto t0 = std::chrono::steady_clock::now();
   RunResult result = run_fresh(s);
@@ -204,11 +201,11 @@ RunResult run_one(const RunSpec& s, RunRecord* rec) {
                           prev, us, std::memory_order_relaxed)) {
   }
 
-  if (rec != nullptr && metrics_dest() != nullptr) {
-    rec->workload = s.workload.name;
-    rec->seed = s.seed;
-    rec->wall_ms = static_cast<double>(us) / 1000.0;
-    rec->result = result;
+  if (metrics_dest() != nullptr) {
+    rec.workload = s.workload.name;
+    rec.seed = s.seed;
+    rec.wall_ms = static_cast<double>(us) / 1000.0;
+    rec.result = result;
   }
   return result;
 }
@@ -318,19 +315,6 @@ void set_bench_name(const std::string& name) {
   h.bench_name = name;
 }
 
-RunResult run_scheme(readduo::SchemeKind kind, const trace::Workload& w,
-                     const readduo::ReadDuoOptions& opts,
-                     std::uint64_t seed) {
-  RunRecord rec;
-  RunResult result = run_one({kind, w, opts, seed}, &rec);
-  if (metrics_dest() != nullptr) {
-    Harness& h = harness();
-    MutexLock g(h.mu);
-    h.runs.push_back(std::move(rec));
-  }
-  return result;
-}
-
 std::vector<RunResult> run_schemes(const std::vector<RunSpec>& specs) {
   // Each spec maps to the first equal one. The key is the whole spec, so
   // a field added to any of its structs joins it; a linear scan suffices
@@ -346,7 +330,7 @@ std::vector<RunResult> run_schemes(const std::vector<RunSpec>& specs) {
   std::vector<RunResult> runs(distinct.size());
   std::vector<RunRecord> recs(distinct.size());
   parallel_for_shards(distinct.size(), [&](std::size_t d) {
-    runs[d] = run_one(specs[distinct[d]], &recs[d]);
+    runs[d] = run_one(specs[distinct[d]], recs[d]);
   });
   // Register in order of first occurrence so the export is deterministic
   // regardless of how the pool interleaved the runs.

@@ -60,11 +60,6 @@ std::uint64_t run_count();
 
 }  // namespace detail
 
-/// Run `kind` on `workload` under the active device.
-RunResult run_scheme(readduo::SchemeKind kind, const trace::Workload& w,
-                     const readduo::ReadDuoOptions& opts = {},
-                     std::uint64_t seed = 42);
-
 /// One (scheme, workload) run request for the batch API. The defaults
 /// are the paper's closed-page, cancel-on-read system; the row-buffer and
 /// write-preemption extensions set the policy fields.
@@ -73,7 +68,7 @@ struct RunSpec {
   trace::Workload workload;
   readduo::ReadDuoOptions opts = {};
   std::uint64_t seed = 42;
-  /// Open-page row buffer with row-interleaved address mapping.
+  /// The open-page system (memsim::SimConfig::enable_open_page).
   bool open_page = false;
   memsim::WritePreemption write_preemption = memsim::WritePreemption::kCancel;
   bool write_cancellation = true;
@@ -86,7 +81,7 @@ struct RunSpec {
 /// Execute every distinct spec once — concurrently over the
 /// READDUO_THREADS pool, since each simulation is independent — and
 /// return one result per spec, in spec order (equal specs share a run).
-/// Results are identical to calling run_scheme() serially for each spec.
+/// Results are identical to running each spec alone, serially.
 std::vector<RunResult> run_schemes(const std::vector<RunSpec>& specs);
 
 /// The paper's six evaluated schemes, in Figure 9 order.

@@ -6,8 +6,8 @@ const DeviceConfig& builtin_device() {
   // Built from exactly the compiled-in constants the stack used before
   // the config subsystem existed: drift::r_metric()/m_metric() (Tables
   // I/II) and the default-constructed params.h / geometry structs (Table
-  // VIII, the Table IX substitutes, BCH-8 + ECP-6, the 640 s / W=1
-  // scrub). configs/pcm_readduo_t1.cfg is golden-test-enforced to load
+  // VIII, the Table IX substitutes, the 256 + 40 cell line, the 640 s /
+  // W=1 scrub). configs/pcm_readduo_t1.cfg is golden-test-enforced to load
   // bit-for-bit equal to this value (tests/test_config.cpp).
   static const DeviceConfig kBuiltin = [] {
     DeviceConfig d;
@@ -22,7 +22,6 @@ const DeviceConfig& builtin_device() {
     d.org = pcm::MemoryOrg{};
     d.timing = pcm::TimingParams{};
     d.energy = pcm::EnergyParams{};
-    d.ecc = EccParams{};
     d.scrub = pcm::ScrubPolicy{};
     return d;
   }();

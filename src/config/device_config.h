@@ -2,11 +2,11 @@
 // gathered into one value type that external .cfg files can populate.
 //
 // Historically the ReadDuo Tables I/II drift parameters, the Table VIII
-// timing/energy sets, and the BCH/scrub geometry were compile-time
-// constants scattered across drift/metric.cpp, pcm/params.h, and
-// pcm/chip.h. A DeviceConfig carries all of them, so a PCM variant, an
-// RRAM parameter set, or a TLC-NAND retention model is data (a file under
-// configs/), not code — the role NVMain's Config/*.config files play.
+// timing/energy sets, and the scrub operating point were compile-time
+// constants scattered across drift/metric.cpp and pcm/params.h. A
+// DeviceConfig carries all of them, so a PCM variant, an RRAM parameter
+// set, or a TLC-NAND retention model is data (a file under configs/), not
+// code — the role NVMain's Config/*.config files play.
 //
 // The built-in device (builtin_device()) is constructed from exactly the
 // same compiled-in constants as before, and configs/pcm_readduo_t1.cfg is
@@ -23,12 +23,6 @@
 #include "pcm/params.h"
 
 namespace rd::config {
-
-/// BCH / ECP geometry of a line (ChipConfig's code parameters).
-struct EccParams {
-  unsigned bch_t = 8;        ///< BCH correction strength (errors per line)
-  unsigned ecp_pointers = 6;  ///< error-correcting-pointer entries per line
-};
 
 /// One complete device description: everything the chip model, the drift
 /// analysis, the scheme layer, and the timing simulator need to know
@@ -56,16 +50,14 @@ struct DeviceConfig {
   pcm::TimingParams timing;
   /// Per-operation dynamic energies (Table IX substitute).
   pcm::EnergyParams energy;
-  /// Line code geometry.
-  EccParams ecc;
-  /// Scrub operating point (chip scrub engine, M-scrubbing schemes).
+  /// Scrub operating point (the M-scrubbing schemes' S and W).
   pcm::ScrubPolicy scrub;
 };
 
 /// The compiled-in ReadDuo MLC PCM device: Tables I/II drift metrics
 /// (drift::r_metric()/m_metric()), Table VIII timing/organization, the
-/// Table IX energy substitutes, BCH-8 + 6-pointer ECP lines, and the
-/// (E=17, S=640 s, W=1) scrub point. configs/pcm_readduo_t1.cfg is the
+/// Table IX energy substitutes, the 256 + 40 cell line, and the
+/// (S=640 s, W=1) scrub point. configs/pcm_readduo_t1.cfg is the
 /// externalized twin, golden-test-enforced bit-for-bit equal.
 const DeviceConfig& builtin_device();
 

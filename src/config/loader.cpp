@@ -123,17 +123,6 @@ std::string get_string(const RawConfig& raw, const std::string& key) {
   return raw.at(key).value;
 }
 
-bool get_bool(const RawConfig& raw, const std::string& key) {
-  const RawEntry& e = raw.at(key);
-  std::string v = e.value;
-  for (char& c : v) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
-  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
-  fail_at(raw, e, "key '" + key + "': not a boolean: '" + e.value + "'");
-}
-
 drift::MetricConfig metric_from_raw(const RawConfig& raw,
                                     const std::string& section,
                                     const std::string& default_name) {
@@ -226,9 +215,6 @@ DeviceConfig device_from_raw(const RawConfig& raw) {
       static_cast<unsigned>(get_int(raw, "memory.line_bytes"));
   d.org.lines_per_scrub =
       static_cast<unsigned>(get_int(raw, "memory.lines_per_scrub"));
-  // Derived, not configurable: cells per line follow from the geometry
-  // (2 bits/cell), so the two sections cannot drift apart.
-  d.org.cells_per_line = d.geometry.total_cells();
   if (d.geometry.data_cells != d.org.line_bytes * 4) {
     fail_at(raw, raw.at("geometry.data_cells"),
             "key 'geometry.data_cells': must equal 4 * memory.line_bytes "
@@ -256,13 +242,8 @@ DeviceConfig device_from_raw(const RawConfig& raw) {
   d.energy.tlc_write_scale = get_double(raw, "energy.tlc_write_scale");
   d.energy.static_watts = get_double(raw, "energy.static_power");
 
-  d.ecc.bch_t = static_cast<unsigned>(get_int(raw, "ecc.bch_t"));
-  d.ecc.ecp_pointers =
-      static_cast<unsigned>(get_int(raw, "ecc.ecp_pointers"));
-
   d.scrub.interval_s = get_double(raw, "scrub.interval");
   d.scrub.w = static_cast<unsigned>(get_int(raw, "scrub.w"));
-  d.scrub.use_m_sense = get_bool(raw, "scrub.use_m_sense");
 
   d.r_metric = metric_from_raw(raw, "r_metric", "R-metric");
   d.m_metric = metric_from_raw(raw, "m_metric", "M-metric");

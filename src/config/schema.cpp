@@ -144,14 +144,6 @@ std::vector<KeySpec> build_schema() {
                "Static/background power of the memory subsystem, W (0.35; "
                "used only by the Product-S EDAP variant)."});
 
-  // --- [ecc] ------------------------------------------------------------
-  s.push_back({"ecc.bch_t", ValueType::kInt, Unit::kNone, true, 1, 32,
-               "BCH correction strength t, errors per line (8; "
-               "Section III-A)."});
-  s.push_back({"ecc.ecp_pointers", ValueType::kInt, Unit::kNone, true, 0, 64,
-               "Error-correcting-pointer entries per line for stuck cells "
-               "(6; [30])."});
-
   // --- [scrub] ----------------------------------------------------------
   s.push_back({"scrub.interval", ValueType::kDouble, Unit::kSeconds, true,
                0.0, kMaxPeriodS,
@@ -160,10 +152,6 @@ std::vector<KeySpec> build_schema() {
   s.push_back({"scrub.w", ValueType::kInt, Unit::kNone, true, 0, 64,
                "Rewrite threshold W: rewrite a scrubbed line showing >= W "
                "errors (1; 0 = always rewrite)."});
-  s.push_back({"scrub.use_m_sense", ValueType::kBool, Unit::kNone, true, 0,
-               0,
-               "Scrub senses with the M-metric (true, ReadDuo) or the "
-               "R-metric (false)."});
 
   // --- [r_metric] / [m_metric] -----------------------------------------
   add_metric_keys(s, "r_metric", "Table I");

@@ -17,7 +17,6 @@ namespace rd::config {
 /// Value type of a schema key.
 enum class ValueType {
   kString,
-  kBool,    ///< true/false, yes/no, on/off, 1/0
   kInt,     ///< integer (unit-scaled values must stay integral)
   kDouble,
 };

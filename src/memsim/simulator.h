@@ -88,6 +88,13 @@ struct SimConfig {
   /// The retained events are dumped to stderr whenever the scheme reports
   /// a detected_uncorrectable or silent_corruption.
   std::size_t trace_events = 0;
+
+  /// The open-page system: the row buffer with row-interleaved address
+  /// mapping, so sequential lines land in the same latched row.
+  void enable_open_page() {
+    row_buffer.enabled = true;
+    address_map = AddressMap::kRowInterleave;
+  }
 };
 
 /// Aggregate outcome of one run; per-event detail lives in the scheme's

@@ -108,11 +108,6 @@ bool Client::try_recv(Frame& out) {
   }
 }
 
-void Client::shutdown_write() {
-  RD_CHECK(connected());
-  ::shutdown(fd_, SHUT_WR);
-}
-
 void Client::close() {
   if (fd_ >= 0) {
     ::close(fd_);

@@ -50,8 +50,6 @@ class Client {
   /// Nonblocking: true when a complete frame was available.
   bool try_recv(Frame& out);
 
-  /// Half-close the write side (tests: EOF mid-conversation).
-  void shutdown_write();
   void close();
 
  private:

@@ -31,7 +31,7 @@ BitVec pack_cells(const std::uint8_t* values, std::size_t ncells,
   return bits;
 }
 
-MlcLine::MlcLine(std::size_t nbits) : programmed_(nbits) {
+MlcLine::MlcLine(std::size_t nbits) {
   RD_CHECK_MSG(nbits % 2 == 0, "MLC line needs an even bit count");
   cells_.resize(nbits / 2);
 }
@@ -53,7 +53,6 @@ void MlcLine::write_full(const BitVec& bits, double t_seconds, Rng& rng,
   for (std::size_t c = 0; c < cells_.size(); ++c) {
     cells_[c].program(target_level(bits, c), t_seconds, rng, cfg);
   }
-  programmed_ = bits;
 }
 
 std::size_t MlcLine::write_differential(const BitVec& bits, double t_seconds,
@@ -68,7 +67,6 @@ std::size_t MlcLine::write_differential(const BitVec& bits, double t_seconds,
       ++written;
     }
   }
-  programmed_ = bits;
   return written;
 }
 

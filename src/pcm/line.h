@@ -108,14 +108,10 @@ class MlcLine {
                                  const drift::MetricConfig& cfg,
                                  KernelMode mode = KernelMode::kAuto) const;
 
-  /// The codeword most recently programmed (for test oracles).
-  const BitVec& programmed_bits() const { return programmed_; }
-
  private:
   std::size_t target_level(const BitVec& bits, std::size_t cell) const;
 
   std::vector<Cell> cells_;
-  BitVec programmed_;
 };
 
 }  // namespace rd::pcm

@@ -45,7 +45,6 @@ struct MemoryOrg {
   std::uint64_t capacity_bytes = 16ull << 30;  ///< 8 banks x 2 GB
   unsigned num_banks = 8;
   unsigned line_bytes = 64;
-  unsigned cells_per_line = 296;  ///< 256 data + 40 BCH-8 parity cells
   /// Lines sensed per scrub operation: the scrub engine works at row
   /// granularity (one activation senses a whole row) [2].
   unsigned lines_per_scrub = 16;
@@ -58,7 +57,6 @@ struct MemoryOrg {
 struct ScrubPolicy {
   double interval_s = 640.0;  ///< scrub period S in seconds; 0 disables
   unsigned w = 1;             ///< rewrite threshold W (0 = always rewrite)
-  bool use_m_sense = true;    ///< chip only: scrub with M- or R-sensing
 };
 
 /// CPU front-end configuration (Table VIII: 4-core in-order).

@@ -1,29 +1,8 @@
 #include "pcm/write.h"
 
-#include <algorithm>
-
-#include "common/check.h"
-
 namespace rd::pcm {
 
-unsigned write_pulses(std::size_t level, const PnvParams& p, Rng& rng) {
-  RD_CHECK(level < 4);
-  const double mean = p.mean_iterations[level];
-  unsigned set_pulses = 0;
-  if (mean > 0.0) {
-    if (mean <= 1.0) {
-      set_pulses = 1;
-    } else {
-      // Geometric number of retries around the mean: 1 + G(1/mean).
-      set_pulses = 1 + static_cast<unsigned>(std::min<std::uint64_t>(
-                           rng.geometric(1.0 / mean), p.max_iterations - 1));
-    }
-  }
-  const unsigned total = 1 + set_pulses;  // RESET + SETs
-  return std::min(total, p.max_iterations);
-}
-
-double average_write_pulses(const PnvParams& p) {
+double mean_pulses_per_write(const PnvParams& p) {
   double sum = 0.0;
   for (double m : p.mean_iterations) sum += 1.0 + m;  // RESET + mean SETs
   return sum / 4.0;

@@ -3,13 +3,9 @@
 // MLC PCM writes RESET the cell to full amorphous and then apply SET pulses
 // until the verify read lands inside the target sub-range (Section II-A).
 // The architecture simulator uses the fixed 1000 ns average latency from
-// the paper; this model supplies per-cell iteration counts for the energy
-// refinement and the device-level benches.
+// the paper; this model supplies the average pulse count per cell write
+// that Table IX prints.
 #pragma once
-
-#include <cstddef>
-
-#include "common/rng.h"
 
 namespace rd::pcm {
 
@@ -19,16 +15,10 @@ struct PnvParams {
   /// Extreme levels land in one pulse; middle levels need several because
   /// their target range is narrow.
   double mean_iterations[4] = {1.0, 4.0, 3.0, 0.0};
-  /// Hard cap enforced by the write circuit.
-  unsigned max_iterations = 8;
 };
-
-/// Number of programming pulses (1 RESET + SET iterations) used to write a
-/// cell to `level`. Geometric spread around the per-level mean, capped.
-unsigned write_pulses(std::size_t level, const PnvParams& p, Rng& rng);
 
 /// Average pulses over the four levels under uniform data, for closed-form
 /// energy estimates.
-double average_write_pulses(const PnvParams& p);
+double mean_pulses_per_write(const PnvParams& p);
 
 }  // namespace rd::pcm

@@ -66,7 +66,8 @@ static_assert(std::size(kFamilyNames) ==
 constexpr double kMlcCells = 296.0;
 /// MLC cells per 64 B line with BCH-10 (512 data + 100 parity bits).
 constexpr double kBch10Cells = 306.0;
-/// Tri-level cells per 64 B line with (72,64) SECDED.
+/// Tri-level cells per 64 B line with (72,64) SECDED: 512 data + 64
+/// check bits, 3 bits per 2 cells (9 >= 8 level pairs) [26].
 constexpr double kTlcCells = 384.0;
 
 /// R(BCH8, S=8) of Table V: the R-scrubbing kinds' own S, not a device's.

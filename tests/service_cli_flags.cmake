@@ -19,7 +19,6 @@ set(BAD_LOAD_FLAGS
     --clients=0
     --clients=257
     --window=
-    --crosscheck=2
     --rps=0
     --rps=-5
     --rps=1e3x
@@ -84,7 +83,7 @@ endforeach()
 # The edges of every range are valid: the run must go ahead.
 execute_process(COMMAND ${LOAD} --requests=2000 --report-every=0 --seed=0
                         --shards=1 --queue=1 --batch=1 --rps=2.5e6
-                        --write-fraction=0 --crosscheck=0
+                        --write-fraction=0
                 RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "readduo_load with in-range flags: exit ${rc}")

@@ -3,6 +3,7 @@
 // files, and the golden paper configs — including the default-equivalence
 // guarantee that configs/pcm_readduo_t1.cfg reproduces builtin_device()
 // bit-for-bit.
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <set>
@@ -300,6 +301,24 @@ TEST(DeviceLoader, UnknownSectionAndKeyDiagnostics) {
   EXPECT_NE(msg.find("unknown key 'memory.banks_count'"), std::string::npos)
       << msg;
   EXPECT_NE(msg.find("[memory] section"), std::string::npos) << msg;
+
+  // Keys this schema dropped are rejected like any other stray content.
+  const auto line_of = [](const std::string& text, const char* needle) {
+    const auto at = text.begin() + static_cast<std::ptrdiff_t>(
+                                       text.find(needle));
+    return std::to_string(1 + std::count(text.begin(), at, '\n'));
+  };
+  const std::string with_ecc = read_file(t1_path()) + "[ecc]\nbch_t = 24\n";
+  EXPECT_EQ(device_error(with_ecc),
+            "test.cfg:" + line_of(with_ecc, "bch_t") +
+                ": unknown section [ecc] (see docs/DEVICE_CONFIGS.md for "
+                "the schema)");
+  const std::string with_sense =
+      t1_with("w = 1", "w = 1\nuse_m_sense = false");
+  EXPECT_EQ(device_error(with_sense),
+            "test.cfg:" + line_of(with_sense, "use_m_sense") +
+                ": unknown key 'scrub.use_m_sense' (see "
+                "docs/DEVICE_CONFIGS.md for the [scrub] section)");
 }
 
 TEST(DeviceLoader, MissingRequiredKeysReportedTogether) {
@@ -325,22 +344,17 @@ TEST(DeviceLoader, TypedValueDiagnostics) {
                       "ns/us/ms/s (base: nanoseconds)"),
             std::string::npos);
   // A suffix on a dimensionless key is an error, not ignored.
-  EXPECT_NE(device_error(t1_with("bch_t = 8", "bch_t = 8 ns"))
-                .find("key 'ecc.bch_t': unknown unit suffix 'ns' — expected "
+  EXPECT_NE(device_error(t1_with("w = 1", "w = 1 ns"))
+                .find("key 'scrub.w': unknown unit suffix 'ns' — expected "
                       "a dimensionless number (no unit suffix)"),
             std::string::npos);
   // Range violation.
-  EXPECT_NE(device_error(t1_with("bch_t = 8", "bch_t = 99"))
-                .find("key 'ecc.bch_t': value 99 out of range [1, 32]"),
+  EXPECT_NE(device_error(t1_with("w = 1", "w = 99"))
+                .find("key 'scrub.w': value 99 out of range [0, 64]"),
             std::string::npos);
   // Fractional value for an integral key (in base units).
   EXPECT_NE(device_error(t1_with("write = 1000 ns", "write = 1.5 ns"))
                 .find("key 'timing.write': expected an integral value"),
-            std::string::npos);
-  // Malformed boolean.
-  EXPECT_NE(device_error(t1_with("use_m_sense = true",
-                                 "use_m_sense = maybe"))
-                .find("key 'scrub.use_m_sense': not a boolean: 'maybe'"),
             std::string::npos);
 }
 
@@ -411,7 +425,6 @@ TEST(GoldenConfigs, T1ReproducesBuiltinBitForBit) {
   EXPECT_EQ(t1.org.capacity_bytes, b.org.capacity_bytes);
   EXPECT_EQ(t1.org.num_banks, b.org.num_banks);
   EXPECT_EQ(t1.org.line_bytes, b.org.line_bytes);
-  EXPECT_EQ(t1.org.cells_per_line, b.org.cells_per_line);
   EXPECT_EQ(t1.org.lines_per_scrub, b.org.lines_per_scrub);
   EXPECT_EQ(t1.timing.r_read.v, b.timing.r_read.v);
   EXPECT_EQ(t1.timing.m_read.v, b.timing.m_read.v);
@@ -424,11 +437,8 @@ TEST(GoldenConfigs, T1ReproducesBuiltinBitForBit) {
   EXPECT_EQ(t1.energy.internal_sense_scale, b.energy.internal_sense_scale);
   EXPECT_EQ(t1.energy.tlc_write_scale, b.energy.tlc_write_scale);
   EXPECT_EQ(t1.energy.static_watts, b.energy.static_watts);
-  EXPECT_EQ(t1.ecc.bch_t, b.ecc.bch_t);
-  EXPECT_EQ(t1.ecc.ecp_pointers, b.ecc.ecp_pointers);
   EXPECT_EQ(t1.scrub.interval_s, b.scrub.interval_s);
   EXPECT_EQ(t1.scrub.w, b.scrub.w);
-  EXPECT_EQ(t1.scrub.use_m_sense, b.scrub.use_m_sense);
 }
 
 TEST(GoldenConfigs, BuiltinMatchesLegacyCompiledConstants) {
@@ -477,14 +487,8 @@ TEST(GoldenConfigs, CrossTechnologyConfigsValidate) {
   }
 }
 
-TEST(GoldenConfigs, AdaptersDeriveChipAndSimParameters) {
+TEST(GoldenConfigs, AdapterDerivesSimParameters) {
   const DeviceConfig& b = config::builtin_device();
-  const pcm::ChipConfig chip = config::make_chip_config(b);
-  EXPECT_EQ(chip.data_bytes, 64u);
-  EXPECT_EQ(chip.bch_t, 8u);
-  EXPECT_EQ(chip.ecp_pointers, 6u);
-  EXPECT_DOUBLE_EQ(chip.scrub.interval_s, 640.0);
-  EXPECT_TRUE(chip.scrub.use_m_sense);
   memsim::SimConfig sim;
   config::apply_device(b, sim);
   EXPECT_EQ(sim.org.capacity_bytes, b.org.capacity_bytes);

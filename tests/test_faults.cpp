@@ -394,12 +394,13 @@ TEST(FaultsOff, HarnessOnlyPlanLeavesSimulationBitIdentical) {
   ScopedEnv threads("READDUO_THREADS", "1");
   const trace::Workload& w = trace::workload_by_name("mcf");
 
-  const bench::RunResult base =
-      bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, /*seed=*/77);
+  const bench::RunSpec spec{.kind = readduo::SchemeKind::kHybrid,
+                            .workload = w,
+                            .seed = 77};
+  const bench::RunResult base = bench::run_schemes({spec})[0];
   {
     ScopedFaultEngine fe("wire:p=1");
-    const bench::RunResult faulted =
-        bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, 77);
+    const bench::RunResult faulted = bench::run_schemes({spec})[0];
     expect_runs_equal(base, faulted, "harness-only plan");
     EXPECT_EQ(faulted.counters.injected_faults, 0u);
     // A metrics document produced under a plan carries its provenance.

@@ -236,7 +236,7 @@ TEST(Golden, Fig9ClassRunRecord) {
   ScopedEnv threads("READDUO_THREADS", "1");
   const trace::Workload& w = trace::workload_by_name("mcf");
   const bench::RunResult r =
-      bench::run_scheme(readduo::SchemeKind::kHybrid, w, {}, /*seed=*/42);
+      bench::run_schemes({{readduo::SchemeKind::kHybrid, w}})[0];
   const std::string body =
       bench::detail::render_run_json(w.name, 42, /*wall_ms=*/0.0, r) +
       "\n";
@@ -252,10 +252,11 @@ TEST(Golden, MetricsDocumentV2) {
   ScopedEnv threads("READDUO_THREADS", "1");
   ScopedEnv metrics("READDUO_METRICS", "1");  // record runs for the export
   bench::set_bench_name("golden");
-  bench::run_scheme(readduo::SchemeKind::kScrubbing,
-                    trace::workload_by_name("mcf"), {}, /*seed=*/42);
-  bench::run_scheme(readduo::SchemeKind::kLwt,
-                    trace::workload_by_name("lbm"), {}, /*seed=*/7);
+  bench::run_schemes({{readduo::SchemeKind::kScrubbing,
+                       trace::workload_by_name("mcf")}});
+  bench::run_schemes({{.kind = readduo::SchemeKind::kLwt,
+                       .workload = trace::workload_by_name("lbm"),
+                       .seed = 7}});
   const std::string body = bench::detail::render_metrics_json();
   if (maybe_regen("metrics_golden.json", body)) {
     GTEST_SKIP() << "regenerated metrics_golden.json";

@@ -1,12 +1,11 @@
 // Tests for the PCM device layer: cells, MLC lines, differential writes,
-// P&V write model, TLC codec, and the area model.
+// P&V write model, and the area model.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "pcm/area.h"
 #include "pcm/cell.h"
 #include "pcm/line.h"
-#include "pcm/tlc.h"
 #include "pcm/write.h"
 
 namespace rd::pcm {
@@ -265,71 +264,12 @@ TEST(MlcLine, MSensingCleanWhereRSensingErrs) {
 
 // -------------------------------------------------------------- P&V ------
 
-TEST(WritePulses, BoundsRespected) {
-  Rng rng(12);
-  PnvParams p;
-  for (std::size_t level = 0; level < 4; ++level) {
-    for (int i = 0; i < 1000; ++i) {
-      const unsigned pulses = write_pulses(level, p, rng);
-      EXPECT_GE(pulses, 1u);
-      EXPECT_LE(pulses, p.max_iterations);
-    }
-  }
-}
-
-TEST(WritePulses, MiddleLevelsNeedMoreIterations) {
-  Rng rng(13);
-  PnvParams p;
-  double sums[4] = {0, 0, 0, 0};
-  for (std::size_t level = 0; level < 4; ++level) {
-    for (int i = 0; i < 5000; ++i) {
-      sums[level] += write_pulses(level, p, rng);
-    }
-  }
-  EXPECT_GT(sums[1], sums[0]);  // middle beats full-SET
-  EXPECT_GT(sums[1], sums[3]);  // middle beats full-RESET
-  EXPECT_GT(sums[2], sums[3]);
-}
-
 TEST(WritePulses, AverageMatchesParams) {
   PnvParams p;
   // RESET + mean SET iterations averaged over levels.
   const double expect =
       (1 + 1.0 + 1 + 4.0 + 1 + 3.0 + 1 + 0.0) / 4.0;
-  EXPECT_NEAR(average_write_pulses(p), expect, 1e-12);
-}
-
-// -------------------------------------------------------------- TLC ------
-
-class TlcValue : public ::testing::TestWithParam<std::uint8_t> {};
-
-TEST_P(TlcValue, PairEncodingRoundTrips) {
-  const std::uint8_t v = GetParam();
-  const TlcPair p = tlc_encode(v);
-  EXPECT_LT(p.hi, 3);
-  EXPECT_LT(p.lo, 3);
-  EXPECT_EQ(tlc_decode(p), v);
-}
-
-INSTANTIATE_TEST_SUITE_P(AllValues, TlcValue,
-                         ::testing::Range<std::uint8_t>(0, 8));
-
-TEST(TlcLine, RoundTripsArbitraryBits) {
-  Rng rng(14);
-  for (std::size_t nbits : {576u, 512u, 64u, 7u}) {
-    TlcLine line(nbits);
-    const BitVec data = random_bits(rng, nbits);
-    line.write(data);
-    EXPECT_TRUE(line.read() == data) << nbits;
-  }
-}
-
-TEST(TlcLine, DensityMatchesPaper) {
-  TlcGeometry g;
-  EXPECT_EQ(g.coded_bits(), 576u);        // 512 + 8x(72,64) checks
-  EXPECT_EQ(g.cells_per_line(), 384u);    // 2 cells per 3 bits
-  TlcLine line(576);
-  EXPECT_EQ(line.num_cells(), 384u);
+  EXPECT_NEAR(mean_pulses_per_write(p), expect, 1e-12);
 }
 
 // ------------------------------------------------------------- Area ------

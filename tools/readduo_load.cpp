@@ -91,8 +91,6 @@ void usage(const char* argv0) {
       "  --clients=<n>          wire clients in --connect mode, 1..256\n"
       "                         (default 1)\n"
       "  --window=<n>           per-client in-flight bound (default 256)\n"
-      "  --crosscheck=<0|1>     verify server histograms against merged\n"
-      "                         client-side ones (default 1)\n"
       "\n"
       "environment:\n"
       "  READDUO_THREADS            service worker threads\n",
@@ -275,7 +273,6 @@ struct LoadRun {
   std::uint64_t seed = 42;
   std::size_t clients = 1;
   std::size_t window = 256;
-  bool crosscheck = true;
   std::string summary_path;
 };
 
@@ -405,19 +402,16 @@ int run_connect(const LoadRun& rc, const trace::Workload& w) {
                "wire clients lost completions");
   RD_CHECK_MSG(st.completed == rc.requests,
                "server lost requests: completed != submitted");
-  if (rc.crosscheck) {
-    // Demand classes (kRRead..kDemandWrite) originate only from client
-    // requests, so the server's histograms must equal the merge of what
-    // the clients observed — bit-exact, bucket by bucket. Internal
-    // classes (conversion writes, scrub rewrites) are server-only.
-    for (std::size_t c = 0; c <= static_cast<std::size_t>(
-                                     stats::ReqClass::kDemandWrite);
-         ++c) {
-      RD_CHECK_MSG(
-          merged[c] == st.metrics.lat(static_cast<stats::ReqClass>(c)),
-          "wire/server histogram mismatch for class "
-              << stats::req_class_name(static_cast<stats::ReqClass>(c)));
-    }
+  // Demand classes (kRRead..kDemandWrite) originate only from client
+  // requests, so the server's histograms must equal the merge of what the
+  // clients observed — bit-exact, bucket by bucket. Internal classes
+  // (conversion writes, scrub rewrites) are server-only.
+  for (std::size_t c = 0;
+       c <= static_cast<std::size_t>(stats::ReqClass::kDemandWrite); ++c) {
+    RD_CHECK_MSG(
+        merged[c] == st.metrics.lat(static_cast<stats::ReqClass>(c)),
+        "wire/server histogram mismatch for class "
+            << stats::req_class_name(static_cast<stats::ReqClass>(c)));
   }
 
   // Same virtual-time field lines as the in-process report (sourced from
@@ -443,7 +437,6 @@ int main(int argc, char** argv) {
   std::uint64_t batch = cfg.batch_size;
   std::uint64_t clients = lr.clients;
   std::uint64_t window = lr.window;
-  std::uint64_t crosscheck = lr.crosscheck ? 1 : 0;
   const cli::CountFlag numeric_flags[] = {
       {"--requests", 1, ULLONG_MAX, &lr.requests},
       {"--seed", 0, ULLONG_MAX, &lr.seed},
@@ -453,7 +446,6 @@ int main(int argc, char** argv) {
       {"--report-every", 0, ULLONG_MAX, &report_every},
       {"--clients", 1, cli::kMaxClients, &clients},
       {"--window", 1, SIZE_MAX, &window},
-      {"--crosscheck", 0, 1, &crosscheck},
   };
 
   for (int i = 1; i < argc; ++i) {
@@ -517,7 +509,6 @@ int main(int argc, char** argv) {
   if (!lr.addr.empty()) {
     lr.clients = static_cast<std::size_t>(clients);
     lr.window = static_cast<std::size_t>(window);
-    lr.crosscheck = crosscheck != 0;
     return run_connect(lr, w);
   }
 

@@ -51,7 +51,8 @@ void usage(const char* argv0) {
       "  --seed=<n>             RNG seed (default 42)\n"
       "  --k=<n> --s=<n>        LWT sub-intervals / Select window, > 0\n"
       "  --no-conversion        disable R-M-read -> write conversion\n"
-      "  --row-buffer           enable the open-page row-buffer model\n"
+      "  --row-buffer           open-page row buffer with row-interleaved\n"
+      "                         address mapping\n"
       "  --json                 emit a machine-readable JSON report\n"
       "  --config=<file>        run file in the device-config grammar with\n"
       "                         only [cpu] cores, clock_ghz and\n"
@@ -143,7 +144,7 @@ int main(int argc, char** argv) {
     config::apply_device(dev, cfg);
     cfg.instructions_per_core = instructions;
     cfg.seed = seed;
-    cfg.row_buffer.enabled = row_buffer;
+    if (row_buffer) cfg.enable_open_page();
     cfg.trace_events = stats::trace_ring_capacity_from_env();
     if (!config_path.empty()) {
       config::apply_cpu_overrides(config::RawConfig::load(config_path),
