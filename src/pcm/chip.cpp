@@ -204,12 +204,10 @@ void MlcChip::advance_time(double seconds) {
 
 void MlcChip::run_scrub_pass() {
   ++stats_.scrub_passes;
-  const drift::MetricConfig& cfg = cfg_.scrub_m_sense ? m_cfg_ : r_cfg_;
   for (std::size_t li = 0; li < lines_.size(); ++li) {
     LineSlot& slot = lines_[li];
     if (!slot.written) continue;
-    BitVec cw = codeword_of(
-        sense(slot, cfg, li, /*r_path=*/!cfg_.scrub_m_sense));
+    BitVec cw = codeword_of(sense(slot, m_cfg_, li, /*r_path=*/false));
     const ecc::BchDecodeResult dec = bch_.decode(cw);
     if (!dec.corrected) {
       // More errors than the code can fix even on the scrub metric.

@@ -39,9 +39,7 @@ struct ChipConfig {
   unsigned data_bytes = 64;       ///< payload per line
   unsigned bch_t = 8;             ///< BCH correction strength
   ReadoutPolicy readout = ReadoutPolicy::kHybrid;
-  /// Scrub senses with the M-metric (ReadDuo) or, when false, the R-metric.
-  bool scrub_m_sense = true;
-  ScrubPolicy scrub;  ///< the scrub engine's period and W
+  ScrubPolicy scrub;  ///< scrub period and W; scrubs sense with M
   unsigned ecp_pointers = 6;
   std::uint64_t seed = 1;
   /// Fault injector; nullptr defers to the process-wide faults::engine().

@@ -111,7 +111,6 @@ TEST(Chip, W1ScrubbingRewritesOnlyErroredLines) {
   cfg.num_lines = 16;
   cfg.scrub.interval_s = 640.0;
   cfg.scrub.w = 1;
-  cfg.scrub_m_sense = true;
   MlcChip chip(cfg);
   Rng rng(5);
   for (std::size_t l = 0; l < 16; ++l) chip.write(l, payload(rng));

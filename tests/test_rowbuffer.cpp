@@ -67,6 +67,21 @@ TEST(RowBuffer, StreamingWorkloadHitsSequentialRows) {
   EXPECT_GT(r.row_hits, r.reads_serviced / 2);
 }
 
+TEST(RowBuffer, OpenPagePairsRowBufferWithRowInterleave) {
+  // The open-page system of readduo_sim --row-buffer and the harness:
+  // both fields are set by one call.
+  SimConfig open = base_config();
+  open.enable_open_page();
+  EXPECT_TRUE(open.row_buffer.enabled);
+  EXPECT_EQ(open.address_map, AddressMap::kRowInterleave);
+  // Line interleaving spreads a scan's neighbours across banks, so the
+  // row buffer alone sees few of the hits the paired system gets.
+  const auto& w = trace::workload_by_name("sphinx3");
+  SimConfig buffer_only = base_config();
+  buffer_only.row_buffer.enabled = true;
+  EXPECT_GT(run(w, open).row_hits, 2 * run(w, buffer_only).row_hits);
+}
+
 TEST(RowBuffer, HitLatencyBoundsRespected) {
   // With hits, average read latency can approach but not go below
   // hit_latency + bus transfer.
