@@ -20,7 +20,6 @@
 #include "common/rng.h"
 #include "drift/error_model.h"
 #include "ecc/bch.h"
-#include "ecc/secded.h"
 #include "memsim/env.h"
 #include "memsim/simulator.h"
 #include "pcm/line.h"
@@ -82,17 +81,6 @@ void BM_BchDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BchDecode)->Arg(0)->Arg(1)->Arg(4)->Arg(8);
-
-void BM_Secded(benchmark::State& state) {
-  Rng rng(4);
-  for (auto _ : state) {
-    std::uint64_t d = rng.next();
-    std::uint8_t c = ecc::Secded7264::encode_checks(d);
-    d ^= 1ull << (rng.next() % 64);
-    benchmark::DoNotOptimize(ecc::Secded7264::decode(d, c));
-  }
-}
-BENCHMARK(BM_Secded);
 
 void BM_DriftCellErrorProb(benchmark::State& state) {
   const drift::ErrorModel model(drift::r_metric());
