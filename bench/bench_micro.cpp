@@ -23,7 +23,6 @@
 #include "memsim/env.h"
 #include "memsim/simulator.h"
 #include "pcm/line.h"
-#include "pcm/mc_ler.h"
 #include "readduo/schemes.h"
 #include "trace/generator.h"
 

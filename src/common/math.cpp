@@ -36,21 +36,7 @@ double log_choose(std::uint64_t n, std::uint64_t k) {
          log_gamma(static_cast<double>(n - k) + 1.0);
 }
 
-double normal_cdf(double x) { return 0.5 * std::erfc(-x * M_SQRT1_2); }
-
 double normal_sf(double x) { return 0.5 * std::erfc(x * M_SQRT1_2); }
-
-double log_normal_sf(double x) {
-  if (x < 30.0) {
-    const double sf = normal_sf(x);
-    if (sf > 0.0) return std::log(sf);
-  }
-  // Asymptotic expansion: Q(x) ~ phi(x)/x * (1 - 1/x^2 + 3/x^4 - 15/x^6).
-  const double x2 = x * x;
-  const double series = 1.0 - 1.0 / x2 + 3.0 / (x2 * x2) - 15.0 / (x2 * x2 * x2);
-  return -0.5 * x2 - 0.5 * std::log(2.0 * M_PI) - std::log(x) +
-         std::log(series);
-}
 
 TruncatedNormalTail::TruncatedNormalTail(double mu, double sigma, double c)
     : mu_(mu), sigma_(sigma), c_(c) {
@@ -70,10 +56,6 @@ double TruncatedNormalTail::operator()(double t) const {
   const double tail = normal_sf(z) - sf_c_;
   const double p = tail / mass_;
   return std::clamp(p, 0.0, 1.0);
-}
-
-double truncated_normal_tail(double mu, double sigma, double c, double t) {
-  return TruncatedNormalTail(mu, sigma, c)(t);
 }
 
 double log_binomial_pmf(std::uint64_t n, std::uint64_t k, double log_p) {

@@ -20,15 +20,8 @@ double log_add(double a, double b);
 /// log(n choose k) via lgamma. Requires 0 <= k <= n.
 double log_choose(std::uint64_t n, std::uint64_t k);
 
-/// Standard normal CDF Phi(x).
-double normal_cdf(double x);
-
 /// Standard normal survival function 1 - Phi(x), accurate for large x.
 double normal_sf(double x);
-
-/// log of the standard normal survival function, accurate far into the tail
-/// (uses the asymptotic expansion when erfc underflows).
-double log_normal_sf(double x);
 
 /// P(X > t) for X ~ Normal(mu, sigma^2) truncated to [mu - c*sigma,
 /// mu + c*sigma], with the terms that depend only on (mu, sigma, c)
@@ -47,9 +40,6 @@ class TruncatedNormalTail {
   double sf_c_;  ///< normal_sf(c): the mass beyond either truncation point
   double mass_;  ///< 1 - 2 * sf_c_: the mass kept by the truncation
 };
-
-/// TruncatedNormalTail(mu, sigma, c)(t), for one-off evaluations.
-double truncated_normal_tail(double mu, double sigma, double c, double t);
 
 /// log P(Binomial(n, p) > k), where log_p = log(p) may be very negative.
 /// Exact summation in log space over the upper tail.

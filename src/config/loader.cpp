@@ -139,13 +139,26 @@ drift::MetricConfig metric_from_raw(const RawConfig& raw,
     c.states[i].mu_alpha = get_double(raw, s + "mu_alpha");
     c.states[i].sigma_alpha = get_double(raw, s + "sigma_alpha");
   }
-  // Drift can only increase the metric, so states must be ordered: an
-  // inverted pair would make the read-boundary walk meaningless.
+  // Drift can only increase the metric, so the states must be ordered by
+  // their means, and the read walk needs each state's upper boundary
+  // mu + boundary_halfwidth * sigma above the previous state's: with a
+  // boundary out of order a metric between the two is read as the lower
+  // state although it has passed the higher state's boundary.
   for (std::size_t i = 1; i < drift::kNumStates; ++i) {
+    const std::string lo = p + "state" + std::to_string(i - 1) + ".";
+    const std::string hi = p + "state" + std::to_string(i) + ".";
     if (c.states[i].mu <= c.states[i - 1].mu) {
-      fail_at(raw, raw.at(p + "state" + std::to_string(i) + ".mu"),
-              "key '" + p + "state" + std::to_string(i) +
-                  ".mu': state means must be strictly increasing");
+      fail_at(raw, raw.at(hi + "mu"),
+              "key '" + hi + "mu': state means must be strictly increasing");
+    }
+    if (c.upper_boundary(i) <= c.upper_boundary(i - 1)) {
+      std::ostringstream os;
+      os << "keys '" << lo << "sigma', '" << hi << "sigma' and '" << p
+         << "boundary_halfwidth': read boundaries mu + boundary_halfwidth "
+            "* sigma must be strictly increasing (state"
+         << i - 1 << " " << c.upper_boundary(i - 1) << " >= state" << i
+         << " " << c.upper_boundary(i) << ")";
+      fail_at(raw, raw.at(lo + "sigma"), os.str());
     }
   }
   return c;

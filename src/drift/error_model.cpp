@@ -16,11 +16,6 @@ ErrorModel::ErrorModel(MetricConfig config) : config_(std::move(config)) {
   RD_CHECK(config_.boundary_halfwidth > config_.program_halfwidth);
 }
 
-double ErrorModel::cell_error_prob(std::size_t state, double t_seconds) const {
-  const double lp = log_cell_error_prob(state, t_seconds);
-  return lp <= kNegInf ? 0.0 : std::exp(lp);
-}
-
 double ErrorModel::log_cell_error_prob(std::size_t state,
                                        double t_seconds) const {
   RD_CHECK(state < kNumStates);

@@ -47,14 +47,12 @@ class ErrorModel {
   /// The metric configuration this model evaluates.
   const MetricConfig& config() const { return config_; }
 
-  /// P(a cell programmed to state `state` at time 0 has drifted past its
-  /// upper read boundary by time t). Monotone nondecreasing in t. The top
-  /// state cannot drift into error (drift only increases the metric).
-  /// Deterministic: a pure function of (config, state, t).
-  double cell_error_prob(std::size_t state, double t_seconds) const;
-
-  /// log of cell_error_prob, accurate for probabilities down to ~1e-200:
-  /// the panelled quadrature over the alpha distribution.
+  /// log P(a cell programmed to state `state` at time 0 has drifted past
+  /// its upper read boundary by time t), accurate for probabilities down
+  /// to ~1e-200: the panelled quadrature over the alpha distribution.
+  /// Monotone nondecreasing in t; kNegInf (log 0) at or before t0 and for
+  /// the top state, which cannot drift into error (drift only increases
+  /// the metric). Deterministic: a pure function of (config, state, t).
   double log_cell_error_prob(std::size_t state, double t_seconds) const;
 
   /// Average over states under uniform data (log space).

@@ -66,12 +66,6 @@ std::uint64_t FaultEngine::count(FaultClass c) const {
   return counts_[static_cast<unsigned>(c)].load(std::memory_order_relaxed);
 }
 
-std::uint64_t FaultEngine::total() const {
-  std::uint64_t sum = 0;
-  for (const auto& c : counts_) sum += c.load(std::memory_order_relaxed);
-  return sum;
-}
-
 std::optional<unsigned> FaultEngine::stuck_level(std::uint64_t line,
                                                  std::uint64_t cell) const {
   for (const StuckAddress& a : plan_.stuck_cells) {

@@ -83,8 +83,6 @@ class FaultEngine {
 
   /// Faults of class `c` injected so far through this engine.
   std::uint64_t count(FaultClass c) const;
-  /// Sum over all classes.
-  std::uint64_t total() const;
 
  private:
   /// The decision stream for (salt; k1, k2, k3): one Rng per decision,

@@ -40,7 +40,7 @@ Field::Field(unsigned m) : m_(m) {
     if (x & size_) x ^= prim_;
   }
   // Duplicate the table: any exponent in [0, 2*order) resolves with a
-  // plain lookup, so mul/div/inv/sqr never pay a modulo.
+  // plain lookup, so mul/div/sqr never pay a modulo.
   for (std::uint32_t i = 0; i < order(); ++i) exp_[order() + i] = exp_[i];
 }
 
@@ -50,21 +50,6 @@ Elem Field::div(Elem a, Elem b) const {
   // log_[a] + order - log_[b] is in [1, 2*order - 1): inside the doubled
   // exp table.
   return exp_[log_[a] + order() - log_[b]];
-}
-
-Elem Field::inv(Elem a) const {
-  RD_CHECK(a != 0);
-  // order - log_[a] is in [1, order]: inside the doubled exp table (the
-  // a == 1 case lands on exp_[order] == exp_[0] == 1).
-  return exp_[order() - log_[a]];
-}
-
-Elem Field::pow(Elem a, std::int64_t k) const {
-  if (k == 0) return 1;
-  RD_CHECK(a != 0);
-  const std::int64_t n = order();
-  std::int64_t e = ((log_[a] * (k % n)) % n + n) % n;
-  return exp_[e];
 }
 
 Elem Field::alpha_pow(std::int64_t k) const {

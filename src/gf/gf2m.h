@@ -5,7 +5,7 @@
 // supported with standard primitive polynomials.
 //
 // Performance note (DESIGN.md §10): the exp table is stored doubled
-// (length 2 * order), so mul / div / inv / sqr are a table add plus one
+// (length 2 * order), so mul / div / sqr are a table add plus one
 // lookup with no modulo — the BCH syndrome and Chien kernels lean on this.
 // All operations are pure functions of their arguments and the field size:
 // deterministic, thread-safe after construction, and identical across
@@ -20,7 +20,7 @@ namespace rd::gf {
 /// An element of GF(2^m), represented by its polynomial bits.
 using Elem = std::uint32_t;
 
-/// GF(2^m) with tables for O(1) multiply/divide/inverse.
+/// GF(2^m) with tables for O(1) multiply/divide.
 ///
 /// Elements are in [0, 2^m - 1]; 0 is the additive identity, 1 the
 /// multiplicative identity, and `alpha()` a primitive element.
@@ -58,13 +58,6 @@ class Field {
 
   /// a / b. Requires b != 0.
   Elem div(Elem a, Elem b) const;
-
-  /// Multiplicative inverse. Requires a != 0.
-  Elem inv(Elem a) const;
-
-  /// a^k for any integer k (negative exponents via inverse). a != 0 unless
-  /// k > 0.
-  Elem pow(Elem a, std::int64_t k) const;
 
   /// alpha^k (k taken mod the group order; negative allowed).
   Elem alpha_pow(std::int64_t k) const;

@@ -1,7 +1,5 @@
 #include "gf/poly.h"
 
-#include <algorithm>
-
 #include "common/check.h"
 
 namespace rd::gf {
@@ -14,43 +12,8 @@ Poly Poly::constant(Elem c) {
   return p;
 }
 
-Poly Poly::monomial(Elem c, std::size_t k) {
-  Poly p;
-  if (c != 0) {
-    p.coeffs_.assign(k + 1, 0);
-    p.coeffs_[k] = c;
-  }
-  return p;
-}
-
 void Poly::trim() {
   while (!coeffs_.empty() && coeffs_.back() == 0) coeffs_.pop_back();
-}
-
-Elem Poly::eval(const Field& f, Elem x) const {
-  Elem acc = 0;
-  for (std::size_t i = coeffs_.size(); i-- > 0;) {
-    acc = Field::add(f.mul(acc, x), coeffs_[i]);
-  }
-  return acc;
-}
-
-Poly Poly::derivative() const {
-  if (coeffs_.size() <= 1) return {};
-  std::vector<Elem> d(coeffs_.size() - 1, 0);
-  for (std::size_t i = 1; i < coeffs_.size(); ++i) {
-    // d/dx x^i = i * x^(i-1); in char 2, i is taken mod 2.
-    if (i & 1) d[i - 1] = coeffs_[i];
-  }
-  return Poly(std::move(d));
-}
-
-Poly Poly::add(const Poly& a, const Poly& b) {
-  std::vector<Elem> out(std::max(a.coeffs_.size(), b.coeffs_.size()), 0);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = a.coeff(i) ^ b.coeff(i);
-  }
-  return Poly(std::move(out));
 }
 
 Poly Poly::mul(const Field& f, const Poly& a, const Poly& b) {
@@ -62,30 +25,6 @@ Poly Poly::mul(const Field& f, const Poly& a, const Poly& b) {
       out[i + j] ^= f.mul(a.coeffs_[i], b.coeffs_[j]);
     }
   }
-  return Poly(std::move(out));
-}
-
-Poly Poly::mod(const Field& f, const Poly& a, const Poly& b) {
-  RD_CHECK(!b.is_zero());
-  std::vector<Elem> rem = a.coeffs_;
-  const int db = b.degree();
-  const Elem lead_inv = f.inv(b.coeffs_.back());
-  for (int i = static_cast<int>(rem.size()) - 1; i >= db; --i) {
-    if (rem[static_cast<std::size_t>(i)] == 0) continue;
-    const Elem q = f.mul(rem[static_cast<std::size_t>(i)], lead_inv);
-    for (int j = 0; j <= db; ++j) {
-      rem[static_cast<std::size_t>(i - db + j)] ^=
-          f.mul(q, b.coeffs_[static_cast<std::size_t>(j)]);
-    }
-  }
-  rem.resize(static_cast<std::size_t>(std::max(db, 0)));
-  return Poly(std::move(rem));
-}
-
-Poly Poly::scale(const Field& f, const Poly& a, Elem c) {
-  RD_CHECK(c != 0);
-  std::vector<Elem> out = a.coeffs_;
-  for (auto& e : out) e = f.mul(e, c);
   return Poly(std::move(out));
 }
 

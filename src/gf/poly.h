@@ -1,7 +1,7 @@
 // Polynomials over GF(2^m) and GF(2).
 //
 // Used to build BCH generator polynomials (cyclotomic cosets, minimal
-// polynomials) and to run the decoder (error locator / Chien search).
+// polynomials); the decoder works on flat coefficient arrays instead.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +20,6 @@ class Poly {
 
   /// The constant polynomial c (zero polynomial if c == 0).
   static Poly constant(Elem c);
-  /// The monomial c * x^k.
-  static Poly monomial(Elem c, std::size_t k);
 
   /// Degree; -1 for the zero polynomial.
   int degree() const { return static_cast<int>(coeffs_.size()) - 1; }
@@ -33,18 +31,7 @@ class Poly {
   }
   const std::vector<Elem>& coeffs() const { return coeffs_; }
 
-  /// Evaluate at x (Horner).
-  Elem eval(const Field& f, Elem x) const;
-
-  /// Formal derivative (char 2: even-power terms vanish).
-  Poly derivative() const;
-
-  static Poly add(const Poly& a, const Poly& b);
   static Poly mul(const Field& f, const Poly& a, const Poly& b);
-  /// Remainder of a mod b. Requires b != 0.
-  static Poly mod(const Field& f, const Poly& a, const Poly& b);
-  /// Scale by a nonzero constant.
-  static Poly scale(const Field& f, const Poly& a, Elem c);
 
   friend bool operator==(const Poly& a, const Poly& b) {
     return a.coeffs_ == b.coeffs_;

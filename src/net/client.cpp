@@ -34,13 +34,6 @@ void Client::send_frame(Op op, std::uint64_t id, std::string_view payload) {
   send_raw(out);
 }
 
-void Client::send_frame(Status st, std::uint64_t id,
-                        std::string_view payload) {
-  std::string out;
-  encode_frame(st, id, payload, out);
-  send_raw(out);
-}
-
 void Client::send_raw(std::string_view bytes) {
   RD_CHECK(connected());
   std::size_t off = 0;

@@ -22,7 +22,7 @@ namespace rd::net {
 class Client {
  public:
   Client() = default;
-  /// Adopt an already-connected fd (tests).
+  /// Adopt an already-connected fd.
   explicit Client(int fd) : fd_(fd) {}
   ~Client() { close(); }
 
@@ -37,7 +37,6 @@ class Client {
   bool connected() const { return fd_ >= 0; }
 
   void send_frame(Op op, std::uint64_t id, std::string_view payload);
-  void send_frame(Status st, std::uint64_t id, std::string_view payload);
   /// Arbitrary bytes, for protocol-robustness tests (half frames,
   /// garbage, foreign magic).
   void send_raw(std::string_view bytes);

@@ -61,11 +61,4 @@ std::size_t Cell::read_level(double t_seconds,
   return level_from_metric(x, cfg);
 }
 
-std::size_t Cell::read_level_logt(bool drifted, double log_t_ratio,
-                                  const drift::MetricConfig& cfg,
-                                  double metric_offset) const {
-  return read_level_logt(drifted, log_t_ratio, cfg, upper_boundaries(cfg),
-                         metric_offset);
-}
-
 }  // namespace rd::pcm

@@ -12,7 +12,7 @@
 // that log10 depends only on the cell's age — which whole-line reads and
 // Monte-Carlo sweeps share across hundreds of cells. The *_logt entry
 // points below take the precomputed log10(age / t0) so batched callers
-// (MlcLine::read_levels, pcm::mc_ler) hoist it; they are the same
+// (MlcLine::read_levels, the Monte-Carlo LER oracle) hoist it; they are the same
 // arithmetic as metric_at / read_level, so the results are bit-identical
 // (the scalar paths are implemented on top of them). The batched paths
 // also hoist the three upper boundaries (upper_boundaries) and place the
@@ -88,17 +88,9 @@ class Cell {
   std::size_t read_level(double t_seconds, const drift::MetricConfig& cfg,
                          double metric_offset) const;
 
-  /// Batched read_level: `drifted` says whether age > t0 and, when true,
-  /// `log_t_ratio` carries the caller's precomputed log10(age / t0).
-  /// Bit-identical to read_level(t, cfg, metric_offset) for matching
-  /// arguments; stuck cells return their pinned level regardless.
-  std::size_t read_level_logt(bool drifted, double log_t_ratio,
-                              const drift::MetricConfig& cfg,
-                              double metric_offset) const;
-
   /// The upper read boundaries of states 0..2 of `cfg`, in state order.
-  /// The loader only requires the means to increase, so they need not be
-  /// sorted.
+  /// The loader rejects unsorted boundaries, but a MetricConfig built in
+  /// code need not sort them.
   using Boundaries = std::array<double, drift::kNumStates - 1>;
   static Boundaries upper_boundaries(const drift::MetricConfig& cfg);
 
@@ -115,9 +107,12 @@ class Cell {
     return a0 + a1 + a2;
   }
 
-  /// read_level_logt against boundaries the caller hoisted with
-  /// upper_boundaries(cfg); inline, so the line-sense loop carries no
-  /// call per cell.
+  /// Batched read_level: `drifted` says whether age > t0 and, when true,
+  /// `log_t_ratio` carries the caller's precomputed log10(age / t0); `ub`
+  /// are the boundaries the caller hoisted with upper_boundaries(cfg).
+  /// Bit-identical to read_level(t, cfg, metric_offset) for matching
+  /// arguments; stuck cells return their pinned level regardless. Inline,
+  /// so the line-sense loop carries no call per cell.
   std::size_t read_level_logt(bool drifted, double log_t_ratio,
                               const drift::MetricConfig& cfg,
                               const Boundaries& ub,

@@ -6,8 +6,6 @@ EcpLine::EcpLine(unsigned cells, unsigned n) : cells_(cells) {
   RD_CHECK(cells >= 1);
   RD_CHECK(n >= 1);
   entries_.resize(n);
-  pointer_bits_ = 1;
-  while ((1u << pointer_bits_) < cells_) ++pointer_bits_;
 }
 
 bool EcpLine::retire_cell(unsigned cell) {
@@ -41,10 +39,6 @@ void EcpLine::store(const std::vector<std::uint8_t>& cell_values) {
   for (Entry& e : entries_) {
     if (e.valid) e.value = cell_values[e.cell] & 0b11;
   }
-}
-
-unsigned EcpLine::overhead_bits() const {
-  return capacity() * (pointer_bits_ + 2 + 1);
 }
 
 }  // namespace rd::pcm

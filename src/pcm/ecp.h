@@ -44,10 +44,6 @@ class EcpLine {
   /// replacement cell.
   void store(const std::vector<std::uint8_t>& cell_values);
 
-  /// Storage overhead in bits: n * (ceil(log2 cells) pointer + 2 value)
-  /// + n valid bits.
-  unsigned overhead_bits() const;
-
  private:
   struct Entry {
     unsigned cell = 0;
@@ -55,7 +51,6 @@ class EcpLine {
     bool valid = false;
   };
   unsigned cells_;
-  unsigned pointer_bits_;
   unsigned used_ = 0;
   std::vector<Entry> entries_;
 };

@@ -55,21 +55,6 @@ void MlcLine::write_full(const BitVec& bits, double t_seconds, Rng& rng,
   }
 }
 
-std::size_t MlcLine::write_differential(const BitVec& bits, double t_seconds,
-                                        Rng& rng,
-                                        const drift::MetricConfig& cfg) {
-  RD_CHECK(bits.size() == num_bits());
-  std::size_t written = 0;
-  for (std::size_t c = 0; c < cells_.size(); ++c) {
-    const std::size_t want = target_level(bits, c);
-    if (cells_[c].programmed_level() != want) {
-      cells_[c].program(want, t_seconds, rng, cfg);
-      ++written;
-    }
-  }
-  return written;
-}
-
 std::size_t MlcLine::refresh_drifted(double t_seconds, Rng& rng,
                                      const drift::MetricConfig& cfg) {
   std::size_t refreshed = 0;
@@ -86,7 +71,7 @@ void MlcLine::read_levels(double t_seconds, const drift::MetricConfig& cfg,
                           const double* offsets,
                           std::uint8_t* out_levels) const {
   // Hoist the drift law's log10: cells programmed at the same instant (a
-  // full write, or each run of a differential write) share one
+  // full write, or each run of cells a refresh reprogrammed) share one
   // log10(age / t0). The cached value is exactly what the scalar path
   // would compute, so levels are bit-identical to per-cell read_level.
   // The boundaries are hoisted too, and each level is decided without a

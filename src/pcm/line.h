@@ -1,14 +1,14 @@
 // MLC PCM memory-line model: 296 two-bit cells holding a 592-bit BCH
-// codeword (512 data + 80 parity), with full and differential writes and
-// metric-based readout. This is the device-level ground truth the
+// codeword (512 data + 80 parity), with full writes, the per-cell drift
+// refresh of Figure 6 and metric-based readout. This is the device-level ground truth the
 // Monte-Carlo reliability experiments run on.
 //
 // Performance note (DESIGN.md §10): whole-line readout is a hot kernel
 // (every chip read, scrub pass, and Figure 6 sweep senses all 296 cells at
 // one instant). The batched read_levels path computes log10(age / t0)
 // once per distinct write time instead of once per cell — after a full
-// write that is one log10 for the whole line; after differential writes,
-// one per run of same-age cells. It also hoists the three read
+// write that is one log10 for the whole line; after a refresh or a
+// per-cell reprogram, one per run of same-age cells. It also hoists the three read
 // boundaries and decides each level without a data-dependent branch
 // (Cell::decide_level), so random levels cost no mispredicts. Selectable
 // vs the straight per-cell reference via KernelMode; outputs are
@@ -71,13 +71,6 @@ class MlcLine {
   /// Program every cell with the given codeword at time t (seconds).
   void write_full(const BitVec& bits, double t_seconds, Rng& rng,
                   const drift::MetricConfig& cfg);
-
-  /// Program only the cells whose stored level differs from the target.
-  /// Untouched cells keep their old write time and keep drifting — the
-  /// hazard of naive differential write shown in Figure 6. Returns the
-  /// number of cells programmed.
-  std::size_t write_differential(const BitVec& bits, double t_seconds,
-                                 Rng& rng, const drift::MetricConfig& cfg);
 
   /// Reprogram (to their stored level) exactly the cells that currently
   /// misread at time t — the naive differential scrub of Figure 6, which

@@ -1,4 +1,4 @@
-#include "pcm/mc_ler.h"
+#include "mc_ler.h"
 
 #include <algorithm>
 #include <cmath>
@@ -42,6 +42,7 @@ McLerResult mc_ler(const drift::MetricConfig& config,
   // count is bit-identical to the per-cell reference path — enforced by
   // tests/test_kernels.cpp and the THREADS sweep).
   const bool optimized = resolve_kernel_mode(mode) != KernelMode::kReference;
+  const Cell::Boundaries ub = Cell::upper_boundaries(config);
   const bool drifted = t_seconds > config.t0_seconds;
   const double log_t_ratio =
       drifted ? std::log10(t_seconds / config.t0_seconds) : 0.0;
@@ -57,8 +58,8 @@ McLerResult mc_ler(const drift::MetricConfig& config,
         cell.program(rng.uniform_below(drift::kNumStates), 0.0, rng, config);
         const bool err =
             optimized
-                ? cell.read_level_logt(drifted, log_t_ratio, config, 0.0) !=
-                      cell.programmed_level()
+                ? cell.read_level_logt(drifted, log_t_ratio, config, ub,
+                                       0.0) != cell.programmed_level()
                 : cell.drift_error(t_seconds, config);
         errors += err ? 1 : 0;
       }

@@ -1,11 +1,12 @@
-// Empirical (Monte-Carlo) line-error-rate estimation.
+// Empirical (Monte-Carlo) line-error-rate estimation: a test oracle.
 //
 // The analytic LerCalculator reaches probabilities (1e-12 and below) no
 // simulation can sample; this harness validates it in the measurable
 // regime: simulate whole populations of 296-cell lines through the device
-// model and count how many exceed E errors at age S. Used by tests to
-// cross-check Tables III/IV at relaxed (E, S) points, and available to
-// users who extend the drift model and want to re-validate.
+// model and count how many exceed E errors at age S. test_mc_ler
+// cross-checks Tables III/IV with it at relaxed (E, S) points;
+// test_kernels and test_parallel use it to drive Cell's batched readout
+// and the pool's fixed-block sharding. No program links it.
 #pragma once
 
 #include <cstdint>

@@ -378,6 +378,38 @@ TEST(DeviceLoader, CrossFieldDiagnostics) {
             std::string::npos);
 }
 
+/// t1 text with state1.sigma of `section` raised to 0.6: ub1 = mu1 +
+/// 3.08 * 0.6 lands above ub2 = mu2 + 3.08 / 6 while the means stay
+/// ordered.
+std::string t1_with_unsorted_boundaries(const std::string& section) {
+  std::string text = read_file(t1_path());
+  const std::string line = "\nstate1.sigma = 0.16666666666666666\n";
+  const std::size_t pos = text.find(line, text.find("[" + section + "]"));
+  EXPECT_NE(pos, std::string::npos) << section;
+  text.replace(pos, line.size(), "\nstate1.sigma = 0.6\n");
+  return text;
+}
+
+TEST(DeviceLoader, RejectsUnsortedReadBoundariesRMetric) {
+  const std::string err =
+      device_error(t1_with_unsorted_boundaries("r_metric"));
+  EXPECT_EQ(err.find("test.cfg:68: keys 'r_metric.state1.sigma', "
+                     "'r_metric.state2.sigma' and "
+                     "'r_metric.boundary_halfwidth': read boundaries"),
+            0u)
+      << err;
+}
+
+TEST(DeviceLoader, RejectsUnsortedReadBoundariesMMetric) {
+  const std::string err =
+      device_error(t1_with_unsorted_boundaries("m_metric"));
+  EXPECT_EQ(err.find("test.cfg:93: keys 'm_metric.state1.sigma', "
+                     "'m_metric.state2.sigma' and "
+                     "'m_metric.boundary_halfwidth': read boundaries"),
+            0u)
+      << err;
+}
+
 TEST(DeviceLoader, UnitSuffixesConvertToBaseUnits) {
   DeviceConfig d = parse_text(
       t1_with("interval = 640 s", "interval = 2 min"));

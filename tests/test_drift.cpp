@@ -61,7 +61,7 @@ TEST_P(DriftState, ErrorProbabilityMonotoneInTime) {
   const std::size_t state = GetParam();
   double prev = 0.0;
   for (double t = 2.0; t < 1e6; t *= 4.0) {
-    const double p = model.cell_error_prob(state, t);
+    const double p = std::exp(model.log_cell_error_prob(state, t));
     EXPECT_GE(p, prev) << "state=" << state << " t=" << t;
     EXPECT_LE(p, 1.0);
     prev = p;
@@ -73,14 +73,14 @@ INSTANTIATE_TEST_SUITE_P(States, DriftState,
 
 TEST(ErrorModel, TopStateNeverErrs) {
   const ErrorModel model(r_metric());
-  EXPECT_EQ(model.cell_error_prob(3, 1e6), 0.0);
+  EXPECT_EQ(std::exp(model.log_cell_error_prob(3, 1e6)), 0.0);
 }
 
 TEST(ErrorModel, NoErrorBeforeT0) {
   const ErrorModel model(r_metric());
   for (std::size_t s = 0; s < kNumStates; ++s) {
-    EXPECT_EQ(model.cell_error_prob(s, 0.5), 0.0);
-    EXPECT_EQ(model.cell_error_prob(s, 1.0), 0.0);
+    EXPECT_EQ(std::exp(model.log_cell_error_prob(s, 0.5)), 0.0);
+    EXPECT_EQ(std::exp(model.log_cell_error_prob(s, 1.0)), 0.0);
   }
 }
 
@@ -89,9 +89,12 @@ TEST(ErrorModel, MiddleStatesDriftMost) {
   const double t = 64.0;
   // State 2 (highest drift coefficient among error-capable states)
   // dominates; full-crystalline state 0 is essentially immune.
-  EXPECT_GT(model.cell_error_prob(2, t), model.cell_error_prob(1, t));
-  EXPECT_GT(model.cell_error_prob(1, t), model.cell_error_prob(0, t));
-  EXPECT_LT(model.cell_error_prob(0, t), 1e-12);
+  const auto p = [&](std::size_t s) {
+    return std::exp(model.log_cell_error_prob(s, t));
+  };
+  EXPECT_GT(p(2), p(1));
+  EXPECT_GT(p(1), p(0));
+  EXPECT_LT(p(0), 1e-12);
 }
 
 TEST(ErrorModel, MMetricFarMoreReliableThanR) {
@@ -249,7 +252,7 @@ TEST_P(McValidation, DeviceModelMatchesAnalyticProbability) {
   Rng rng(static_cast<std::uint64_t>(t * 1000));
   const int kCells = 400000;
   for (std::size_t state : {1u, 2u}) {
-    const double p = model.cell_error_prob(state, t);
+    const double p = std::exp(model.log_cell_error_prob(state, t));
     if (p < 30.0 / kCells) continue;  // not enough statistics
     int errors = 0;
     for (int i = 0; i < kCells; ++i) {

@@ -25,7 +25,7 @@ TEST_P(FieldM, ExpLogRoundTrip) {
 
 TEST_P(FieldM, MultiplicativeInverse) {
   for (Elem a = 1; a < f.size(); ++a) {
-    EXPECT_EQ(f.mul(a, f.inv(a)), 1u) << "a=" << a;
+    EXPECT_EQ(f.mul(a, f.div(1, a)), 1u) << "a=" << a;
   }
 }
 
@@ -63,22 +63,29 @@ TEST_P(FieldM, DivisionInvertsMultiplication) {
 }
 
 TEST_P(FieldM, PowMatchesRepeatedMul) {
-  const Elem a = f.alpha_pow(3);
+  // alpha_pow against repeated multiplication by alpha, past one period,
+  // and its reduced-exponent sibling on the doubled table.
   Elem acc = 1;
-  for (int k = 0; k <= 20; ++k) {
-    EXPECT_EQ(f.pow(a, k), acc) << k;
-    acc = f.mul(acc, a);
+  for (std::uint32_t k = 0; k < 2 * f.order(); ++k) {
+    EXPECT_EQ(f.alpha_pow(k), acc) << k;
+    EXPECT_EQ(f.alpha_pow_reduced(k), acc) << k;
+    acc = f.mul(acc, f.alpha());
   }
   // Negative exponent = inverse power.
-  EXPECT_EQ(f.pow(a, -1), f.inv(a));
-  EXPECT_EQ(f.mul(f.pow(a, -5), f.pow(a, 5)), 1u);
+  EXPECT_EQ(f.alpha_pow(-1), f.div(1, f.alpha()));
+  EXPECT_EQ(f.mul(f.alpha_pow(-5), f.alpha_pow(5)), 1u);
 }
 
 TEST_P(FieldM, FermatLittleTheorem) {
-  Rng rng(GetParam() + 200);
-  for (int i = 0; i < 50; ++i) {
-    const Elem a = 1 + static_cast<Elem>(rng.uniform_below(f.order()));
-    EXPECT_EQ(f.pow(a, f.order()), 1u);
+  // a^(2^m) == a for every element: m squarings (the Frobenius map) are
+  // the identity. sqr is the BCH syndrome kernel's even-syndrome step.
+  for (Elem a = 0; a < f.size(); ++a) {
+    Elem x = a;
+    for (unsigned i = 0; i < f.m(); ++i) {
+      EXPECT_EQ(f.sqr(x), f.mul(x, x));
+      x = f.sqr(x);
+    }
+    EXPECT_EQ(x, a) << "a=" << a;
   }
 }
 
@@ -96,7 +103,6 @@ TEST(Field, ZeroHandling) {
   EXPECT_EQ(f.mul(123, 0), 0u);
   EXPECT_EQ(f.div(0, 5), 0u);
   EXPECT_THROW(f.div(5, 0), CheckFailure);
-  EXPECT_THROW(f.inv(0), CheckFailure);
   EXPECT_THROW(f.log(0), CheckFailure);
 }
 
@@ -107,65 +113,18 @@ TEST(Poly, DegreeAndZero) {
   EXPECT_TRUE(Poly().is_zero());
   EXPECT_EQ(Poly::constant(0).degree(), -1);
   EXPECT_EQ(Poly::constant(5).degree(), 0);
-  EXPECT_EQ(Poly::monomial(1, 7).degree(), 7);
+  EXPECT_EQ(Poly(std::vector<Elem>{0, 0, 0, 0, 0, 0, 0, 1}).degree(), 7);
   // Trailing zeros are trimmed.
   EXPECT_EQ(Poly(std::vector<Elem>{1, 2, 0, 0}).degree(), 1);
 }
 
-TEST(Poly, AddIsXorAndSelfInverse) {
-  Poly a(std::vector<Elem>{1, 2, 3});
-  Poly b(std::vector<Elem>{0, 2, 3, 4});
-  Poly sum = Poly::add(a, b);
-  EXPECT_EQ(sum.coeff(0), 1u);
-  EXPECT_EQ(sum.coeff(1), 0u);
-  EXPECT_EQ(sum.coeff(2), 0u);
-  EXPECT_EQ(sum.coeff(3), 4u);
-  EXPECT_TRUE(Poly::add(a, a).is_zero());
-}
-
 TEST(Poly, MulDegreesAdd) {
   Field f(10);
-  Poly a = Poly::monomial(3, 4);
-  Poly b = Poly::monomial(7, 5);
+  Poly a(std::vector<Elem>{0, 0, 0, 0, 3});     // 3 x^4
+  Poly b(std::vector<Elem>{0, 0, 0, 0, 0, 7});  // 7 x^5
   Poly p = Poly::mul(f, a, b);
   EXPECT_EQ(p.degree(), 9);
   EXPECT_EQ(p.coeff(9), f.mul(3, 7));
-}
-
-TEST(Poly, EvalHorner) {
-  Field f(10);
-  // p(x) = x^2 + x + 1 over GF(2^10); p(alpha) via direct arithmetic.
-  Poly p(std::vector<Elem>{1, 1, 1});
-  const Elem a = f.alpha();
-  const Elem direct = Field::add(Field::add(f.mul(a, a), a), 1);
-  EXPECT_EQ(p.eval(f, a), direct);
-  EXPECT_EQ(p.eval(f, 0), 1u);
-}
-
-TEST(Poly, ModRemainderDegreeAndIdentity) {
-  Field f(10);
-  Rng rng(31);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<Elem> ac(12), bc(5);
-    for (auto& c : ac) c = static_cast<Elem>(rng.uniform_below(f.size()));
-    for (auto& c : bc) c = static_cast<Elem>(rng.uniform_below(f.size()));
-    bc.back() = 1 + static_cast<Elem>(rng.uniform_below(f.order()));
-    Poly a(ac), b(bc);
-    Poly r = Poly::mod(f, a, b);
-    EXPECT_LT(r.degree(), b.degree());
-    // (a - r) must be divisible by b: mod again gives zero.
-    EXPECT_TRUE(Poly::mod(f, Poly::add(a, r), b).is_zero());
-  }
-}
-
-TEST(Poly, DerivativeChar2) {
-  // d/dx (x^3 + x^2 + x + 1) = 3x^2 + 2x + 1 = x^2 + 1 in char 2.
-  Poly p(std::vector<Elem>{1, 1, 1, 1});
-  Poly d = p.derivative();
-  EXPECT_EQ(d.degree(), 2);
-  EXPECT_EQ(d.coeff(0), 1u);
-  EXPECT_EQ(d.coeff(1), 0u);
-  EXPECT_EQ(d.coeff(2), 1u);
 }
 
 TEST(CyclotomicCoset, ClosedUnderDoubling) {
@@ -180,11 +139,21 @@ TEST(CyclotomicCoset, ClosedUnderDoubling) {
   }
 }
 
+/// p(x) by Horner's rule: the oracle that checks a minimal polynomial's
+/// root.
+Elem horner(const Field& f, const Poly& p, Elem x) {
+  Elem acc = 0;
+  for (std::size_t i = p.coeffs().size(); i-- > 0;) {
+    acc = Field::add(f.mul(acc, x), p.coeff(i));
+  }
+  return acc;
+}
+
 TEST(MinimalPolynomial, HasAlphaSAsRootAndBinaryCoeffs) {
   Field f(10);
   for (std::uint32_t s : {1u, 2u, 3u, 5u, 7u, 11u}) {
     Poly m = minimal_polynomial(f, s);
-    EXPECT_EQ(m.eval(f, f.alpha_pow(s)), 0u) << "s=" << s;
+    EXPECT_EQ(horner(f, m, f.alpha_pow(s)), 0u) << "s=" << s;
     for (Elem c : m.coeffs()) EXPECT_TRUE(c == 0 || c == 1);
     // Degree equals the coset size.
     EXPECT_EQ(static_cast<std::size_t>(m.degree()),

@@ -22,8 +22,8 @@
 #include "faults/injector.h"
 #include "pcm/chip.h"
 #include "pcm/line.h"
-#include "pcm/mc_ler.h"
 #include "gf/gf2m.h"
+#include "mc_ler.h"
 
 namespace rd {
 namespace {
@@ -246,17 +246,33 @@ TEST(LineKernelEquivalence, ReadMatchesAfterFullWrite) {
   }
 }
 
+/// Reprogram about three quarters of the line's cells, each to a random
+/// level, at time t: after a few calls the cells carry interleaved runs
+/// of different write times.
+void reprogram_some_cells(pcm::MlcLine& line, double t, Rng& rng,
+                          const drift::MetricConfig& cfg) {
+  for (std::size_t c = 0; c < line.num_cells(); ++c) {
+    if (rng.uniform_below(4) == 0) continue;
+    line.cell_at(c).program(rng.uniform_below(drift::kNumStates), t, rng,
+                            cfg);
+  }
+}
+
 TEST(LineKernelEquivalence, ReadMatchesWithMixedWriteTimes) {
-  // Differential writes leave cells with different ages — exactly the
-  // case where the batched kernel must recompute log10 at every
-  // write-time boundary instead of hoisting one value.
+  // Cells of different ages — exactly the case where the batched kernel
+  // must recompute log10 at every write-time boundary instead of
+  // hoisting one value. The first read sees the youngest cells before t0
+  // (no drift yet) and the oldest five decades past it, so one age for
+  // the whole line would misplace cells whichever age it took.
   Rng rng(105);
   const drift::MetricConfig cfg = drift::r_metric();
   pcm::MlcLine line(592);
   line.write_full(random_bits(rng, 592), 0.0, rng, cfg);
-  line.write_differential(random_bits(rng, 592), 100.0, rng, cfg);
-  line.write_differential(random_bits(rng, 592), 300.0, rng, cfg);
-  for (double t : {301.0, 640.0, 6400.0}) {
+  reprogram_some_cells(line, 1e5, rng, cfg);
+  reprogram_some_cells(line, 2e5, rng, cfg);
+  EXPECT_GT(line.count_drift_errors(2e5 + 0.5, cfg, KernelMode::kReference),
+            0u);
+  for (double t : {2e5 + 0.5, 2e5 + 640.0, 4e5}) {
     const BitVec r = line.read(t, cfg, KernelMode::kReference);
     const BitVec o = line.read(t, cfg, KernelMode::kOptimized);
     EXPECT_TRUE(r == o) << "t=" << t;
@@ -290,9 +306,10 @@ TEST(LineKernelEquivalence, ReadLevelsMatchesPerCellWithOffsetsAndStuck) {
 
 /// The R-metric with state 1's sigma raised so its upper boundary sits
 /// above state 2's (ub1 = 4 + 3.08 * 0.6 = 5.85 > ub2 = 5 + 3.08 / 6 =
-/// 5.51). The loader only requires the means to increase, so it accepts
-/// such a config; the reference walk then reads a metric in (ub2, ub1]
-/// as level 1, which a count of passed boundaries would call level 2.
+/// 5.51). The loader rejects such a config, but one built in code reaches
+/// the kernels unchecked; the reference walk then reads a metric in
+/// (ub2, ub1] as level 1, which a count of passed boundaries would call
+/// level 2.
 drift::MetricConfig unsorted_boundaries_metric() {
   drift::MetricConfig cfg = drift::r_metric();
   cfg.states[1].sigma = 0.6;
@@ -300,9 +317,9 @@ drift::MetricConfig unsorted_boundaries_metric() {
 }
 
 TEST(LineKernelEquivalence, ReadMatchesWithUnsortedBoundaries) {
-  // Full and differential writes (the last one younger than t0 at the
-  // first read), sense offsets on every cell and one stuck cell, read
-  // through both tiers. The optimized tier's branch-free decision must
+  // A full write and two partial reprograms (the last one younger than
+  // t0 at the first read), sense offsets on every cell and one stuck
+  // cell, read through both tiers. The optimized tier's branch-free decision must
   // give the reference walk's level even where the walk skips a
   // boundary.
   const drift::MetricConfig cfg = unsorted_boundaries_metric();
@@ -310,8 +327,8 @@ TEST(LineKernelEquivalence, ReadMatchesWithUnsortedBoundaries) {
   Rng rng(108);
   pcm::MlcLine line(592);
   line.write_full(random_bits(rng, 592), 0.0, rng, cfg);
-  line.write_differential(random_bits(rng, 592), 100.0, rng, cfg);
-  line.write_differential(random_bits(rng, 592), 300.0, rng, cfg);
+  reprogram_some_cells(line, 100.0, rng, cfg);
+  reprogram_some_cells(line, 300.0, rng, cfg);
   line.cell_at(29).set_stuck(3);
   std::vector<double> offsets(line.num_cells());
   for (double& o : offsets) o = rng.normal(0.0, 0.05);

@@ -52,55 +52,37 @@ TEST(LogChoose, RejectsBadArgs) {
   EXPECT_THROW(log_choose(3, 4), CheckFailure);
 }
 
-TEST(NormalCdf, KnownValues) {
-  EXPECT_NEAR(normal_cdf(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(normal_cdf(1.0), 0.8413447460685429, 1e-12);
-  EXPECT_NEAR(normal_cdf(-1.0), 1.0 - 0.8413447460685429, 1e-12);
-  EXPECT_NEAR(normal_cdf(3.0), 0.9986501019683699, 1e-12);
+TEST(NormalSf, KnownValues) {
+  // 1 - Phi(x) for tabulated Phi.
+  EXPECT_NEAR(normal_sf(0.0), 0.5, 1e-12);
+  EXPECT_NEAR(normal_sf(-1.0), 0.8413447460685429, 1e-12);
+  EXPECT_NEAR(normal_sf(1.0), 1.0 - 0.8413447460685429, 1e-12);
+  EXPECT_NEAR(normal_sf(-3.0), 0.9986501019683699, 1e-12);
 }
 
 TEST(NormalSf, ComplementOfCdf) {
+  // Phi(x) = sf(-x), so sf(x) + sf(-x) = 1.
   for (double x : {-4.0, -1.5, 0.0, 0.7, 2.5, 5.0}) {
-    EXPECT_NEAR(normal_sf(x) + normal_cdf(x), 1.0, 1e-12) << x;
+    EXPECT_NEAR(normal_sf(x) + normal_sf(-x), 1.0, 1e-12) << x;
   }
-}
-
-TEST(LogNormalSf, MatchesDirectInBulk) {
-  for (double x : {-3.0, 0.0, 1.0, 5.0, 10.0, 20.0}) {
-    EXPECT_NEAR(log_normal_sf(x), std::log(normal_sf(x)), 1e-9) << x;
-  }
-}
-
-TEST(LogNormalSf, DeepTailIsFiniteAndMonotone) {
-  double prev = log_normal_sf(30.0);
-  for (double x = 31.0; x <= 60.0; x += 1.0) {
-    const double cur = log_normal_sf(x);
-    EXPECT_TRUE(std::isfinite(cur)) << x;
-    EXPECT_LT(cur, prev) << x;
-    prev = cur;
-  }
-  // Asymptotic check at x = 40: log Q(x) ~ -x^2/2 - log(x sqrt(2 pi)).
-  const double x = 40.0;
-  const double approx = -0.5 * x * x - std::log(x * std::sqrt(2.0 * M_PI));
-  EXPECT_NEAR(log_normal_sf(x), approx, 0.01);
 }
 
 TEST(TruncatedNormalTail, EndpointsClamp) {
   // Beyond the truncation the tail is exactly 0 / 1.
-  EXPECT_DOUBLE_EQ(truncated_normal_tail(0.0, 1.0, 2.746, 2.746), 0.0);
-  EXPECT_DOUBLE_EQ(truncated_normal_tail(0.0, 1.0, 2.746, 3.5), 0.0);
-  EXPECT_DOUBLE_EQ(truncated_normal_tail(0.0, 1.0, 2.746, -2.746), 1.0);
-  EXPECT_DOUBLE_EQ(truncated_normal_tail(0.0, 1.0, 2.746, -5.0), 1.0);
+  EXPECT_DOUBLE_EQ(TruncatedNormalTail(0.0, 1.0, 2.746)(2.746), 0.0);
+  EXPECT_DOUBLE_EQ(TruncatedNormalTail(0.0, 1.0, 2.746)(3.5), 0.0);
+  EXPECT_DOUBLE_EQ(TruncatedNormalTail(0.0, 1.0, 2.746)(-2.746), 1.0);
+  EXPECT_DOUBLE_EQ(TruncatedNormalTail(0.0, 1.0, 2.746)(-5.0), 1.0);
 }
 
 TEST(TruncatedNormalTail, MedianIsHalf) {
-  EXPECT_NEAR(truncated_normal_tail(3.0, 0.5, 2.0, 3.0), 0.5, 1e-12);
+  EXPECT_NEAR(TruncatedNormalTail(3.0, 0.5, 2.0)(3.0), 0.5, 1e-12);
 }
 
 TEST(TruncatedNormalTail, MonotoneDecreasingInThreshold) {
   double prev = 1.0;
   for (double t = -2.7; t <= 2.7; t += 0.1) {
-    const double p = truncated_normal_tail(0.0, 1.0, 2.746, t);
+    const double p = TruncatedNormalTail(0.0, 1.0, 2.746)(t);
     EXPECT_LE(p, prev);
     prev = p;
   }
@@ -112,11 +94,11 @@ TEST(TruncatedNormalTail, MatchesClosedForm) {
   for (double t : {-2.0, -0.5, 0.5, 1.0, 2.0, 2.7}) {
     const double expect =
         (normal_sf(t) - normal_sf(c)) / (1.0 - 2.0 * normal_sf(c));
-    EXPECT_NEAR(truncated_normal_tail(0.0, 1.0, c, t), expect, 1e-12) << t;
+    EXPECT_NEAR(TruncatedNormalTail(0.0, 1.0, c)(t), expect, 1e-12) << t;
   }
   // Scale/shift invariance: tail(mu + z*sigma) is independent of mu, sigma.
-  EXPECT_NEAR(truncated_normal_tail(5.0, 0.25, c, 5.0 + 1.3 * 0.25),
-              truncated_normal_tail(0.0, 1.0, c, 1.3), 1e-12);
+  EXPECT_NEAR(TruncatedNormalTail(5.0, 0.25, c)(5.0 + 1.3 * 0.25),
+              TruncatedNormalTail(0.0, 1.0, c)(1.3), 1e-12);
 }
 
 TEST(BinomialPmf, SumsToOne) {

@@ -1,6 +1,6 @@
 // Cross-validation of the analytic LER against the device Monte-Carlo,
 // in the empirically measurable regime of Tables III/IV.
-#include "pcm/mc_ler.h"
+#include "mc_ler.h"
 
 #include <gtest/gtest.h>
 

@@ -378,7 +378,9 @@ TEST(NetService, SeqGapGetsRetryThenRecovers) {
 TEST(NetService, ResponseTypeFromClientRejected) {
   TestServer ts = make_server(1);
   Client cli = ts.connect();
-  cli.send_frame(Status::kOk, 1, "");
+  std::string ok;
+  encode_frame(Status::kOk, 1, "", ok);
+  cli.send_raw(ok);
   const Frame f = cli.recv_frame();
   EXPECT_EQ(f.type, type_of(Status::kBadState));
   EXPECT_FALSE(cli.recv_opt().has_value());

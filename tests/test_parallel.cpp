@@ -18,7 +18,7 @@
 #include "common/check.h"
 #include "common/env.h"
 #include "harness.h"
-#include "pcm/mc_ler.h"
+#include "mc_ler.h"
 #include "scoped_env.h"
 
 namespace rd {

@@ -152,42 +152,6 @@ TEST(MlcLine, DriftErrorsGrowWithAge) {
   EXPECT_GT(old, young);
 }
 
-TEST(MlcLine, DifferentialWriteTouchesOnlyChangedCells) {
-  Rng rng(9);
-  const drift::MetricConfig cfg = drift::r_metric();
-  MlcLine line(592);
-  const BitVec data = random_bits(rng, 592);
-  line.write_full(data, 0.0, rng, cfg);
-  // Same data again: no cell should be programmed.
-  EXPECT_EQ(line.write_differential(data, 1.0, rng, cfg), 0u);
-  // Change exactly one cell's worth of data.
-  BitVec changed = data;
-  changed.flip(10);
-  const std::size_t n = line.write_differential(changed, 2.0, rng, cfg);
-  EXPECT_EQ(n, 1u);
-  EXPECT_TRUE(line.read(2.0, cfg) == changed);
-}
-
-TEST(MlcLine, DifferentialWriteLeavesOldCellsDrifting) {
-  // The Figure 6 hazard: cells untouched by a differential write keep
-  // their original write time and drift budget.
-  Rng rng(10);
-  const drift::MetricConfig cfg = drift::r_metric();
-  std::size_t diff_errors = 0, full_errors = 0;
-  for (int i = 0; i < 100; ++i) {
-    const BitVec data = random_bits(rng, 592);
-    MlcLine naive(592), clean(592);
-    naive.write_full(data, 0.0, rng, cfg);
-    clean.write_full(data, 0.0, rng, cfg);
-    // At 640 s, rewrite only what drifted (naive) vs everything (clean).
-    naive.write_differential(data, 640.0, rng, cfg);
-    clean.write_full(data, 640.0, rng, cfg);
-    diff_errors += naive.count_drift_errors(1280.0, cfg);
-    full_errors += clean.count_drift_errors(1280.0, cfg);
-  }
-  EXPECT_GT(diff_errors, full_errors);
-}
-
 TEST(MlcLine, RefreshDriftedLeavesLineCleanNow) {
   Rng rng(21);
   const drift::MetricConfig cfg = drift::r_metric();

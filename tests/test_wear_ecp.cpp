@@ -155,12 +155,6 @@ TEST(Ecp, PatchOnlyTouchesRetiredCells) {
   for (int i = 1; i < 6; ++i) EXPECT_EQ(corrupted[i], 9);
 }
 
-TEST(Ecp, OverheadBitsForPaperGeometry) {
-  // 296 cells -> 9 pointer bits; ECP-6: 6 * (9 + 2 + 1) = 72 bits.
-  EcpLine ecp(296, 6);
-  EXPECT_EQ(ecp.overhead_bits(), 72u);
-}
-
 TEST(Ecp, EndToEndStuckCellLifecycle) {
   // A stuck-at cell discovered by a verify-after-write: retire it, then
   // every subsequent read round-trips despite the cell lying.
