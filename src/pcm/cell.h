@@ -12,13 +12,14 @@
 // that log10 depends only on the cell's age — which whole-line reads and
 // Monte-Carlo sweeps share across hundreds of cells. The *_logt entry
 // points below take the precomputed log10(age / t0) so batched callers
-// (MlcLine::read_levels, the Monte-Carlo LER oracle) hoist it; they are the same
-// arithmetic as metric_at / read_level, so the results are bit-identical
-// (the scalar paths are implemented on top of them). The batched paths
-// also hoist the three upper boundaries (upper_boundaries) and place the
-// metric with a branch-free decision (decide_level) instead of the
-// reference tier's first-match walk, which mispredicts on random levels;
-// both give the same level for any boundary order and for NaN. A Cell is
+// (MlcLine::read_levels, the tests' Monte-Carlo LER oracle) hoist it;
+// they are the same arithmetic as metric_at / read_level, so the results
+// are bit-identical (the scalar paths are implemented on top of them).
+// The batched paths also hoist the three upper boundaries
+// (upper_boundaries) and place the metric with a branch-free decision
+// (decide_level) instead of the reference tier's first-match walk, which
+// mispredicts on random levels; both give the same level for any
+// boundary order and for NaN. A Cell is
 // 32 bytes (three doubles, then the two levels as bytes and the two
 // flags), so a 296-cell line spans 148 cache lines.
 #pragma once

@@ -1,16 +1,16 @@
 // MLC PCM memory-line model: 296 two-bit cells holding a 592-bit BCH
 // codeword (512 data + 80 parity), with full writes, the per-cell drift
-// refresh of Figure 6 and metric-based readout. This is the device-level ground truth the
-// Monte-Carlo reliability experiments run on.
+// refresh of Figure 6 and metric-based readout. This is the device-level
+// ground truth the Monte-Carlo reliability experiments run on.
 //
 // Performance note (DESIGN.md §10): whole-line readout is a hot kernel
 // (every chip read, scrub pass, and Figure 6 sweep senses all 296 cells at
 // one instant). The batched read_levels path computes log10(age / t0)
 // once per distinct write time instead of once per cell — after a full
 // write that is one log10 for the whole line; after a refresh or a
-// per-cell reprogram, one per run of same-age cells. It also hoists the three read
-// boundaries and decides each level without a data-dependent branch
-// (Cell::decide_level), so random levels cost no mispredicts. Selectable
+// per-cell reprogram, one per run of same-age cells. It also hoists the
+// three read boundaries and decides each level without a data-dependent
+// branch (Cell::decide_level), so random levels cost no mispredicts. Selectable
 // vs the straight per-cell reference via KernelMode; outputs are
 // bit-identical (the batch runs the same Cell metric arithmetic with the
 // hoisted operand, and its decision equals the reference walk for any

@@ -319,9 +319,9 @@ drift::MetricConfig unsorted_boundaries_metric() {
 TEST(LineKernelEquivalence, ReadMatchesWithUnsortedBoundaries) {
   // A full write and two partial reprograms (the last one younger than
   // t0 at the first read), sense offsets on every cell and one stuck
-  // cell, read through both tiers. The optimized tier's branch-free decision must
-  // give the reference walk's level even where the walk skips a
-  // boundary.
+  // cell, read through both tiers. The optimized tier's branch-free
+  // decision must give the reference walk's level even where the walk
+  // skips a boundary.
   const drift::MetricConfig cfg = unsorted_boundaries_metric();
   ASSERT_GT(cfg.upper_boundary(1), cfg.upper_boundary(2));
   Rng rng(108);
