@@ -7,7 +7,8 @@
 # Usage: tools/coverage_summary.sh <build-dir> <source-root>
 set -u
 BUILD=${1:?build dir}
-ROOT=${2:?source root}
+# gcov reports absolute paths; resolve the root so a relative one matches.
+ROOT=$(cd "${2:?source root}" && pwd) || exit 1
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
