@@ -10,6 +10,7 @@
 #include "readduo/schemes.h"
 #include "readduo/steady_state.h"
 #include "trace/generator.h"
+#include "secded.h"
 
 namespace rd {
 namespace {
@@ -128,6 +129,39 @@ TEST(BchProperties, BoundaryWeightsDetectNeverMiscorrect) {
       EXPECT_FALSE(vdec.corrected) << "e=" << e << " trial " << trial;
       EXPECT_TRUE(vdec.detected_uncorrectable)
           << "e=" << e << " trial " << trial;
+    }
+  }
+}
+
+TEST(SecdedProperties, InjectedSingleAndDoubleErrorsCrossCheck) {
+  // The TLC baseline's (72, 64) SECDED, cross-checked with flip positions
+  // drawn through the same injector: 1 flip corrects, 2 flips are
+  // detected as a double error (never silently accepted).
+  Rng rng(13);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::uint64_t data = rng.next();
+    const std::uint8_t checks = ecc::Secded7264::encode_checks(data);
+    const std::vector<unsigned> pos = injected_burst(
+        /*e=*/9, /*key=*/static_cast<std::uint64_t>(trial),
+        ecc::Secded7264::kCodeBits);
+
+    {  // single error in the data half
+      std::uint64_t d = data ^ (1ull << (pos[0] % 64));
+      std::uint8_t c = checks;
+      const ecc::SecdedResult r = ecc::Secded7264::decode(d, c);
+      EXPECT_TRUE(r.ok) << trial;
+      EXPECT_EQ(r.num_corrected, 1u) << trial;
+      EXPECT_EQ(d, data) << trial;
+    }
+    {  // double error: two distinct data bits
+      const unsigned b0 = pos[0] % 64;
+      unsigned b1 = pos[1] % 64;
+      if (b1 == b0) b1 = (b1 + 1) % 64;
+      std::uint64_t d = data ^ (1ull << b0) ^ (1ull << b1);
+      std::uint8_t c = checks;
+      const ecc::SecdedResult r = ecc::Secded7264::decode(d, c);
+      EXPECT_FALSE(r.ok) << trial;
+      EXPECT_TRUE(r.double_error) << trial;
     }
   }
 }

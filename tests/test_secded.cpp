@@ -1,5 +1,5 @@
 // Tests for the (72,64) SECDED code used by the TLC baseline.
-#include "ecc/secded.h"
+#include "secded.h"
 
 #include <gtest/gtest.h>
 
