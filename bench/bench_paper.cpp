@@ -89,7 +89,7 @@ void print_tables_1_2(Results) {
   std::printf("  Memory: %llu GB MLC PCM, %u banks, %u B lines, %u cells "
               "per line, %u lines per scrub row\n",
               static_cast<unsigned long long>(org.capacity_bytes >> 30),
-              org.num_banks, org.line_bytes, dev.geometry.total_cells(),
+              org.num_banks, org.line_bytes, drift::kLineCells,
               org.lines_per_scrub);
   std::printf("  Timing: R-read %lld ns, M-read %lld ns, R-M-read %lld ns, "
               "write %lld ns, bus %lld ns\n",
@@ -133,8 +133,7 @@ void print_ler_grid(const char* title, const drift::MetricConfig& metric,
                     std::span<const unsigned> es,
                     std::span<const double> times,
                     std::span<const Pivot> pivots) {
-  drift::LerCalculator calc{drift::ErrorModel(metric),
-                            config::active_device().geometry};
+  drift::LerCalculator calc{drift::ErrorModel(metric)};
   std::printf("%s", title);
   std::vector<std::string> header = {"S(s)"};
   for (unsigned e : es) header.push_back("E=" + std::to_string(e));
@@ -207,8 +206,8 @@ void print_table4(Results) {
 // exploits.
 void print_table5(Results) {
   const config::DeviceConfig& dev = config::active_device();
-  drift::LerCalculator r{drift::ErrorModel(dev.r_metric), dev.geometry};
-  drift::LerCalculator m{drift::ErrorModel(dev.m_metric), dev.geometry};
+  drift::LerCalculator r{drift::ErrorModel(dev.r_metric)};
+  drift::LerCalculator m{drift::ErrorModel(dev.m_metric)};
 
   struct Config {
     const char* name;
@@ -458,13 +457,13 @@ void print_fig4(Results results) {
   // Analytic bucket probabilities under R-sensing vs line age.
   const config::DeviceConfig& dev = config::active_device();
   std::printf("R-sensing error-count buckets vs age (BCH-8, %u cells):\n",
-              dev.geometry.total_cells());
-  drift::LerCalculator calc{drift::ErrorModel(dev.r_metric), dev.geometry};
+              drift::kLineCells);
+  drift::LerCalculator calc{drift::ErrorModel(dev.r_metric)};
   stats::Table b({"Age (s)", "P(<=8: R-read ok)", "P(9..17: R-M-read)",
                   "P(>17: silent)"});
   for (double age : {1.0, 8.0, 64.0, 320.0, 640.0, 1280.0, 4096.0}) {
-    const double p_gt8 = calc.ler(8, age);
-    const double p_gt17 = calc.ler(17, age);
+    const double p_gt8 = calc.ler(drift::kLineCorrectable, age);
+    const double p_gt17 = calc.ler(drift::kLineDetectable, age);
     b.add_row({stats::fmt("%.0f", age), stats::fmt("%.3E", 1.0 - p_gt8),
                stats::fmt("%.3E", p_gt8 - p_gt17),
                stats::fmt("%.3E", p_gt17)});
@@ -797,8 +796,9 @@ void print_fig13(Results results) {
 std::vector<RunSpec> fig14_specs() {
   // LWT-4 without conversion, then with it.
   return ideal_then(trace::spec2006_workloads(),
-                    {{readduo::SchemeKind::kLwt, {.conversion = false}},
-                     {readduo::SchemeKind::kLwt, {.conversion = true}}});
+                    {{readduo::SchemeKind::kLwt,
+                      {.controller = {.enabled = false}}},
+                     {readduo::SchemeKind::kLwt, {}}});
 }
 
 void print_fig14(Results results) {
@@ -901,7 +901,7 @@ constexpr unsigned kStaticTs[] = {0u, 30u, 60u, 100u};
 
 readduo::ReadDuoOptions static_t(unsigned t) {
   readduo::ReadDuoOptions opts;
-  opts.conversion = t > 0;
+  opts.controller.enabled = t > 0;
   opts.controller.initial_t = t;
   opts.controller.floor_t = t;
   // An epoch larger than any run freezes the controller.
@@ -1120,8 +1120,8 @@ void print_ext_temperature(Results) {
   for (double celsius : {0.0, 27.0, 45.0, 60.0, 85.0}) {
     const drift::ErrorModel r(drift::at_temperature(dev.r_metric, celsius));
     const drift::ErrorModel m(drift::at_temperature(dev.m_metric, celsius));
-    drift::LerCalculator cr{r, dev.geometry};
-    drift::LerCalculator cm{m, dev.geometry};
+    drift::LerCalculator cr{r};
+    drift::LerCalculator cm{m};
     t.add_row({stats::fmt("%.0f", celsius),
                stats::fmt("%.2E", r.avg_cell_error_prob(640.0)),
                stats::fmt("%.0f s", max_safe_interval(cr, 8)),

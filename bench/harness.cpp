@@ -84,17 +84,6 @@ std::string chomp(std::string s) {
   return s;
 }
 
-std::string hist_json(const stats::LatencyHistogram& h) {
-  stats::JsonWriter jw;
-  jw.add("count", h.count())
-      .add("mean_ns", h.mean())
-      .add("p50_ns", h.p50())
-      .add("p95_ns", h.p95())
-      .add("p99_ns", h.p99())
-      .add("max_ns", h.max());
-  return chomp(jw.str());
-}
-
 template <typename T, typename Fn>
 std::string json_array(const std::vector<T>& xs, Fn&& render) {
   std::ostringstream os;
@@ -238,7 +227,7 @@ std::string render_run_json(const std::string& workload, std::uint64_t seed,
   stats::JsonWriter classes;
   for (std::size_t c = 0; c < stats::kNumReqClasses; ++c) {
     classes.add_raw(stats::req_class_name(static_cast<stats::ReqClass>(c)),
-                    hist_json(m.latency[c]));
+                    stats::latency_json(m.latency[c]));
   }
   jw.add_raw("latency", chomp(classes.str()));
   const double exec =

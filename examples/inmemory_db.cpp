@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     cfg.instructions_per_core = budget;
     readduo::SchemeEnv env = memsim::make_scheme_env(db, cfg.cpu, 99);
     readduo::ReadDuoOptions opts;
-    opts.conversion = v.conversion;
+    opts.controller.enabled = v.conversion;
     auto scheme = readduo::make_scheme(v.kind, env, opts);
     memsim::Simulator sim(cfg, *scheme, db);
     const memsim::SimResult r = sim.run();

@@ -18,7 +18,6 @@
 
 #include <string>
 
-#include "drift/error_model.h"
 #include "drift/metric.h"
 #include "pcm/params.h"
 
@@ -26,15 +25,16 @@ namespace rd::config {
 
 /// One complete device description: everything the chip model, the drift
 /// analysis, the scheme layer, and the timing simulator need to know
-/// about the underlying memory technology.
+/// about the underlying memory technology. The line itself (256 data + 40
+/// parity cells, BCH-8) is fixed by drift/error_model.h, not a device
+/// parameter.
 struct DeviceConfig {
   /// Stable identifier ("pcm-readduo-t1"). Carried into the metrics JSON
   /// `device` field and the wire hello, so results are always
   /// attributable to the device that produced them.
   std::string name;
-  /// Technology family: "pcm", "rram", or "nand".
-  std::string kind;
-  /// Free-form provenance note (which paper/table the numbers came from).
+  /// Free-form provenance note: technology family and which paper/table
+  /// the numbers came from.
   std::string description;
 
   /// Fast (current-sensing) readout metric — Table I for the paper PCM.
@@ -42,8 +42,6 @@ struct DeviceConfig {
   /// Robust (voltage-sensing) readout metric — Table II.
   drift::MetricConfig m_metric;
 
-  /// Data/parity cell split of a line.
-  drift::LineGeometry geometry;
   /// Rank/bank/line organization (Table VIII).
   pcm::MemoryOrg org;
   /// Per-operation latencies (Table VIII / Section IV).
@@ -56,9 +54,9 @@ struct DeviceConfig {
 
 /// The compiled-in ReadDuo MLC PCM device: Tables I/II drift metrics
 /// (drift::r_metric()/m_metric()), Table VIII timing/organization, the
-/// Table IX energy substitutes, the 256 + 40 cell line, and the
-/// (S=640 s, W=1) scrub point. configs/pcm_readduo_t1.cfg is the
-/// externalized twin, golden-test-enforced bit-for-bit equal.
+/// Table IX energy substitutes and the (S=640 s, W=1) scrub point.
+/// configs/pcm_readduo_t1.cfg is the externalized twin,
+/// golden-test-enforced bit-for-bit equal.
 const DeviceConfig& builtin_device();
 
 }  // namespace rd::config

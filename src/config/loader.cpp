@@ -197,48 +197,21 @@ DeviceConfig device_from_raw(const RawConfig& raw) {
   // Pass 3: typed, unit-checked, range-checked construction.
   DeviceConfig d;
   d.name = get_string(raw, "device.name");
-  d.kind = get_string(raw, "device.kind");
-  if (d.kind != "pcm" && d.kind != "rram" && d.kind != "nand") {
-    fail_at(raw, raw.at("device.kind"),
-            "key 'device.kind': expected pcm, rram, or nand, got '" +
-                d.kind + "'");
-  }
   if (raw.has("device.description")) {
     d.description = get_string(raw, "device.description");
   }
-  const std::int64_t levels = get_int(raw, "device.levels");
-  if (levels != static_cast<std::int64_t>(drift::kNumStates)) {
-    fail_at(raw, raw.at("device.levels"),
-            "key 'device.levels': this build models " +
-                std::to_string(drift::kNumStates) +
-                "-level cells; map other technologies onto " +
-                std::to_string(drift::kNumStates) +
-                " states (see docs/DEVICE_CONFIGS.md)");
-  }
-
-  d.geometry.data_cells =
-      static_cast<unsigned>(get_int(raw, "geometry.data_cells"));
-  d.geometry.ecc_cells =
-      static_cast<unsigned>(get_int(raw, "geometry.ecc_cells"));
 
   d.org.capacity_bytes =
       static_cast<std::uint64_t>(get_int(raw, "memory.capacity"));
   d.org.num_banks = static_cast<unsigned>(get_int(raw, "memory.banks"));
-  d.org.line_bytes =
-      static_cast<unsigned>(get_int(raw, "memory.line_bytes"));
   d.org.lines_per_scrub =
       static_cast<unsigned>(get_int(raw, "memory.lines_per_scrub"));
-  if (d.geometry.data_cells != d.org.line_bytes * 4) {
-    fail_at(raw, raw.at("geometry.data_cells"),
-            "key 'geometry.data_cells': must equal 4 * memory.line_bytes "
-            "(2-bit cells), got " + std::to_string(d.geometry.data_cells) +
-                " for " + std::to_string(d.org.line_bytes) + "-byte lines");
-  }
   if (d.org.capacity_bytes % d.org.line_bytes != 0 ||
       d.org.total_lines() % d.org.num_banks != 0) {
     fail_at(raw, raw.at("memory.capacity"),
             "key 'memory.capacity': must divide evenly into "
-            "memory.banks banks of memory.line_bytes lines");
+            "memory.banks banks of " +
+                std::to_string(d.org.line_bytes) + " B lines");
   }
 
   d.timing.r_read = Ns{get_int(raw, "timing.r_read")};

@@ -65,35 +65,18 @@ std::vector<KeySpec> build_schema() {
   s.push_back({"device.name", ValueType::kString, Unit::kNone, true, 0, 0,
                "Stable device identifier, carried into the metrics JSON "
                "'device' field and the wire hello."});
-  s.push_back({"device.kind", ValueType::kString, Unit::kNone, true, 0, 0,
-               "Technology family: pcm, rram, or nand."});
-  s.push_back({"device.levels", ValueType::kInt, Unit::kNone, true, 2, 16,
-               "Storage levels per cell; must equal 4 (the 2-bit MLC cell "
-               "model, drift::kNumStates)."});
   s.push_back({"device.description", ValueType::kString, Unit::kNone, false,
                0, 0,
-               "Free-form provenance note (paper, table, measurement "
-               "conditions)."});
-
-  // --- [geometry] -------------------------------------------------------
-  s.push_back({"geometry.data_cells", ValueType::kInt, Unit::kNone, true, 1,
-               65536,
-               "Data cells per line (256 for 64 B at 2 bits/cell; "
-               "Section III-A). Must equal 4 * memory.line_bytes."});
-  s.push_back({"geometry.ecc_cells", ValueType::kInt, Unit::kNone, true, 0,
-               65536,
-               "Parity cells per line (40 holds the 80-bit BCH-8 code; "
-               "Section III-A)."});
+               "Free-form provenance note (technology family, paper, "
+               "table, measurement conditions)."});
 
   // --- [memory] ---------------------------------------------------------
   s.push_back({"memory.capacity", ValueType::kInt, Unit::kBytes, true, 1,
                1e15,
                "Total capacity in bytes (Table VIII: 16 GB = 8 banks x "
-               "2 GB). Must divide evenly into banks and lines."});
+               "2 GB). Must divide evenly into banks of 64 B lines."});
   s.push_back({"memory.banks", ValueType::kInt, Unit::kNone, true, 1, 1024,
                "Independent banks (Table VIII: 8)."});
-  s.push_back({"memory.line_bytes", ValueType::kInt, Unit::kBytes, true, 8,
-               4096, "Data payload per line in bytes (64)."});
   s.push_back({"memory.lines_per_scrub", ValueType::kInt, Unit::kNone, true,
                1, 4096,
                "Lines sensed per scrub operation (row granularity, 16; "

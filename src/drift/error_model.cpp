@@ -80,14 +80,11 @@ double ErrorModel::avg_cell_error_prob(double t_seconds) const {
   return lp <= kNegInf ? 0.0 : std::exp(lp);
 }
 
-LerCalculator::LerCalculator(ErrorModel model, LineGeometry geometry)
-    : model_(std::move(model)), geometry_(geometry) {
-  RD_CHECK(geometry_.total_cells() > 0);
-}
+LerCalculator::LerCalculator(ErrorModel model) : model_(std::move(model)) {}
 
 double LerCalculator::log_ler(unsigned e, double t_seconds) const {
   const double log_p = model_.log_avg_cell_error_prob(t_seconds);
-  return log_binomial_tail_gt(geometry_.total_cells(), e, log_p);
+  return log_binomial_tail_gt(kLineCells, e, log_p);
 }
 
 double LerCalculator::ler(unsigned e, double t_seconds) const {
@@ -100,7 +97,7 @@ double LerCalculator::log_prob_window(unsigned e, unsigned w, double t_clean,
   RD_CHECK(t_end > t_clean);
   RD_CHECK(w >= 1);
   RD_CHECK(e + 1 >= w);
-  const unsigned n = geometry_.total_cells();
+  const unsigned n = kLineCells;
   const double p1 = model_.avg_cell_error_prob(t_clean);
   const double p2 = model_.avg_cell_error_prob(t_end);
   const double q = std::max(p2 - p1, 0.0);  // errs in (t_clean, t_end]
@@ -152,7 +149,7 @@ double log_binomial_lt(unsigned n, unsigned w, double log_p) {
 
 double LerCalculator::log_prob_second_interval_indep(unsigned e, unsigned w,
                                                      double s) const {
-  const unsigned n = geometry_.total_cells();
+  const unsigned n = kLineCells;
   const double log_p1 = model_.log_avg_cell_error_prob(s);
   const double log_p2 = model_.log_avg_cell_error_prob(2.0 * s);
   return log_binomial_lt(n, w, log_p1) +
@@ -161,7 +158,7 @@ double LerCalculator::log_prob_second_interval_indep(unsigned e, unsigned w,
 
 double LerCalculator::log_prob_third_interval_indep(unsigned e, unsigned w,
                                                     double s) const {
-  const unsigned n = geometry_.total_cells();
+  const unsigned n = kLineCells;
   const double log_p2 = model_.log_avg_cell_error_prob(2.0 * s);
   const double log_p3 = model_.log_avg_cell_error_prob(3.0 * s);
   return log_binomial_lt(n, w, log_p2) +

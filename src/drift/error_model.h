@@ -28,13 +28,18 @@ namespace rd::drift {
 /// (Section III-A): 3.56e-15 failures per line-second.
 inline constexpr double kLerDramPerLineSecond = 3.56e-15;
 
-/// Line geometry: 64 B data = 256 MLC cells, plus 40 cells holding the
-/// 80-bit BCH-8 parity. Every cell can take a drift error.
-struct LineGeometry {
-  unsigned data_cells = 256;
-  unsigned ecc_cells = 40;
-  unsigned total_cells() const { return data_cells + ecc_cells; }
-};
+/// The paper's line code (Section III-A), the same on every device: 64 B
+/// of data in 256 two-bit MLC cells plus 40 cells holding the 80-bit
+/// BCH-8 parity. Every cell can take a drift error. BCH-8 corrects up to
+/// 8 errors and, decoding detection apart from correction (Section
+/// III-B), detects up to 17; more are silent.
+inline constexpr unsigned kLineDataCells = 256;
+inline constexpr unsigned kLineParityCells = 40;
+inline constexpr unsigned kLineCells = kLineDataCells + kLineParityCells;
+/// Data bytes per line: four 2-bit cells per byte.
+inline constexpr unsigned kLineBytes = kLineDataCells / 4;
+inline constexpr unsigned kLineCorrectable = 8;
+inline constexpr unsigned kLineDetectable = 17;
 
 /// Analytic drift-error model for one readout metric.
 class ErrorModel {
@@ -64,13 +69,13 @@ class ErrorModel {
   MetricConfig config_;
 };
 
-/// Line-error-rate calculator for an (E, S) efficient-scrubbing setting.
+/// Line-error-rate calculator for an (E, S) efficient-scrubbing setting
+/// over the kLineCells cells of a line.
 class LerCalculator {
  public:
-  LerCalculator(ErrorModel model, LineGeometry geometry = {});
+  explicit LerCalculator(ErrorModel model);
 
   const ErrorModel& model() const { return model_; }
-  const LineGeometry& geometry() const { return geometry_; }
 
   /// log P(line accumulates more than E drift errors within t seconds of
   /// its write) — condition (i) of the efficient-scrubbing definition.
@@ -109,7 +114,6 @@ class LerCalculator {
                          double t_end) const;
 
   ErrorModel model_;
-  LineGeometry geometry_;
 };
 
 /// Precomputed log-time interpolation of the average cell error

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "drift/error_model.h"
 
 namespace rd::faults {
 
@@ -280,11 +281,14 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
         plan.bch_p = parse_prob(clause, kvs.get("p"));
         if (kvs.has("e")) {
           const std::uint64_t e = parse_uint(clause, kvs.get("e"));
-          // The interesting band: beyond correction (t = 8), within the
+          // The interesting band: beyond correction, within the
           // design-distance detection guarantee.
-          RD_CHECK_MSG(e >= 9 && e <= 17,
-                       "READDUO_FAULTS clause '" << clause
-                                                 << "': e must be 9..17");
+          RD_CHECK_MSG(e > drift::kLineCorrectable &&
+                           e <= drift::kLineDetectable,
+                       "READDUO_FAULTS clause '"
+                           << clause << "': e must be "
+                           << drift::kLineCorrectable + 1 << ".."
+                           << drift::kLineDetectable);
           plan.bch_e = static_cast<unsigned>(e);
         }
         break;

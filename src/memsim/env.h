@@ -22,7 +22,6 @@ inline readduo::SchemeEnv make_scheme_env(const trace::Workload& w,
   const config::DeviceConfig& dev = config::active_device();
   env.timing = dev.timing;
   env.energy = dev.energy;
-  env.geometry = dev.geometry;
   env.scrub = dev.scrub;
   env.footprint_lines = w.footprint_lines;
   env.zipf_s = w.zipf_s;

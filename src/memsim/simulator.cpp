@@ -32,9 +32,6 @@ Simulator::Simulator(const SimConfig& cfg, readduo::Scheme& scheme,
     cores_.push_back(core);
   }
   banks_.resize(cfg.org.num_banks);
-  bank_op_.assign(cfg.org.num_banks, BankOp::kNone);
-  bank_read_.resize(cfg.org.num_banks);
-  bank_scrub_rewrites_.assign(cfg.org.num_banks, 0);
   result_.metrics.banks.resize(cfg.org.num_banks);
   if (cfg.trace_events > 0) {
     ring_ = std::make_unique<stats::EventRing>(cfg.trace_events);
@@ -236,10 +233,10 @@ void Simulator::enqueue_read(unsigned core, const trace::MemOp& op, Ns now,
 
   // Write cancellation: a read arriving at a bank busy with a cancellable
   // write preempts it; the write restarts later from scratch.
-  if (cfg_.write_cancellation && bank.busy && bank.write_in_service &&
-      bank.in_service.cancellations < cfg_.max_write_cancellations) {
+  if (cfg_.write_cancellation && bank.op == BankOp::kWrite &&
+      bank.in_write.cancellations < cfg_.max_write_cancellations) {
     ++result_.write_cancellations;
-    WriteReq aborted = bank.in_service;
+    WriteReq aborted = bank.in_write;
     ++aborted.cancellations;
     if (cfg_.write_preemption == WritePreemption::kPause) {
       // Pausing keeps the completed P&V iterations: only the remaining
@@ -252,11 +249,9 @@ void Simulator::enqueue_read(unsigned core, const trace::MemOp& op, Ns now,
     // The bank becomes free now; the queued read dispatches immediately.
     result_.bank_busy_ns -= (bank.busy_until - now).v;
     result_.metrics.banks[b].busy_ns -= (bank.busy_until - now).v;
-    bank.busy = false;
-    bank.write_in_service = false;
-    bank_op_[b] = BankOp::kNone;
+    bank.op = BankOp::kNone;
     dispatch(b, now);
-  } else if (!bank.busy) {
+  } else if (!bank.busy()) {
     dispatch(b, now);
   }
 }
@@ -291,7 +286,7 @@ bool Simulator::enqueue_write(std::uint64_t line, WriteKind kind, Ns now,
   }
   note_reliability(now);
   bank.write_q.push_back(WriteReq{line, kind, out.latency, now, 0, svc_id});
-  if (!bank.busy) dispatch(b, now);
+  if (!bank.busy()) dispatch(b, now);
   return true;
 }
 
@@ -354,7 +349,7 @@ void Simulator::note_reliability(Ns now) {
 
 void Simulator::dispatch(unsigned b, Ns now) {
   Bank& bank = banks_[b];
-  RD_CHECK(!bank.busy);
+  RD_CHECK(!bank.busy());
 
   const bool scrub_urgent =
       bank.scrub_backlog > cfg_.scrub_priority_backlog;
@@ -380,10 +375,9 @@ void Simulator::dispatch(unsigned b, Ns now) {
       }
       bank.open_row = row;
     }
-    bank.busy = true;
+    bank.op = BankOp::kRead;
     bank.busy_until = now + latency;
-    bank_op_[b] = BankOp::kRead;
-    bank_read_[b] = req;
+    bank.in_read = req;
     result_.bank_busy_ns += latency.v;
     result_.metrics.banks[b].busy_ns += latency.v;
     trace_event(now, 'R', class_of(req.mode), b, req.line, latency);
@@ -418,10 +412,9 @@ void Simulator::dispatch(unsigned b, Ns now) {
                      << scrub_period_.v << " ns per row");
     note_reliability(now);
     --bank.scrub_backlog;
-    bank.busy = true;
+    bank.op = BankOp::kScrubSense;
     bank.busy_until = now + s.sense_latency;
-    bank_op_[b] = BankOp::kScrubSense;
-    bank_scrub_rewrites_[b] = s.rewrites;
+    bank.scrub_rewrites = s.rewrites;
     result_.bank_busy_ns += s.sense_latency.v;
     result_.metrics.banks[b].busy_ns += s.sense_latency.v;
     trace_event(now, 'S', stats::ReqClass::kScrubRewrite, b, /*line=*/0,
@@ -443,11 +436,9 @@ void Simulator::dispatch(unsigned b, Ns now) {
       // P&V latency itself is unaffected).
       bank.open_row = req.line / cfg_.row_buffer.lines_per_row;
     }
-    bank.busy = true;
+    bank.op = BankOp::kWrite;
     bank.busy_until = now + req.latency;
-    bank.write_in_service = true;
-    bank.in_service = req;
-    bank_op_[b] = BankOp::kWrite;
+    bank.in_write = req;
     result_.bank_busy_ns += req.latency.v;
     result_.metrics.banks[b].busy_ns += req.latency.v;
     trace_event(now, 'W', write_class(req.kind), b, req.line, req.latency);
@@ -476,19 +467,17 @@ stats::ReqClass Simulator::write_class(WriteKind kind) {
 
 void Simulator::bank_done(unsigned b, Ns now, std::uint64_t tag) {
   Bank& bank = banks_[b];
-  if (!bank.busy || tag != bank.op_tag) {
+  if (!bank.busy() || tag != bank.op_tag) {
     // Stale completion from a cancelled write.
     return;
   }
-  const BankOp op = bank_op_[b];
-  const WriteReq done_write = bank.in_service;
-  bank.busy = false;
-  bank.write_in_service = false;
-  bank_op_[b] = BankOp::kNone;
+  const BankOp op = bank.op;
+  const WriteReq done_write = bank.in_write;
+  bank.op = BankOp::kNone;
 
   switch (op) {
     case BankOp::kRead: {
-      const ReadReq req = bank_read_[b];
+      const ReadReq req = bank.in_read;
       // Serialize the 64 B transfer on the shared channel.
       const Ns bus_start = std::max(now, bus_busy_until_);
       bus_busy_until_ = bus_start + cfg_.timing.bus_transfer;
@@ -526,14 +515,14 @@ void Simulator::bank_done(unsigned b, Ns now, std::uint64_t tag) {
       break;
     case BankOp::kScrubSense:
       ++result_.scrubs_serviced;
-      for (unsigned i = 0; i < bank_scrub_rewrites_[b]; ++i) {
+      for (unsigned i = 0; i < bank.scrub_rewrites; ++i) {
         enqueue_write(next_scrub_line(b), WriteKind::kScrubRewrite, now);
       }
       break;
     case BankOp::kNone:
       RD_CHECK_MSG(false, "bank completion with no op in service");
   }
-  if (!bank.busy) dispatch(b, now);
+  if (!bank.busy()) dispatch(b, now);
 }
 
 void Simulator::scrub_tick(unsigned b, Ns now) {
@@ -546,7 +535,7 @@ void Simulator::scrub_tick(unsigned b, Ns now) {
   const bool keep =
       externally_driven() ? !scrub_stopped_ : !all_cores_done();
   if (keep) schedule(bank.next_scrub, EventKind::kScrubTick, b);
-  if (!bank.busy) dispatch(b, now);
+  if (!bank.busy()) dispatch(b, now);
 }
 
 }  // namespace rd::memsim

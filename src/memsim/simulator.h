@@ -235,14 +235,18 @@ class Simulator {
     std::uint64_t svc_id = 0;
   };
 
+  /// What a bank is currently doing, to route its completion.
+  enum class BankOp { kNone, kRead, kWrite, kScrubSense };
+
   struct Bank {
     std::deque<ReadReq> read_q;
     std::deque<WriteReq> write_q;
-    bool busy = false;
+    BankOp op = BankOp::kNone;
     Ns busy_until{0};
-    /// Set while a cancellable write occupies the bank.
-    bool write_in_service = false;
-    WriteReq in_service{};
+    ReadReq in_read{};    ///< the read in service (op == kRead)
+    WriteReq in_write{};  ///< the write in service (op == kWrite)
+    /// Rewrites the scrub sense in service asks for (op == kScrubSense).
+    unsigned scrub_rewrites = 0;
     std::uint64_t scrub_backlog = 0;
     Ns next_scrub{0};
     /// Serial of the op currently in service (see Event::tag).
@@ -253,6 +257,8 @@ class Simulator {
     /// advanced per rewrite so rewrites never alias demand lines of other
     /// banks (see next_scrub_line()).
     std::uint64_t scrub_cursor = 0;
+
+    bool busy() const { return op != BankOp::kNone; }
   };
 
   struct Core {
@@ -342,12 +348,6 @@ class Simulator {
   /// the flight-recorder ring (logged, never dumped — an injected fault is
   /// expected noise, not a reliability incident by itself).
   std::uint64_t faults_seen_ = 0;
-
-  // What the bank is currently doing, to route the completion.
-  enum class BankOp { kNone, kRead, kWrite, kScrubSense };
-  std::vector<BankOp> bank_op_;
-  std::vector<ReadReq> bank_read_;   ///< in-service read per bank
-  std::vector<unsigned> bank_scrub_rewrites_;
 };
 
 }  // namespace rd::memsim

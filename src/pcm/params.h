@@ -10,6 +10,7 @@
 #include <cstdint>
 
 #include "common/units.h"
+#include "drift/error_model.h"
 
 namespace rd::pcm {
 
@@ -44,7 +45,8 @@ struct EnergyParams {
 struct MemoryOrg {
   std::uint64_t capacity_bytes = 16ull << 30;  ///< 8 banks x 2 GB
   unsigned num_banks = 8;
-  unsigned line_bytes = 64;
+  /// The fixed line of drift/error_model.h; not a device parameter.
+  static constexpr unsigned line_bytes = drift::kLineBytes;
   /// Lines sensed per scrub operation: the scrub engine works at row
   /// granularity (one activation senses a whole row) [2].
   unsigned lines_per_scrub = 16;

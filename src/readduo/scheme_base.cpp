@@ -9,15 +9,6 @@
 
 namespace rd::readduo {
 
-namespace {
-
-/// BCH-8 correction/detection thresholds with decoupled detect/correct
-/// (Section III-B): correct up to 8, detect up to 17, silent beyond.
-constexpr unsigned kCorrectable = 8;
-constexpr unsigned kDetectable = 17;
-
-}  // namespace
-
 SchemeBase::SchemeBase(std::string name, SchemeEnv env, SchemePolicy policy,
                        const ScrubAgeSampler* ages)
     : name_(std::move(name)),
@@ -122,13 +113,13 @@ unsigned SchemeBase::sample_r_errors(std::uint64_t line,
                                      const LineState& st, Ns now) {
   const double age = now.seconds() - st.last_full_write_s;
   const double p = r_table().prob(age);
-  unsigned errors = rng_.binomial(env_.geometry.total_cells(), p);
+  unsigned errors = rng_.binomial(drift::kLineCells, p);
   if (faults_ != nullptr) {
     const unsigned extra =
-        faults_->extra_r_errors(line, now, env_.geometry.total_cells());
+        faults_->extra_r_errors(line, now, drift::kLineCells);
     if (extra > 0) {
       counters_.injected_faults += extra;
-      errors = std::min(errors + extra, env_.geometry.total_cells());
+      errors = std::min(errors + extra, drift::kLineCells);
     }
   }
   return errors;
@@ -137,7 +128,7 @@ unsigned SchemeBase::sample_r_errors(std::uint64_t line,
 unsigned SchemeBase::sample_m_errors(const LineState& st, Ns now) {
   const double age = now.seconds() - st.last_full_write_s;
   const double p = m_table().prob(age);
-  return rng_.binomial(env_.geometry.total_cells(), p);
+  return rng_.binomial(drift::kLineCells, p);
 }
 
 WriteOutcome SchemeBase::full_write(LineState& st, Ns now) {
@@ -145,7 +136,7 @@ WriteOutcome SchemeBase::full_write(LineState& st, Ns now) {
   st.last_full_write_s = now.seconds();
   WriteOutcome w;
   w.latency = env_.timing.write;
-  w.cells_written = env_.geometry.total_cells();
+  w.cells_written = drift::kLineCells;
   w.full_line = true;
   counters_.cell_writes += w.cells_written;
   counters_.write_energy_pj +=
@@ -187,9 +178,10 @@ ReadOutcome SchemeBase::serve(ReadMode mode) {
 ReadOutcome SchemeBase::r_then_m_read(std::uint64_t line,
                                       const LineState& st, Ns now) {
   const unsigned errors = sample_r_errors(line, st, now);
-  if (errors <= kCorrectable) return serve(ReadMode::kRRead);
-  if (errors <= kDetectable) return serve(ReadMode::kRMRead);
-  // More than 17 errors cannot be told apart from clean data: silent.
+  if (errors <= drift::kLineCorrectable) return serve(ReadMode::kRRead);
+  if (errors <= drift::kLineDetectable) return serve(ReadMode::kRMRead);
+  // More errors than BCH-8 detects cannot be told apart from clean data:
+  // silent.
   ++counters_.silent_corruptions;
   return serve(ReadMode::kRRead);
 }
@@ -201,15 +193,16 @@ ReadOutcome SchemeBase::on_read(std::uint64_t line, Ns now, bool archive) {
     case ReadPolicy::kROnly: {
       const unsigned errors =
           sample_r_errors(line, state_of(line, now, archive), now);
-      if (errors > kDetectable) {
+      if (errors > drift::kLineDetectable) {
         ++counters_.silent_corruptions;
-      } else if (errors > kCorrectable) {
+      } else if (errors > drift::kLineCorrectable) {
         ++counters_.detected_uncorrectable;
       }
       return serve(ReadMode::kRRead);
     }
     case ReadPolicy::kMOnly:
-      if (sample_m_errors(state_of(line, now, archive), now) > kCorrectable) {
+      if (sample_m_errors(state_of(line, now, archive), now) >
+          drift::kLineCorrectable) {
         ++counters_.detected_uncorrectable;
       }
       return serve(ReadMode::kMRead);
@@ -241,7 +234,7 @@ WriteOutcome SchemeBase::on_scrub_rewrite(Ns) {
   ++counters_.scrub_rewrites;
   WriteOutcome w;
   w.latency = env_.timing.write;
-  w.cells_written = env_.geometry.total_cells();
+  w.cells_written = drift::kLineCells;
   counters_.cell_writes += w.cells_written;
   counters_.scrub_energy_pj +=
       env_.energy.cell_write.v * static_cast<double>(w.cells_written);

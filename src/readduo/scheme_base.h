@@ -28,7 +28,6 @@ namespace rd::readduo {
 struct SchemeEnv {
   pcm::TimingParams timing;
   pcm::EnergyParams energy;
-  drift::LineGeometry geometry;
   /// Workload geometry for rank-dependent write recency: each core's
   /// address slice is [base, base + footprint) working set followed by
   /// [base + footprint, base + footprint + archive_lines) archive.

@@ -34,21 +34,21 @@ struct SamplerEntry {
   std::optional<ScrubAgeSampler> sampler;
 };
 Mutex g_sampler_mu;
-std::map<std::tuple<bool, unsigned, double, unsigned>, SamplerEntry>
+std::map<std::tuple<bool, double, unsigned>, SamplerEntry>
     g_sampler_cache RD_GUARDED_BY(g_sampler_mu);
 
-const ScrubAgeSampler& shared_sampler(const SchemePolicy& p, unsigned cells) {
+const ScrubAgeSampler& shared_sampler(const SchemePolicy& p) {
   const bool m_metric = p.scrub_sense == ScrubSense::kM;
   SamplerEntry* entry;
   {
     MutexLock lock(g_sampler_mu);
-    entry = &g_sampler_cache[std::make_tuple(m_metric, cells,
-                                             p.scrub_interval_s, p.nu)];
+    entry = &g_sampler_cache[std::make_tuple(m_metric, p.scrub_interval_s,
+                                             p.nu)];
   }
   std::call_once(entry->built, [&] {
     entry->sampler.emplace(
-        m_metric ? SchemeBase::m_model() : SchemeBase::r_model(), cells,
-        p.scrub_interval_s, p.nu);
+        m_metric ? SchemeBase::m_model() : SchemeBase::r_model(),
+        drift::kLineCells, p.scrub_interval_s, p.nu);
   });
   return *entry->sampler;
 }
@@ -63,9 +63,12 @@ static_assert(std::size(kFamilyNames) ==
               static_cast<std::size_t>(SchemeKind::kSelect) + 1);
 
 /// MLC cells per 64 B line with BCH-8 (512 data + 80 parity bits).
-constexpr double kMlcCells = 296.0;
-/// MLC cells per 64 B line with BCH-10 (512 data + 100 parity bits).
-constexpr double kBch10Cells = 306.0;
+constexpr double kMlcCells = drift::kLineCells;
+/// MLC cells per 64 B line with BCH-10 (512 data + 100 parity bits: BCH
+/// parity grows linearly in t).
+constexpr double kBch10Cells =
+    drift::kLineDataCells +
+    drift::kLineParityCells * 10 / drift::kLineCorrectable;
 /// Tri-level cells per 64 B line with (72,64) SECDED: 512 data + 64
 /// check bits, 3 bits per 2 cells (9 >= 8 level pairs) [26].
 constexpr double kTlcCells = 384.0;
@@ -84,7 +87,7 @@ class TlcScheme : public SchemeBase {
     // A TLC line programs 384 tri-level cells; each costs tlc_write_scale
     // of an MLC cell write (coarser P&V against decade-wide targets).
     WriteOutcome w = SchemeBase::on_write(line, now);
-    // Rebase the energy SchemeBase charged for 296 full-rate MLC cells.
+    // Rebase the energy SchemeBase charged for the full-rate MLC cells.
     counters_.write_energy_pj -=
         env().energy.cell_write.v * static_cast<double>(w.cells_written);
     const unsigned extra =
@@ -103,15 +106,10 @@ class LwtScheme : public SchemeBase {
  public:
   LwtScheme(std::string name, const SchemeEnv& env,
             const ReadDuoOptions& opts, const SchemePolicy& policy)
-      : SchemeBase(std::move(name), env, policy,
-                   &shared_sampler(policy, env.geometry.total_cells())),
+      : SchemeBase(std::move(name), env, policy, &shared_sampler(policy)),
         opts_(opts),
         sub_interval_s_(policy.scrub_interval_s / opts.k),
-        controller_([&] {
-          ConversionController::Config c = opts.controller;
-          c.enabled = opts.conversion;
-          return c;
-        }()) {}
+        controller_(opts.controller) {}
 
   ReadOutcome on_read(std::uint64_t line, Ns now, bool archive) override {
     LineState& st = state_of(line, now, archive);
@@ -232,10 +230,10 @@ class SelectScheme : public LwtScheme {
       // cells found by the pre-write read. The full-write clock (and the
       // LWT flags) deliberately stay put: R-sensing reliability is
       // measured from the last full write (Section III-D).
-      const unsigned n = env().geometry.total_cells();
-      unsigned cells = rng().binomial(n, opts_.changed_cell_fraction) +
-                       sample_r_errors(line, st, now);
-      cells = std::min(cells, n);
+      unsigned cells =
+          rng().binomial(drift::kLineCells, opts_.changed_cell_fraction) +
+          sample_r_errors(line, st, now);
+      cells = std::min(cells, drift::kLineCells);
       st.last_write_s = now.seconds();
       ++counters_.demand_diff_writes;
       counters_.cell_writes += cells;
@@ -289,7 +287,7 @@ double cells_per_line(SchemeKind kind, const ReadDuoOptions& opts) {
       return kBch10Cells;
     case SchemeKind::kLwt:
     case SchemeKind::kSelect:
-      // 296 MLC cells + (k + log2 k) SLC flag bits, one SLC cell each.
+      // The MLC line + (k + log2 k) SLC flag bits, one SLC cell each.
       return kMlcCells + static_cast<double>(LwtFlags(opts.k).flag_bits());
   }
   RD_CHECK_MSG(false, "unknown scheme kind");
@@ -302,7 +300,7 @@ std::unique_ptr<Scheme> make_scheme(SchemeKind kind, const SchemeEnv& env,
   const auto core = [&](const SchemePolicy& p, bool sampled) {
     return std::make_unique<SchemeBase>(
         name, env, p,
-        sampled ? &shared_sampler(p, env.geometry.total_cells()) : nullptr);
+        sampled ? &shared_sampler(p) : nullptr);
   };
   const auto m_scrub = [&](ReadPolicy read, unsigned w) {
     RD_CHECK_MSG(env.scrub.interval_s > 0.0,

@@ -45,7 +45,7 @@ enum class SchemeKind {
 struct ReadDuoOptions {
   unsigned k = 4;        ///< LWT sub-intervals per scrub interval
   unsigned select_s = 2; ///< SDW window: one full write per s sub-intervals
-  bool conversion = true;///< enable R-M-read -> write conversion
+  /// R-M-read -> write conversion; controller.enabled = false turns it off.
   ConversionController::Config controller = {};
   /// Fraction of cells a demand write modifies (differential-write cost).
   /// The paper cites ~20% of bits changing per write; with 2 bits/cell and

@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "stats/histogram.h"
+
 namespace rd::stats {
 
 /// Accumulates key/value pairs and renders a JSON object. Insertion order
@@ -80,5 +82,21 @@ class JsonWriter {
 
   std::vector<std::tuple<std::string, std::string, bool>> items_;
 };
+
+/// One latency histogram as a JSON object (count, mean, p50, p95, p99 and
+/// max in ns), without str()'s trailing newline so that it nests through
+/// add_raw: the READDUO_METRICS export and readduo_load's summary share it.
+inline std::string latency_json(const LatencyHistogram& h) {
+  JsonWriter jw;
+  jw.add("count", h.count())
+      .add("mean_ns", h.mean())
+      .add("p50_ns", h.p50())
+      .add("p95_ns", h.p95())
+      .add("p99_ns", h.p99())
+      .add("max_ns", h.max());
+  std::string json = jw.str();
+  json.pop_back();
+  return json;
+}
 
 }  // namespace rd::stats

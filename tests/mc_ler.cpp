@@ -25,14 +25,12 @@ double McLerResult::stderr_() const {
   return std::sqrt(p * (1.0 - p) / static_cast<double>(lines));
 }
 
-McLerResult mc_ler(const drift::MetricConfig& config,
-                   const drift::LineGeometry& geometry,
-                   unsigned e, double t_seconds, std::uint64_t lines,
+McLerResult mc_ler(const drift::MetricConfig& config, unsigned e,
+                   double t_seconds, std::uint64_t lines,
                    std::uint64_t seed, KernelMode mode) {
   McLerResult result;
   result.lines = lines;
   if (lines == 0) return result;
-  const unsigned cells = geometry.total_cells();
   const std::uint64_t shards = (lines + kShardLines - 1) / kShardLines;
   std::vector<std::uint64_t> shard_failures(shards, 0);
   // Every sampled cell is written at t = 0 and read at the same
@@ -53,7 +51,7 @@ McLerResult mc_ler(const drift::MetricConfig& config,
     std::uint64_t failures = 0;
     for (std::uint64_t l = begin; l < end; ++l) {
       unsigned errors = 0;
-      for (unsigned c = 0; c < cells && errors <= e; ++c) {
+      for (unsigned c = 0; c < drift::kLineCells && errors <= e; ++c) {
         Cell cell;
         cell.program(rng.uniform_below(drift::kNumStates), 0.0, rng, config);
         const bool err =

@@ -31,7 +31,7 @@ struct McLerResult {
   double stderr_() const;
 };
 
-/// Simulate `lines` fresh lines of `geometry` cells under `config`,
+/// Simulate `lines` fresh lines of drift::kLineCells cells under `config`,
 /// age them to t_seconds, and count lines with more than `e` drift
 /// errors. The population is sharded over the READDUO_THREADS pool in
 /// fixed-size blocks with per-shard Rng(seed, shard) streams and an
@@ -41,9 +41,8 @@ struct McLerResult {
 /// tier hoists the shared log10(t / t0) out of the cell loop and draws
 /// the same RNG sequence as the per-cell reference — enforced by
 /// test_kernels).
-McLerResult mc_ler(const drift::MetricConfig& config,
-                   const drift::LineGeometry& geometry,
-                   unsigned e, double t_seconds, std::uint64_t lines,
+McLerResult mc_ler(const drift::MetricConfig& config, unsigned e,
+                   double t_seconds, std::uint64_t lines,
                    std::uint64_t seed, KernelMode mode = KernelMode::kAuto);
 
 }  // namespace rd::pcm

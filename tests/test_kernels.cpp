@@ -362,12 +362,11 @@ TEST(LineKernelEquivalence, ReadMatchesWithUnsortedBoundaries) {
 
 TEST(McLerKernelEquivalence, CountsMatchBitIdentically) {
   const drift::MetricConfig cfg = drift::r_metric();
-  const drift::LineGeometry geom;
   for (double t : {64.0, 640.0}) {
     const pcm::McLerResult r =
-        pcm::mc_ler(cfg, geom, 2, t, 20000, 9, KernelMode::kReference);
+        pcm::mc_ler(cfg, 2, t, 20000, 9, KernelMode::kReference);
     const pcm::McLerResult o =
-        pcm::mc_ler(cfg, geom, 2, t, 20000, 9, KernelMode::kOptimized);
+        pcm::mc_ler(cfg, 2, t, 20000, 9, KernelMode::kOptimized);
     EXPECT_EQ(r.lines, o.lines);
     EXPECT_EQ(r.failures, o.failures) << "t=" << t;
   }
@@ -378,12 +377,11 @@ TEST(McLerKernelEquivalence, CountsMatchWithUnsortedBoundaries) {
   // metric is below ub1, so a line carries ~90 misreads: E = 90 puts the
   // failure count mid-range.
   const drift::MetricConfig cfg = unsorted_boundaries_metric();
-  const drift::LineGeometry geom;
   for (double t : {0.5, 640.0}) {
     const pcm::McLerResult r =
-        pcm::mc_ler(cfg, geom, 90, t, 4000, 10, KernelMode::kReference);
+        pcm::mc_ler(cfg, 90, t, 4000, 10, KernelMode::kReference);
     const pcm::McLerResult o =
-        pcm::mc_ler(cfg, geom, 90, t, 4000, 10, KernelMode::kOptimized);
+        pcm::mc_ler(cfg, 90, t, 4000, 10, KernelMode::kOptimized);
     EXPECT_EQ(r.failures, o.failures) << "t=" << t;
     // Neither none nor all: a count that moves with the decision.
     EXPECT_GT(r.failures, 0u) << "t=" << t;

@@ -25,12 +25,11 @@ TEST_P(McVsAnalytic, RMetricTableIIIEntriesReproduce) {
   const unsigned e = GetParam().e;
   const double s = GetParam().s;
   const drift::MetricConfig cfg = drift::r_metric();
-  const drift::LineGeometry geom;
-  drift::LerCalculator calc{drift::ErrorModel(cfg), geom};
+  drift::LerCalculator calc{drift::ErrorModel(cfg)};
   const double analytic = calc.ler(e, s);
   ASSERT_GT(analytic, 5e-4);  // measurable with 20k lines
 
-  const McLerResult mc = mc_ler(cfg, geom, e, s, /*lines=*/20000,
+  const McLerResult mc = mc_ler(cfg, e, s, /*lines=*/20000,
                                 /*seed=*/1234 + e);
   const double tolerance = 6.0 * mc.stderr_() + 0.15 * analytic;
   EXPECT_NEAR(mc.ler(), analytic, tolerance)
@@ -46,22 +45,19 @@ INSTANTIATE_TEST_SUITE_P(Points, McVsAnalytic,
 
 TEST(McLer, FailureCountsAreDeterministic) {
   const drift::MetricConfig cfg = drift::r_metric();
-  const drift::LineGeometry geom;
-  const McLerResult a = mc_ler(cfg, geom, 0, 64.0, 2000, 77);
-  const McLerResult b = mc_ler(cfg, geom, 0, 64.0, 2000, 77);
+  const McLerResult a = mc_ler(cfg, 0, 64.0, 2000, 77);
+  const McLerResult b = mc_ler(cfg, 0, 64.0, 2000, 77);
   EXPECT_EQ(a.failures, b.failures);
 }
 
 TEST(McLer, ZeroLines) {
-  const McLerResult r =
-      mc_ler(drift::r_metric(), drift::LineGeometry{}, 0, 8.0, 0, 1);
+  const McLerResult r = mc_ler(drift::r_metric(), 0, 8.0, 0, 1);
   EXPECT_EQ(r.ler(), 0.0);
   EXPECT_EQ(r.stderr_(), 0.0);
 }
 
 TEST(McLer, MMetricEssentiallyErrorFreeAt640) {
-  const McLerResult r = mc_ler(drift::m_metric(), drift::LineGeometry{},
-                               /*e=*/0, 640.0, 5000, 3);
+  const McLerResult r = mc_ler(drift::m_metric(), /*e=*/0, 640.0, 5000, 3);
   // Analytic: ~5e-6 per line; 5000 lines should see ~0 failures.
   EXPECT_LE(r.failures, 2u);
 }

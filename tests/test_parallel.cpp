@@ -196,14 +196,13 @@ TEST(ParallelForShards, SameSumForAnyThreadCount) {
 // 1, 2, and 8 at the same seed.
 TEST(McLerParallel, BitIdenticalAcrossThreadCounts) {
   const drift::MetricConfig cfg = drift::r_metric();
-  const drift::LineGeometry geom;
   // > 2 shards at the 8192-line shard size, so the decomposition is real.
   constexpr std::uint64_t kLines = 20000;
   constexpr std::uint64_t kSeed = 20160628;
 
   auto run_with = [&](const char* threads) {
     ScopedThreads t(threads);
-    return pcm::mc_ler(cfg, geom, /*e=*/0, /*t_seconds=*/64.0, kLines, kSeed);
+    return pcm::mc_ler(cfg, /*e=*/0, /*t_seconds=*/64.0, kLines, kSeed);
   };
   const pcm::McLerResult one = run_with("1");
   const pcm::McLerResult two = run_with("2");

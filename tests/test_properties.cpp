@@ -1,6 +1,7 @@
 // Property-based and failure-injection tests across modules.
 #include <gtest/gtest.h>
 
+#include "common/math.h"
 #include "common/rng.h"
 #include "drift/error_model.h"
 #include "ecc/bch.h"
@@ -194,12 +195,12 @@ TEST(DriftProperties, StrongerCodeAlwaysHelps) {
 }
 
 TEST(DriftProperties, MoreCellsMoreErrors) {
-  const drift::ErrorModel model(drift::r_metric());
-  drift::LineGeometry small{256, 0};
-  drift::LineGeometry big{512, 80};
-  drift::LerCalculator a{model, small};
-  drift::LerCalculator b{model, big};
-  EXPECT_LT(a.ler(8, 640.0), b.ler(8, 640.0));
+  // The line-error tail at one per-cell probability grows with the cell
+  // count: a data-only 256-cell line against a two-line 592-cell one.
+  const double log_p =
+      drift::ErrorModel(drift::r_metric()).log_avg_cell_error_prob(640.0);
+  EXPECT_LT(log_binomial_tail_gt(256, 8, log_p),
+            log_binomial_tail_gt(592, 8, log_p));
 }
 
 // --- Renewal identities -----------------------------------------------------

@@ -648,12 +648,13 @@ TEST(Schemes, LwtUntrackedArchiveReadsAreRMReads) {
   SchemeEnv env = test_env();
   env.archive_age_scale_s = 1e5;  // archive written ages ago
   ReadDuoOptions opts;
-  opts.conversion = false;
+  opts.controller.enabled = false;
   auto s = make_scheme(SchemeKind::kLwt, env, opts);
   int rm = 0;
   for (std::uint64_t line = 1u << 16; line < (1u << 16) + 200; ++line) {
     const ReadOutcome r = s->on_read(line, Ns{1000}, /*archive=*/true);
     rm += r.mode == ReadMode::kRMRead ? 1 : 0;
+    EXPECT_FALSE(r.convert_to_write) << line;  // the controller is off
   }
   // Essentially all day-old archive lines are untracked.
   EXPECT_GT(rm, 190);
@@ -674,7 +675,6 @@ TEST(Schemes, LwtConversionEmitsWriteRequests) {
   SchemeEnv env = test_env();
   env.archive_age_scale_s = 1e5;
   ReadDuoOptions opts;
-  opts.conversion = true;
   opts.controller.initial_t = 100;  // convert everything
   auto s = make_scheme(SchemeKind::kLwt, env, opts);
   int conversions = 0;

@@ -97,19 +97,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-/// {"count":..,"mean_ns":..,"p50_ns":..,...} for one latency class.
-std::string class_json(const stats::LatencyHistogram& h) {
-  const stats::LatencyHistogram::Snapshot s = h.snapshot();
-  stats::JsonWriter j;
-  j.add("count", s.count)
-      .add("mean_ns", s.mean_ns)
-      .add("p50_ns", s.p50_ns)
-      .add("p95_ns", s.p95_ns)
-      .add("p99_ns", s.p99_ns)
-      .add("max_ns", static_cast<std::int64_t>(s.max_ns));
-  return j.str();
-}
-
 // lint: allow(sig-seconds) wall_s is host wall-clock, not simulated time
 void live_report(const service::ServiceStats& st, double wall_s,
                  std::uint64_t target) {
@@ -305,11 +292,13 @@ void report(const LoadRun& lr, const service::ServiceStats& st,
       .add("scrubs", st.scrubs)
       .add("write_cancellations", st.write_cancellations)
       .add("scrub_rewrites_dropped", st.scrub_rewrites_dropped)
-      .add_raw("demand_reads", class_json(st.metrics.demand_reads()));
+      .add_raw("demand_reads",
+               stats::latency_json(st.metrics.demand_reads()));
   for (std::size_t c = 0; c < stats::kNumReqClasses; ++c) {
     const auto cls = static_cast<stats::ReqClass>(c);
     if (st.metrics.lat(cls).count() == 0) continue;
-    j.add_raw(stats::req_class_name(cls), class_json(st.metrics.lat(cls)));
+    j.add_raw(stats::req_class_name(cls),
+              stats::latency_json(st.metrics.lat(cls)));
   }
   const std::string json = j.str();
   std::printf("READDUO_METRICS %s", json.c_str());

@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 0;
     } else if (std::strcmp(a, "--no-conversion") == 0) {
-      opts.conversion = false;
+      opts.controller.enabled = false;
     } else if (std::strcmp(a, "--row-buffer") == 0) {
       row_buffer = true;
     } else if (std::strcmp(a, "--json") == 0) {
