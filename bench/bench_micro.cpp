@@ -79,7 +79,7 @@ void BM_BchDecode(benchmark::State& state) {
     benchmark::DoNotOptimize(bch8().decode(cw));
   }
 }
-BENCHMARK(BM_BchDecode)->Arg(0)->Arg(1)->Arg(4)->Arg(8);
+BENCHMARK(BM_BchDecode)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8);
 
 void BM_DriftCellErrorProb(benchmark::State& state) {
   const drift::ErrorModel model(drift::r_metric());

@@ -3,32 +3,38 @@
 // The paper attaches a BCH-8 code over GF(2^10) to each 512-bit MLC line:
 // 80 parity bits, correcting any 8 bit errors and (with detection decoupled
 // from correction, Section III-B) detecting up to 17. This is a complete
-// hard-decision implementation: systematic LFSR encoding (a word-wide
-// register, one shift per data bit), syndrome computation,
-// Berlekamp–Massey, and Chien search.
+// hard-decision implementation: systematic encoding, syndromes,
+// Berlekamp–Massey and root finding.
 //
-// Syndrome computation and the Chien search are the decode hot path (every
-// R-read and every scrub pays them), so both exist in two selectable
-// implementations (DESIGN.md §10):
+// One kernel sits under both encode and decode: the remainder r(x) mod
+// g(x), computed by a byte-wise LFSR from a 256-row table of c(x)·x^parity
+// mod g(x) (4 KiB for BCH-8). Encoding is that remainder of x^parity·d(x);
+// a received word's remainder is the re-encoded data part XOR its received
+// parity, and it is zero exactly when the word is a codeword.
 //
-//   * reference — per-bit polynomial evaluation via Field::alpha_pow and a
-//     full-period Chien scan, exactly the original straight-line code;
-//   * optimized — word-parallel scan of the received word's set bits
-//     against a precomputed position-major table of alpha^(pos * k) for
-//     the odd k only (the even syndromes follow from S_2k = S_k^2 in
-//     characteristic 2), one contiguous row per set bit, and an
-//     incremental log-stepped Chien search over the shortened positions
-//     with an early exit once all roots are found.
+// Every R-read and every scrub decodes, so decode is split into two
+// selectable tiers (DESIGN.md §10); encode, Berlekamp–Massey and the
+// decode body are shared:
+//
+//   * reference — per-bit syndrome evaluation via Field::alpha_pow over the
+//     whole received word and a full-period Chien scan, the original
+//     straight-line code;
+//   * optimized — syndromes from the remainder: a zero remainder ends the
+//     decode (a clean word), otherwise each of its set bits XORs one
+//     contiguous row of alpha^(pos * k) for the odd k (S_2k = S_k^2 gives
+//     the even ones). This is exact because g(alpha^k) = 0 for k <= 2t.
+//     Roots: log(C_1) for a degree-1 locator, a 2^m-entry table of the
+//     solutions of z^2 + z = c for degree 2, and an incremental Chien scan
+//     over the shortened positions with an early exit above that.
 //
 // Both tiers produce identical syndromes, identical decode outcomes, and
 // identical corrected words for every input — these are pure GF(2^m)
 // integer kernels, so the equality is exact, not approximate
-// (tests/test_kernels.cpp cross-checks them exhaustively per weight and
-// through whole-chip lifetimes).
+// (tests/test_kernels.cpp cross-checks them per weight and through
+// whole-chip lifetimes).
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -55,11 +61,17 @@ struct BchDecodeResult {
 /// from n = 2^m - 1 is implicit (leading zero message bits).
 class BchCode {
  public:
+  /// Largest correction power: decode() keeps its syndromes and
+  /// Berlekamp–Massey polynomials in fixed arrays sized by it, so a decode
+  /// allocates nothing.
+  static constexpr unsigned kMaxT = 64;
+
   /// Build a t-error-correcting code over GF(2^m) for the given payload
-  /// size. Requires data_bits + parity <= 2^m - 1. `mode` selects the
-  /// syndrome/Chien kernels (kAuto: READDUO_KERNELS, default optimized);
-  /// decode results are bit-identical either way. A constructed code is
-  /// immutable and safe to share across threads.
+  /// size. Requires 1 <= t <= kMaxT and data_bits + parity <= 2^m - 1.
+  /// `mode` selects the syndrome/root-finding kernels (kAuto:
+  /// READDUO_KERNELS, default optimized); decode results are bit-identical
+  /// either way. A constructed code is immutable and safe to share across
+  /// threads.
   BchCode(unsigned m, unsigned t, unsigned data_bits,
           KernelMode mode = KernelMode::kAuto);
 
@@ -84,7 +96,8 @@ class BchCode {
   BitVec parity(const BitVec& data) const;
 
   /// Decode in place. Returns the decode outcome; when corrected, the
-  /// codeword argument holds the fixed codeword.
+  /// codeword argument holds the fixed codeword. On failure the word is
+  /// left as received.
   BchDecodeResult decode(BitVec& codeword) const;
 
   /// decode() plus a post-fix syndrome recheck: a "corrected" outcome
@@ -111,19 +124,41 @@ class BchCode {
   const gf::Field& field() const { return field_; }
 
  private:
-  /// Syndromes S_1 .. S_2t of the received word; returns true if all zero.
-  /// Dispatches on mode_.
-  bool syndromes(const BitVec& word, std::vector<gf::Elem>& s) const;
-  bool syndromes_reference(const BitVec& word, std::vector<gf::Elem>& s) const;
-  bool syndromes_optimized(const BitVec& word, std::vector<gf::Elem>& s) const;
+  /// Words of the largest remainder register: parity <= m * t bits with
+  /// m <= 14 and t <= kMaxT.
+  static constexpr std::size_t kMaxParityWords = (14 * kMaxT + 63) / 64;
 
-  /// Chien search: collect the polynomial positions p with C(alpha^-p) == 0.
-  /// `limit` bounds how many roots the caller can use (locator degree L);
-  /// both implementations return the same positions in increasing order.
-  std::vector<std::size_t> chien_reference(const std::vector<gf::Elem>& C,
-                                           unsigned limit) const;
-  std::vector<std::size_t> chien_optimized(const std::vector<gf::Elem>& C,
-                                           unsigned limit) const;
+  /// x^parity * d(x) mod g(x) for the payload held in bits
+  /// [0, data_bits) of `words` (bits above are ignored, so a whole
+  /// codeword may be passed), written to reg[0, parity_words_) with bit i
+  /// the coefficient of x^i.
+  void data_remainder(const std::vector<std::uint64_t>& words,
+                      std::uint64_t* reg) const;
+
+  /// The byte-wise LFSR over the payload, one instantiation per register
+  /// width in words so the register stays in locals. Leaves the remainder
+  /// left-aligned, as the table rows are.
+  using RemainderKernel = void (*)(const std::uint64_t* table,
+                                   const std::uint64_t* data,
+                                   unsigned data_bits, std::uint64_t* reg);
+
+  /// Syndromes S_1 .. S_2t of the received word into s[0, 2t] (s[0] = 0);
+  /// returns true if all are zero. Dispatches on mode_.
+  bool syndromes(const BitVec& word, gf::Elem* s) const;
+  bool syndromes_reference(const BitVec& word, gf::Elem* s) const;
+  bool syndromes_optimized(const BitVec& word, gf::Elem* s) const;
+
+  /// Error positions of the degree-L locator C[0, L] (polynomial
+  /// positions p with C(alpha^-p) == 0) into pos; returns how many were
+  /// found. A count other than L, or a position >= codeword_bits, means
+  /// the word is uncorrectable. Dispatches on mode_: the reference scans
+  /// the full period, the optimized tier solves L <= 2 in closed form and
+  /// scans the shortened positions above that.
+  unsigned roots(const gf::Elem* C, unsigned L, std::uint32_t* pos) const;
+  unsigned chien_reference(const gf::Elem* C, unsigned L,
+                           std::uint32_t* pos) const;
+  unsigned chien_optimized(const gf::Elem* C, unsigned L,
+                           std::uint32_t* pos) const;
 
   gf::Field field_;
   unsigned t_;
@@ -131,20 +166,27 @@ class BchCode {
   unsigned parity_bits_;
   KernelMode mode_;
   gf::Poly gen_;
-  /// gen_ without its leading x^parity term, packed into 64-bit words
-  /// (bit i = coefficient of x^i): the word-register LFSR encoder's
-  /// feedback mask.
-  std::vector<std::uint64_t> gen_mask_;
+  /// ceil(parity_bits / 64): the words of a remainder.
+  std::size_t parity_words_ = 0;
+  /// The byte-wise LFSR table, value-major: row c (parity_words_ words at
+  /// lfsr_[c * parity_words_]) is c(x) * x^parity mod g(x) for the 256
+  /// polynomials c of degree < 8, left-aligned (the coefficient of x^i at
+  /// bit i + 64 * parity_words_ - parity_bits) so the kernel's top byte is
+  /// always the top word's top byte. 4 KiB for BCH-8.
+  std::vector<std::uint64_t> lfsr_;
+  RemainderKernel remainder_kernel_ = nullptr;
   /// Syndrome table, position-major: syn_pos_[pos * syn_stride_ + r] =
   /// alpha^(pos * (2r + 1)) for each odd syndrome 2r + 1 in [1, 2t]; even
   /// syndromes are derived by squaring. The stride is t rounded up to 8
-  /// lanes (zero padded), so one set bit reads one contiguous row in
-  /// blocks of 8 XORs. Positions only span the shortened codeword
-  /// [0, codeword_bits), not all of [0, n): a received bit can never map
-  /// beyond that. 19 KiB for the paper's BCH-8 over GF(2^10). Empty in
-  /// reference mode.
+  /// lanes (zero padded), so one set remainder bit reads one contiguous row
+  /// in blocks of 8 XORs. Rows only span the remainder's positions
+  /// [0, parity_bits): 2.5 KiB for BCH-8. Empty in reference mode.
   std::vector<gf::Elem> syn_pos_;
   std::size_t syn_stride_ = 0;
+  /// quad_root_[c] = a solution z of z^2 + z = c, the other being z ^ 1;
+  /// 0 when c != 0 has none (trace 1). 2^m entries, 2 KiB for GF(2^10).
+  /// Empty in reference mode.
+  std::vector<std::uint16_t> quad_root_;
 };
 
 }  // namespace rd::ecc

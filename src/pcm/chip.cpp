@@ -46,17 +46,19 @@ MlcChip::MlcChip(ChipConfig cfg)
 BitVec MlcChip::encode(const std::vector<std::uint8_t>& data) const {
   RD_CHECK_MSG(data.size() == cfg_.data_bytes,
                "payload must be exactly " << cfg_.data_bytes << " bytes");
-  const BitVec cw = bch_.encode(BitVec::from_bytes(data));
+  BitVec cw = bch_.encode(BitVec::from_bytes(data));
   // Pad to an even bit count (cells hold 2 bits).
-  return cw.resized(cw.size() + (cw.size() & 1));
+  if ((cw.size() & 1) == 0) return cw;
+  return cw.resized(cw.size() + 1);
 }
 
 std::vector<std::uint8_t> MlcChip::extract(const BitVec& codeword) const {
   return codeword.to_bytes(cfg_.data_bytes);
 }
 
-BitVec MlcChip::codeword_of(const BitVec& image) const {
+BitVec MlcChip::codeword_of(BitVec image) const {
   RD_CHECK(image.size() >= bch_.codeword_bits());
+  if (image.size() == bch_.codeword_bits()) return image;
   return image.resized(bch_.codeword_bits());
 }
 

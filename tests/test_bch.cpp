@@ -307,6 +307,179 @@ TEST(Bch, OracleShapesHaveTheExpectedParity) {
   EXPECT_EQ(BchCode(4, 1, 7).parity_bits(), 4u);        // under a byte
 }
 
+/// The codeword `cw` plus the parity-only pattern whose syndromes are the
+/// power sums of the roots of the locator 1 + C_1 x + C_2 x^2: S_0 = 0,
+/// S_1 = C_1, S_j = C_1 S_(j-1) + C_2 S_(j-2) (C_2 = 0 gives the single
+/// root C_1). For roots alpha^q the pattern is the sum of x^q mod g(x),
+/// whatever q is, and one exists for any locator: with parity = m * t the
+/// odd syndromes of the parity bits are a bijection onto GF(2^m)^t. Solved
+/// over GF(2) against the syndromes of single parity bits.
+BitVec with_locator(const BchCode& code, const BitVec& cw, gf::Elem c1,
+                    gf::Elem c2) {
+  const gf::Field& f = code.field();
+  const unsigned t = code.t(), m = f.m(), p = code.parity_bits();
+  EXPECT_EQ(p, m * t);
+  std::vector<gf::Elem> target(2 * t + 1, 0);
+  target[1] = c1;
+  for (unsigned j = 2; j <= 2 * t; ++j) {
+    target[j] = f.mul(c1, target[j - 1]) ^ f.mul(c2, target[j - 2]);
+  }
+  // Row r * m + b is bit b of odd syndrome S_(2r+1): an equation over the
+  // p parity bits (columns [0, p)) with its right-hand side in column p.
+  std::vector<std::vector<std::uint8_t>> rows(
+      p, std::vector<std::uint8_t>(p + 1, 0));
+  for (unsigned i = 0; i <= p; ++i) {
+    std::vector<gf::Elem> s = target;
+    if (i < p) {
+      BitVec unit(code.codeword_bits());
+      unit.set(code.data_bits() + i, true);
+      s = code.compute_syndromes(unit);
+    }
+    for (unsigned r = 0; r < t; ++r) {
+      for (unsigned b = 0; b < m; ++b) {
+        rows[r * m + b][i] = (s[2 * r + 1] >> b) & 1;
+      }
+    }
+  }
+  for (unsigned col = 0; col < p; ++col) {  // Gauss–Jordan
+    unsigned piv = col;
+    while (piv < p && rows[piv][col] == 0) ++piv;
+    if (piv == p) {
+      ADD_FAILURE() << "singular at column " << col;
+      return cw;
+    }
+    std::swap(rows[col], rows[piv]);
+    for (unsigned r = 0; r < p; ++r) {
+      if (r == col || rows[r][col] == 0) continue;
+      for (unsigned k = col; k <= p; ++k) rows[r][k] ^= rows[col][k];
+    }
+  }
+  BitVec rx = cw;
+  for (unsigned i = 0; i < p; ++i) {
+    if (rows[i][p] != 0) rx.flip(code.data_bits() + i);
+  }
+  EXPECT_TRUE(code.compute_syndromes(rx) == target);
+  return rx;
+}
+
+/// Tr(c) = c + c^2 + c^4 + ... + c^(2^(m-1)), which is 0 or 1.
+gf::Elem trace(const gf::Field& f, gf::Elem c) {
+  gf::Elem sum = 0;
+  for (unsigned i = 0; i < f.m(); ++i, c = f.sqr(c)) sum ^= c;
+  return sum;
+}
+
+const BchCode& paper_code_in(KernelMode mode) {
+  static const BchCode ref(10, 8, 512, KernelMode::kReference);
+  static const BchCode opt(10, 8, 512, KernelMode::kOptimized);
+  return mode == KernelMode::kReference ? ref : opt;
+}
+
+/// Decodes `rx` in both tiers and expects detected_uncorrectable with the
+/// word left as received: no miscorrection and no partial fix.
+void expect_detected_in_both_tiers(const BitVec& rx, const std::string& what) {
+  for (KernelMode mode : {KernelMode::kReference, KernelMode::kOptimized}) {
+    BitVec w = rx;
+    const BchDecodeResult res = paper_code_in(mode).decode(w);
+    EXPECT_TRUE(res.detected_uncorrectable)
+        << what << ", mode " << static_cast<int>(mode);
+    EXPECT_FALSE(res.corrected) << what << ", mode " << static_cast<int>(mode);
+    EXPECT_TRUE(w == rx) << what << ", mode " << static_cast<int>(mode);
+  }
+}
+
+/// Decodes `rx` in both tiers and expects exactly the data bits `flips`
+/// corrected (a positive control for the constructions above).
+void expect_corrected_in_both_tiers(const BitVec& rx,
+                                    const std::vector<std::size_t>& flips) {
+  BitVec want = rx;
+  for (std::size_t b : flips) want.flip(b);
+  for (KernelMode mode : {KernelMode::kReference, KernelMode::kOptimized}) {
+    BitVec w = rx;
+    const BchDecodeResult res = paper_code_in(mode).decode(w);
+    ASSERT_TRUE(res.corrected) << "mode " << static_cast<int>(mode);
+    EXPECT_EQ(res.num_corrected, flips.size());
+    EXPECT_TRUE(w == want) << "mode " << static_cast<int>(mode);
+  }
+}
+
+// The optimized tier solves degree-1 and degree-2 locators in closed form
+// over the whole field, so a root in the shortened region (polynomial
+// position >= 592, no bit of the word) or a locator without roots must
+// still fail the decode, as the Chien scans report it. Each received word
+// differs from a codeword in parity bits only; the positive controls put
+// the root at position 591 (data bit 511) instead.
+TEST(BchRoots, SingleRootInTheShortenedRegionIsDetected) {
+  const BchCode& code = paper_code();
+  const gf::Field& f = code.field();
+  Rng rng(0x5107);
+  const BitVec cw = code.encode(random_bits(rng, 512));
+  for (std::uint32_t q : {592u, 593u, 800u, 1022u}) {
+    expect_detected_in_both_tiers(with_locator(code, cw, f.alpha_pow(q), 0),
+                                  "root at " + std::to_string(q));
+  }
+  expect_corrected_in_both_tiers(with_locator(code, cw, f.alpha_pow(591), 0),
+                                 {511});
+}
+
+TEST(BchRoots, OneOfTwoRootsInTheShortenedRegionIsDetected) {
+  const BchCode& code = paper_code();
+  const gf::Field& f = code.field();
+  Rng rng(0x5108);
+  const BitVec cw = code.encode(random_bits(rng, 512));
+  // Roots X1 = alpha^q1 in the word and X2 = alpha^q2: C_1 = X1 + X2,
+  // C_2 = X1 X2. q1 = 5 is parity bit 5, q1 = 300 data bit 220.
+  for (std::uint32_t q1 : {5u, 300u}) {
+    for (std::uint32_t q2 : {592u, 700u, 1022u}) {
+      const gf::Elem x1 = f.alpha_pow(q1), x2 = f.alpha_pow(q2);
+      expect_detected_in_both_tiers(
+          with_locator(code, cw, x1 ^ x2, f.mul(x1, x2)),
+          "roots at " + std::to_string(q1) + ", " + std::to_string(q2));
+    }
+  }
+  const gf::Elem x1 = f.alpha_pow(300), x2 = f.alpha_pow(591);
+  expect_corrected_in_both_tiers(with_locator(code, cw, x1 ^ x2, f.mul(x1, x2)),
+                                 {220, 511});
+}
+
+TEST(BchRoots, QuadraticWithoutRootsIsDetected) {
+  // z^2 + z = C_2 / C_1^2 has no solution in GF(2^10) exactly when its
+  // trace is 1; the locator's roots then lie in GF(2^20), outside every
+  // position.
+  const BchCode& code = paper_code();
+  const gf::Field& f = code.field();
+  Rng rng(0x5109);
+  const BitVec cw = code.encode(random_bits(rng, 512));
+  unsigned cases = 0;
+  for (gf::Elem c = 1; c < f.size() && cases < 6; c += 31) {
+    if (trace(f, c) != 1) continue;
+    for (std::uint32_t e : {0u, 411u}) {
+      const gf::Elem c1 = f.alpha_pow(e);
+      expect_detected_in_both_tiers(
+          with_locator(code, cw, c1, f.mul(c, f.sqr(c1))),
+          "trace-1 c=" + std::to_string(c) + " C1=alpha^" +
+              std::to_string(e));
+    }
+    ++cases;
+  }
+  EXPECT_EQ(cases, 6u);
+}
+
+TEST(BchRoots, RepeatedRootHasZeroSyndromes) {
+  // C_1 = 0 (X1 = X2) has power sums S_j = 2 X^j = 0: a received word
+  // never yields a degree-2 locator with a repeated root, and the closed
+  // form's C_1 = 0 guard only keeps its division defined. Berlekamp–Massey
+  // on binary syndromes keeps C_1 = S_1, and S_1 = 0 with any nonzero
+  // syndrome makes the locator degree at least 3.
+  const BchCode& code = paper_code();
+  const gf::Field& f = code.field();
+  Rng rng(0x510a);
+  const BitVec cw = code.encode(random_bits(rng, 512));
+  const BitVec rx = with_locator(code, cw, 0, f.alpha_pow(77));
+  EXPECT_TRUE(rx == cw);
+  expect_corrected_in_both_tiers(rx, {});
+}
+
 /// FNV-1a over 64-bit values, for pinning whole encoder/syndrome outputs.
 struct Digest {
   std::uint64_t h = 0xcbf29ce484222325ull;
