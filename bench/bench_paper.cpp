@@ -1153,7 +1153,7 @@ std::vector<RunSpec> pausing_specs() {
                        .seed = 55,
                        .instructions = extension_budget()};
     RunSpec none = base;
-    none.write_cancellation = false;
+    none.write_preemption = memsim::WritePreemption::kNone;
     RunSpec pause = base;
     pause.write_preemption = memsim::WritePreemption::kPause;
     specs.insert(specs.end(), {none, base, pause});

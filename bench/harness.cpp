@@ -149,9 +149,8 @@ RunResult run_fresh(const RunSpec& s) {
   cfg.instructions_per_core =
       s.instructions > 0 ? s.instructions : instruction_budget();
   cfg.seed = s.seed;
-  if (s.open_page) cfg.enable_open_page();
+  cfg.open_page = s.open_page;
   cfg.write_preemption = s.write_preemption;
-  cfg.write_cancellation = s.write_cancellation;
   cfg.trace_events = stats::trace_ring_capacity_from_env();
   readduo::SchemeEnv env =
       memsim::make_scheme_env(s.workload, cfg.cpu, s.seed);

@@ -68,10 +68,9 @@ struct RunSpec {
   trace::Workload workload;
   readduo::ReadDuoOptions opts = {};
   std::uint64_t seed = 42;
-  /// The open-page system (memsim::SimConfig::enable_open_page).
+  /// The open-page system (memsim::SimConfig::open_page).
   bool open_page = false;
   memsim::WritePreemption write_preemption = memsim::WritePreemption::kCancel;
-  bool write_cancellation = true;
   /// Per-core instruction budget; 0 = instruction_budget().
   std::uint64_t instructions = 0;
 

@@ -9,8 +9,9 @@
 namespace rd::config {
 
 /// Overlay the device-owned parts of a SimConfig (organization and
-/// timing). CPU, row-buffer, and queue policy knobs are system
-/// configuration, not device physics, and are left untouched.
+/// timing). The CPU, the open-page switch, write preemption and the
+/// queue depths are system configuration, not device physics, and are
+/// left untouched.
 inline void apply_device(const DeviceConfig& d, memsim::SimConfig& cfg) {
   cfg.org = d.org;
   cfg.timing = d.timing;

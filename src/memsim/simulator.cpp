@@ -231,9 +231,10 @@ void Simulator::enqueue_read(unsigned core, const trace::MemOp& op, Ns now,
       ReadReq{core, op.line, op.archive, blocking, now,
               readduo::ReadMode::kRRead, svc_id});
 
-  // Write cancellation: a read arriving at a bank busy with a cancellable
-  // write preempts it; the write restarts later from scratch.
-  if (cfg_.write_cancellation && bank.op == BankOp::kWrite &&
+  // Write preemption: a read arriving at a bank busy with a preemptible
+  // write preempts it; a cancelled write restarts later from scratch.
+  if (cfg_.write_preemption != WritePreemption::kNone &&
+      bank.op == BankOp::kWrite &&
       bank.in_write.cancellations < cfg_.max_write_cancellations) {
     ++result_.write_cancellations;
     WriteReq aborted = bank.in_write;
@@ -297,10 +298,9 @@ std::uint64_t Simulator::next_scrub_line(unsigned b) {
   Bank& bank = banks_[b];
   const std::uint64_t idx = bank.scrub_cursor;
   bank.scrub_cursor = (bank.scrub_cursor + 1) % cfg_.org.lines_per_bank();
-  if (cfg_.address_map == AddressMap::kRowInterleave) {
-    const std::uint64_t lpr = cfg_.row_buffer.lines_per_row;
-    const std::uint64_t row = idx / lpr;
-    return (row * cfg_.org.num_banks + b) * lpr + idx % lpr;
+  if (cfg_.open_page) {
+    const std::uint64_t row = idx / kLinesPerRow;
+    return (row * cfg_.org.num_banks + b) * kLinesPerRow + idx % kLinesPerRow;
   }
   return idx * cfg_.org.num_banks + b;
 }
@@ -351,8 +351,7 @@ void Simulator::dispatch(unsigned b, Ns now) {
   Bank& bank = banks_[b];
   RD_CHECK(!bank.busy());
 
-  const bool scrub_urgent =
-      bank.scrub_backlog > cfg_.scrub_priority_backlog;
+  const bool scrub_urgent = bank.scrub_backlog > kScrubPriorityBacklog;
 
   if (!bank.read_q.empty()) {
     // Reads first, FCFS.
@@ -364,13 +363,13 @@ void Simulator::dispatch(unsigned b, Ns now) {
     note_reliability(now);
     req.mode = out.mode;
     Ns latency = out.latency;
-    if (cfg_.row_buffer.enabled) {
-      const std::uint64_t row = req.line / cfg_.row_buffer.lines_per_row;
+    if (cfg_.open_page) {
+      const std::uint64_t row = req.line / kLinesPerRow;
       // A hit is only a hit when the latched row actually shortens the
-      // access; a hit_latency at or above the scheme's sense latency
-      // leaves the clamp a no-op and must not count.
-      if (bank.open_row == row && cfg_.row_buffer.hit_latency < latency) {
-        latency = cfg_.row_buffer.hit_latency;
+      // access; a sense latency at or below kRowHitLatency leaves the
+      // clamp a no-op and must not count.
+      if (bank.open_row == row && kRowHitLatency < latency) {
+        latency = kRowHitLatency;
         ++result_.row_hits;
       }
       bank.open_row = row;
@@ -392,12 +391,12 @@ void Simulator::dispatch(unsigned b, Ns now) {
   const auto start_scrub = [&] {
     // The scrub register points at an unrelated row: it evicts whatever
     // demand row was latched.
-    if (cfg_.row_buffer.enabled) bank.open_row = ~0ull;
+    if (cfg_.open_page) bank.open_row = ~0ull;
     sample_queue_gauge(b);
     const readduo::ScrubOutcome s =
         scheme_.on_scrub(now, cfg_.org.lines_per_scrub);
     // A row sense no shorter than the per-row period lets the backlog only
-    // grow; past scrub_priority_backlog it starves writes for good, and
+    // grow; past kScrubPriorityBacklog it starves writes for good, and
     // the run never finishes.
     RD_CHECK_MSG(s.sense_latency < scrub_period_,
                  "infeasible scrub: "
@@ -431,10 +430,10 @@ void Simulator::dispatch(unsigned b, Ns now) {
     sample_queue_gauge(b);
     const WriteReq req = bank.write_q.front();
     bank.write_q.pop_front();
-    if (cfg_.row_buffer.enabled) {
+    if (cfg_.open_page) {
       // Writes update the latched row (write-through to the array; the
       // P&V latency itself is unaffected).
-      bank.open_row = req.line / cfg_.row_buffer.lines_per_row;
+      bank.open_row = req.line / kLinesPerRow;
     }
     bank.op = BankOp::kWrite;
     bank.busy_until = now + req.latency;

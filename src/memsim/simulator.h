@@ -34,30 +34,25 @@
 
 namespace rd::memsim {
 
-/// Optional open-page row-buffer model (extension; the paper's baseline
-/// is closed-page). A hit means the target row is already latched in the
-/// bank's sense amplifiers, so the access skips the cell sensing phase.
-struct RowBufferParams {
-  bool enabled = false;
-  /// Consecutive lines latched per activation.
-  unsigned lines_per_row = 16;
-  /// Latency of an access served from the latched row (replaces the
-  /// sensing part of the scheme's latency; never increases it).
-  Ns hit_latency{60};
-};
+// The open-page system (extension; the paper's baseline is closed-page):
+// each bank latches the row of its last access, and a hit on the latched
+// row skips the cell sensing phase. Consecutive lines fill a row before
+// switching banks (row interleave), so sequential streams hit the latched
+// row; the closed-page baseline round-robins consecutive lines across
+// banks instead.
 
-/// How line addresses map to banks.
-enum class AddressMap {
-  /// Consecutive lines round-robin across banks (maximum bank-level
-  /// parallelism; the closed-page baseline).
-  kLineInterleave,
-  /// Consecutive lines fill a row before switching banks (pairs with the
-  /// open-page row buffer: sequential streams hit the latched row).
-  kRowInterleave,
-};
+/// Consecutive lines latched per activation.
+inline constexpr unsigned kLinesPerRow = 16;
+/// Latency of an access served from the latched row (replaces the
+/// sensing part of the scheme's latency; never increases it).
+inline constexpr Ns kRowHitLatency{60};
+/// Scrub backlog (in scrub periods) beyond which scrubs outrank writes.
+inline constexpr unsigned kScrubPriorityBacklog = 8;
 
-/// What happens to an in-flight write preempted by a read.
+/// What happens to an in-flight write when a read arrives at its bank.
 enum class WritePreemption {
+  /// The read waits for the write to finish.
+  kNone,
   /// Write cancellation [18]: the write restarts from scratch later (the
   /// paper's baseline).
   kCancel,
@@ -71,30 +66,21 @@ struct SimConfig {
   pcm::CpuParams cpu;
   pcm::MemoryOrg org;
   pcm::TimingParams timing;
-  RowBufferParams row_buffer;
-  AddressMap address_map = AddressMap::kLineInterleave;
+  /// The open-page system (row buffer with row interleave) instead of
+  /// the closed-page, line-interleaved baseline.
+  bool open_page = false;
   WritePreemption write_preemption = WritePreemption::kCancel;
   /// Per-core instruction budget; the run ends when every core retires it.
   std::uint64_t instructions_per_core = 10'000'000;
   std::uint64_t seed = 1;
   unsigned write_queue_depth = 32;
-  bool write_cancellation = true;
-  /// A write cancelled this many times becomes non-cancellable (forward
+  /// A write preempted this many times becomes non-preemptible (forward
   /// progress guarantee).
   unsigned max_write_cancellations = 4;
-  /// Scrub backlog (in scrub periods) beyond which scrubs outrank writes.
-  unsigned scrub_priority_backlog = 8;
   /// Capacity of the flight-recorder event ring (READDUO_TRACE); 0 = off.
   /// The retained events are dumped to stderr whenever the scheme reports
   /// a detected_uncorrectable or silent_corruption.
   std::size_t trace_events = 0;
-
-  /// The open-page system: the row buffer with row-interleaved address
-  /// mapping, so sequential lines land in the same latched row.
-  void enable_open_page() {
-    row_buffer.enabled = true;
-    address_map = AddressMap::kRowInterleave;
-  }
 };
 
 /// Aggregate outcome of one run; per-event detail lives in the scheme's
@@ -115,7 +101,7 @@ struct SimResult {
   /// Scrub rewrites the engine had to skip because the bank's write queue
   /// was full (backpressure pacing; the line is caught on a later pass).
   std::uint64_t scrub_rewrites_dropped = 0;
-  /// Row-buffer hits among demand reads (0 unless row_buffer.enabled).
+  /// Row-buffer hits among demand reads (0 unless open_page).
   std::uint64_t row_hits = 0;
   /// Distributional observability: per-class end-to-end latency
   /// histograms and per-bank queue/utilization gauges. Deterministic —
@@ -287,8 +273,8 @@ class Simulator {
   };
 
   unsigned bank_of(std::uint64_t line) const {
-    if (cfg_.address_map == AddressMap::kRowInterleave) {
-      return static_cast<unsigned>((line / cfg_.row_buffer.lines_per_row) %
+    if (cfg_.open_page) {
+      return static_cast<unsigned>((line / kLinesPerRow) %
                                    cfg_.org.num_banks);
     }
     return static_cast<unsigned>(line % cfg_.org.num_banks);

@@ -17,23 +17,22 @@ MlcChip::MlcChip(ChipConfig cfg)
       // the old hard-coded drift::r_metric()/m_metric() calls.
       r_cfg_(config::active_device().r_metric),
       m_cfg_(config::active_device().m_metric),
-      bch_(/*m=*/10, cfg.bch_t, cfg.data_bytes * 8, mode_),
+      bch_(/*m=*/10, drift::kLineCorrectable, drift::kLineBytes * 8, mode_),
       rng_(cfg.seed),
       faults_(cfg.faults != nullptr ? cfg.faults : faults::engine()),
       next_scrub_s_(cfg.scrub.interval_s) {
   RD_CHECK(cfg.num_lines >= 1);
-  RD_CHECK(cfg.data_bytes >= 1);
-  const std::size_t bits = bch_.codeword_bits() + (bch_.codeword_bits() & 1);
-  const unsigned cells = static_cast<unsigned>(bits / 2);
+  // The codeword fills the line's cells exactly, two bits a cell.
+  RD_CHECK(bch_.codeword_bits() == 2 * drift::kLineCells);
   lines_.reserve(cfg.num_lines);
   for (std::size_t i = 0; i < cfg.num_lines; ++i) {
-    lines_.emplace_back(bits, cells, cfg.ecp_pointers);
+    lines_.emplace_back(cfg.ecp_pointers);
   }
   // Manufacturing-time / endurance wear faults: pin the planned stuck
   // cells before any data lands, exactly as inject_stuck_cell would.
   if (faults_ != nullptr) {
     for (std::size_t i = 0; i < lines_.size(); ++i) {
-      for (unsigned c = 0; c < cells; ++c) {
+      for (unsigned c = 0; c < drift::kLineCells; ++c) {
         if (auto level = faults_->stuck_level(i, c)) {
           lines_[i].cells.cell_at(c).set_stuck(*level);
           ++stats_.injected_faults;
@@ -44,22 +43,13 @@ MlcChip::MlcChip(ChipConfig cfg)
 }
 
 BitVec MlcChip::encode(const std::vector<std::uint8_t>& data) const {
-  RD_CHECK_MSG(data.size() == cfg_.data_bytes,
-               "payload must be exactly " << cfg_.data_bytes << " bytes");
-  BitVec cw = bch_.encode(BitVec::from_bytes(data));
-  // Pad to an even bit count (cells hold 2 bits).
-  if ((cw.size() & 1) == 0) return cw;
-  return cw.resized(cw.size() + 1);
+  RD_CHECK_MSG(data.size() == drift::kLineBytes,
+               "payload must be exactly " << drift::kLineBytes << " bytes");
+  return bch_.encode(BitVec::from_bytes(data));
 }
 
 std::vector<std::uint8_t> MlcChip::extract(const BitVec& codeword) const {
-  return codeword.to_bytes(cfg_.data_bytes);
-}
-
-BitVec MlcChip::codeword_of(BitVec image) const {
-  RD_CHECK(image.size() >= bch_.codeword_bits());
-  if (image.size() == bch_.codeword_bits()) return image;
-  return image.resized(bch_.codeword_bits());
+  return codeword.to_bytes(drift::kLineBytes);
 }
 
 BitVec MlcChip::sense(const LineSlot& slot, const drift::MetricConfig& cfg,
@@ -139,7 +129,7 @@ ChipReadResult MlcChip::read(std::size_t line) {
   ChipReadResult result;
   const bool try_r = cfg_.readout != ReadoutPolicy::kMSense;
   if (try_r) {
-    BitVec cw = codeword_of(sense(slot, r_cfg_, line, /*r_path=*/true));
+    BitVec cw = sense(slot, r_cfg_, line, /*r_path=*/true);
     // Adversarial burst at the detection boundary (READDUO_FAULTS "bch"):
     // flip 9..17 bits of the sensed word before decoding. The decoder
     // must report detected-uncorrectable (falling back to M-sense), never
@@ -169,7 +159,7 @@ ChipReadResult MlcChip::read(std::size_t line) {
   // M-sense path (primary for kMSense, fallback for kHybrid).
   result.used_m_sense = true;
   if (cfg_.readout == ReadoutPolicy::kHybrid) ++stats_.m_fallbacks;
-  BitVec cw = codeword_of(sense(slot, m_cfg_, line, /*r_path=*/false));
+  BitVec cw = sense(slot, m_cfg_, line, /*r_path=*/false);
   const ecc::BchDecodeResult dec = bch_.decode(cw);
   result.data = extract(cw);
   result.corrected = dec.corrected;
@@ -209,7 +199,7 @@ void MlcChip::run_scrub_pass() {
   for (std::size_t li = 0; li < lines_.size(); ++li) {
     LineSlot& slot = lines_[li];
     if (!slot.written) continue;
-    BitVec cw = codeword_of(sense(slot, m_cfg_, li, /*r_path=*/false));
+    BitVec cw = sense(slot, m_cfg_, li, /*r_path=*/false);
     const ecc::BchDecodeResult dec = bch_.decode(cw);
     if (!dec.corrected) {
       // More errors than the code can fix even on the scrub metric.

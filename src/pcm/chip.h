@@ -14,6 +14,7 @@
 
 #include "common/kernels.h"
 #include "common/rng.h"
+#include "drift/error_model.h"
 #include "drift/metric.h"
 #include "ecc/bch.h"
 #include "pcm/ecp.h"
@@ -33,11 +34,11 @@ enum class ReadoutPolicy {
   kHybrid,  ///< ReadDuo: R first, M retry when BCH detects > t errors
 };
 
-/// Chip configuration.
+/// Chip configuration. Every line is the paper's line of
+/// drift/error_model.h: 64 B of data under BCH-8 in 296 cells.
 struct ChipConfig {
+  static constexpr unsigned data_bytes = drift::kLineBytes;  ///< payload
   std::size_t num_lines = 256;
-  unsigned data_bytes = 64;       ///< payload per line
-  unsigned bch_t = 8;             ///< BCH correction strength
   ReadoutPolicy readout = ReadoutPolicy::kHybrid;
   ScrubPolicy scrub;  ///< scrub period and W; scrubs sense with M
   unsigned ecp_pointers = 6;
@@ -102,15 +103,12 @@ class MlcChip {
     double last_write_s = 0.0;
     bool written = false;
 
-    LineSlot(std::size_t bits, unsigned cells_n, unsigned ecp_n)
-        : cells(bits), ecp(cells_n, ecp_n) {}
+    explicit LineSlot(unsigned ecp_n)
+        : cells(2 * drift::kLineCells), ecp(drift::kLineCells, ecp_n) {}
   };
 
   BitVec encode(const std::vector<std::uint8_t>& data) const;
   std::vector<std::uint8_t> extract(const BitVec& codeword) const;
-  /// The BCH codeword inside a sensed line image: the image itself when
-  /// the codeword fills whole cells, else a copy without the cell pad.
-  BitVec codeword_of(BitVec image) const;
   /// Sense + ECP patch under `cfg` at the current time. `r_path` marks a
   /// current-sense (R) readout: injected sensing transients model noise in
   /// that fast path only — voltage (M) sensing is the robust reference and

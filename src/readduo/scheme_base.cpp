@@ -9,6 +9,21 @@
 
 namespace rd::readduo {
 
+namespace {
+
+/// Mean age (seconds) of a working-set line's last write when the rank
+/// model is off (footprint_lines == 0 or no write rate); exponential.
+constexpr double kMeanWorkingAgeS = 0.05;
+/// First-touched-by-a-write lines sample their age log-uniformly over
+/// [kWriteAgeMinS, kWriteAgeMaxS]: write instants sample the line
+/// population by write renewal, which is much heavier-tailed than the
+/// read-activity bias (see DESIGN.md on initial-age modelling). This is
+/// what sets ReadDuo-Select's full-vs-differential write mix.
+constexpr double kWriteAgeMinS = 1e-3;
+constexpr double kWriteAgeMaxS = 1e6;
+
+}  // namespace
+
 SchemeBase::SchemeBase(std::string name, SchemeEnv env, SchemePolicy policy,
                        const ScrubAgeSampler* ages)
     : name_(std::move(name)),
@@ -66,18 +81,18 @@ double SchemeBase::sample_workload_age(std::uint64_t line, bool archive,
   double u = rng_.uniform();
   while (u <= 0.0) u = rng_.uniform();
   if (archive) {
-    return std::min(-env_.archive_age_scale_s * std::log(u), env_.max_age_s);
+    return std::min(-env_.archive_age_scale_s * std::log(u), kMaxAgeS);
   }
 
   if (touch == FirstTouch::kWrite) {
     // Write instants sample lines by write renewal: log-uniform ages over
     // many decades (streaming writes, cold allocations, periodic sweeps).
-    const double lo = std::log(env_.write_age_min_s);
-    const double hi = std::log(env_.write_age_max_s);
+    const double lo = std::log(kWriteAgeMinS);
+    const double hi = std::log(kWriteAgeMaxS);
     return std::exp(lo + rng_.uniform() * (hi - lo));
   }
 
-  double mean = env_.mean_working_age_s;
+  double mean = kMeanWorkingAgeS;
   if (env_.footprint_lines > 0 && env_.per_core_write_rate > 0.0) {
     // Read instants are biased toward currently-active data: exponential
     // age with the per-line write rate from the line's Zipf popularity
@@ -90,9 +105,9 @@ double SchemeBase::sample_workload_age(std::uint64_t line, bool archive,
         s > 0.0 ? (1.0 - s) * std::pow(rank, -s) / std::pow(f, 1.0 - s)
                 : 1.0 / f;
     const double rate = env_.per_core_write_rate * weight;
-    mean = rate > 0.0 ? 1.0 / rate : env_.max_age_s;
+    mean = rate > 0.0 ? 1.0 / rate : kMaxAgeS;
   }
-  return std::min(-mean * std::log(u), env_.max_age_s);
+  return std::min(-mean * std::log(u), kMaxAgeS);
 }
 
 void SchemeBase::init_line(LineState&, std::uint64_t, Ns, bool) {}

@@ -31,28 +31,16 @@ struct SchemeEnv {
   /// Workload geometry for rank-dependent write recency: each core's
   /// address slice is [base, base + footprint) working set followed by
   /// [base + footprint, base + footprint + archive_lines) archive.
-  /// footprint_lines == 0 disables the rank model (mean_working_age_s is
-  /// used instead).
+  /// footprint_lines == 0 disables the rank model (a fixed mean age,
+  /// kMeanWorkingAgeS in scheme_base.cpp, is used instead).
   std::uint64_t footprint_lines = 0;
   std::uint64_t archive_lines = 0;
   /// Zipf exponent of line popularity (must be < 1; matches the trace).
   double zipf_s = 0.0;
   /// Total write rate of one core over its working set, writes/second.
   double per_core_write_rate = 0.0;
-  /// Fallback mean age (seconds) of a working-set line's last write when
-  /// footprint_lines == 0 (exponentially distributed).
-  double mean_working_age_s = 0.05;
   /// Scale (seconds) of archive-line ages (exponential).
   double archive_age_scale_s = 20000.0;
-  /// First-touched-by-a-write lines sample their age log-uniformly over
-  /// [write_age_min_s, write_age_max_s]: write instants sample the line
-  /// population by write renewal, which is much heavier-tailed than the
-  /// read-activity bias (see DESIGN.md on initial-age modelling). This is
-  /// what sets ReadDuo-Select's full-vs-differential write mix.
-  double write_age_min_s = 1e-3;
-  double write_age_max_s = 1e6;
-  /// Cap on sampled pre-window ages (seconds).
-  double max_age_s = 1.0e6;
   pcm::ScrubPolicy scrub;  ///< device [scrub]: the M-scrubbing kinds' S, W
   std::uint64_t seed = 1;
   /// Fault injector for this run; nullptr defers to the process-wide

@@ -16,6 +16,10 @@
 
 namespace rd::readduo {
 
+/// Cap (seconds) on every modelled pre-window age: the sampler's renewal
+/// tail truncation and the workload ages of SchemeBase both stop here.
+inline constexpr double kMaxAgeS = 1.0e6;
+
 /// Samples "seconds since this line was last fully written" for a line
 /// whose only writer is the scrub engine.
 ///
@@ -38,7 +42,7 @@ class ScrubAgeSampler {
   /// interval (the number of modelled scrubs) at most 2^22; anything else
   /// throws CheckFailure naming both values.
   ScrubAgeSampler(const drift::ErrorModel& model, unsigned cells,
-                  double interval, unsigned nu, double max_age = 1.0e6);
+                  double interval, unsigned nu, double max_age = kMaxAgeS);
 
   /// Sample an age (seconds) at a uniformly random observation instant.
   double sample(Rng& rng) const;

@@ -276,7 +276,7 @@ TEST(RunSchemesDedup, EqualSpecsShareOneRunAndNearDuplicatesDoNot) {
   near.push_back(base);
   near.back().write_preemption = memsim::WritePreemption::kPause;
   near.push_back(base);
-  near.back().write_cancellation = false;
+  near.back().write_preemption = memsim::WritePreemption::kNone;
   near.push_back(base);
   near.back().instructions = 10000;
 

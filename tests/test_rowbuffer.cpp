@@ -9,9 +9,10 @@
 namespace rd::memsim {
 namespace {
 
-SimResult run(const trace::Workload& w, SimConfig cfg) {
+SimResult run(const trace::Workload& w, SimConfig cfg,
+              readduo::SchemeKind kind = readduo::SchemeKind::kIdeal) {
   readduo::SchemeEnv env = make_scheme_env(w, cfg.cpu, cfg.seed);
-  auto scheme = readduo::make_scheme(readduo::SchemeKind::kIdeal, env);
+  auto scheme = readduo::make_scheme(kind, env);
   Simulator sim(cfg, *scheme, w);
   return sim.run();
 }
@@ -33,18 +34,22 @@ TEST(RowBuffer, LocalWorkloadsGetHits) {
   // gcc's zipf 0.9 concentrates accesses: the same hot rows re-open.
   const auto& w = trace::workload_by_name("gcc");
   SimConfig cfg = base_config();
-  cfg.row_buffer.enabled = true;
+  cfg.open_page = true;
   const SimResult r = run(w, cfg);
   EXPECT_GT(r.row_hits, 0u);
 }
 
 TEST(RowBuffer, HitsReduceReadLatency) {
   // (Execution time can wobble either way — faster reads reshuffle the
-  // event schedule — but the served read latency must drop.)
+  // event schedule — but the served read latency must drop.) One bank
+  // maps every line alike with and without the open page, so only the
+  // latched row differs; with eight, row interleave also moves gcc's
+  // lines between banks, and its extra bank conflicts outweigh the hits.
   const auto& w = trace::workload_by_name("gcc");
   SimConfig off = base_config();
-  SimConfig on = base_config();
-  on.row_buffer.enabled = true;
+  off.org.num_banks = 1;
+  SimConfig on = off;
+  on.open_page = true;
   const SimResult r_off = run(w, off);
   const SimResult r_on = run(w, on);
   EXPECT_LT(r_on.avg_read_latency_ns(), r_off.avg_read_latency_ns());
@@ -52,8 +57,7 @@ TEST(RowBuffer, HitsReduceReadLatency) {
 
 TEST(RowBuffer, StreamingWorkloadHitsSequentialRows) {
   // A nearly pure sequential scan: consecutive lines of a bank share a
-  // row. Note line%banks interleaving spreads neighbours across banks, so
-  // a single-bank config makes the spatial locality visible.
+  // row.
   trace::Workload w = trace::workload_by_name("sphinx3");
   w.archive_read_fraction = 0.95;
   w.wpki = 0.01;
@@ -62,46 +66,31 @@ TEST(RowBuffer, StreamingWorkloadHitsSequentialRows) {
   // streams (and bank interleaving) evict each other's rows.
   cfg.cpu.num_cores = 1;
   cfg.org.num_banks = 1;
-  cfg.row_buffer.enabled = true;
+  cfg.open_page = true;
   const SimResult r = run(w, cfg);
   EXPECT_GT(r.row_hits, r.reads_serviced / 2);
 }
 
 TEST(RowBuffer, OpenPagePairsRowBufferWithRowInterleave) {
-  // The open-page system of readduo_sim --row-buffer and the harness:
-  // both fields are set by one call.
-  SimConfig open = base_config();
-  open.enable_open_page();
-  EXPECT_TRUE(open.row_buffer.enabled);
-  EXPECT_EQ(open.address_map, AddressMap::kRowInterleave);
-  // Line interleaving spreads a scan's neighbours across banks, so the
-  // row buffer alone sees few of the hits the paired system gets.
+  // The open-page system of readduo_sim --row-buffer and the harness: one
+  // flag turns on the row buffer and row-interleaved mapping together.
+  // Pinned, so neither half can drift from the other.
   const auto& w = trace::workload_by_name("sphinx3");
-  SimConfig buffer_only = base_config();
-  buffer_only.row_buffer.enabled = true;
-  EXPECT_GT(run(w, open).row_hits, 2 * run(w, buffer_only).row_hits);
+  SimConfig open = base_config();
+  open.open_page = true;
+  const SimResult r = run(w, open, readduo::SchemeKind::kLwt);
+  EXPECT_EQ(r.row_hits, 484u);
+  EXPECT_EQ(r.exec_time.v, 204593);
 }
 
 TEST(RowBuffer, HitLatencyBoundsRespected) {
   // With hits, average read latency can approach but not go below
-  // hit_latency + bus transfer.
+  // the row-hit latency + bus transfer.
   const auto& w = trace::workload_by_name("gcc");
   SimConfig cfg = base_config();
-  cfg.row_buffer.enabled = true;
+  cfg.open_page = true;
   const SimResult r = run(w, cfg);
-  EXPECT_GE(r.avg_read_latency_ns(),
-            static_cast<double>(cfg.row_buffer.hit_latency.v));
-}
-
-TEST(RowBuffer, WiderRowsMoreHits) {
-  const auto& w = trace::workload_by_name("sphinx3");
-  SimConfig narrow = base_config();
-  narrow.row_buffer.enabled = true;
-  narrow.row_buffer.lines_per_row = 4;
-  SimConfig wide = base_config();
-  wide.row_buffer.enabled = true;
-  wide.row_buffer.lines_per_row = 64;
-  EXPECT_GT(run(w, wide).row_hits, run(w, narrow).row_hits);
+  EXPECT_GE(r.avg_read_latency_ns(), static_cast<double>(kRowHitLatency.v));
 }
 
 }  // namespace

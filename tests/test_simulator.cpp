@@ -88,7 +88,7 @@ TEST(Simulator, DisablingWriteCancellationHurtsReadLatency) {
   const auto& w = trace::workload_by_name("lbm");
   SimConfig cfg = small_config();
   const SimResult with = run(readduo::SchemeKind::kIdeal, w, cfg);
-  cfg.write_cancellation = false;
+  cfg.write_preemption = WritePreemption::kNone;
   const SimResult without = run(readduo::SchemeKind::kIdeal, w, cfg);
   EXPECT_EQ(without.write_cancellations, 0u);
   EXPECT_GT(without.avg_read_latency_ns(), with.avg_read_latency_ns());
@@ -273,19 +273,19 @@ TEST(Simulator, ScrubRewriteLinesWalkTheBankRange) {
 TEST(Simulator, RowHitRequiresLatencyReduction) {
   const auto& w = trace::workload_by_name("bzip2");
   SimConfig cfg = small_config();
-  cfg.row_buffer.enabled = true;
-  // Row-interleave keeps a row's lines on one bank so locality can hit.
-  cfg.address_map = AddressMap::kRowInterleave;
-  // Positive control: a genuinely faster latched row registers hits.
-  cfg.row_buffer.hit_latency = Ns{60};
+  cfg.open_page = true;
+  // Positive control: a latched row faster than the sense registers hits.
   const SimResult fast = run(readduo::SchemeKind::kMMetric, w, cfg);
   EXPECT_GT(fast.row_hits, 0u);
-  // Regression: a hit latency at or above every sensing latency never
-  // clamps, so no access is served faster and none may count as a hit
-  // (row_hits used to increment on every open-row match).
-  cfg.row_buffer.hit_latency = Ns{100'000};
-  const SimResult never = run(readduo::SchemeKind::kMMetric, w, cfg);
-  EXPECT_EQ(never.row_hits, 0u);
+  // Regression: with every sensing latency at or below the row-hit
+  // latency the clamp never shortens an access, so none may count as a
+  // hit (row_hits used to increment on every open-row match).
+  readduo::SchemeEnv env = make_scheme_env(w, cfg.cpu, cfg.seed);
+  env.timing.r_read = env.timing.m_read = env.timing.rm_read =
+      kRowHitLatency;
+  auto scheme = readduo::make_scheme(readduo::SchemeKind::kMMetric, env);
+  Simulator sim(cfg, *scheme, w);
+  EXPECT_EQ(sim.run().row_hits, 0u);
 }
 
 // ------------------------------------------------- service-seam tests ---

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
       {"--k", 1, UINT_MAX, &k},
       {"--s", 1, UINT_MAX, &select_s},
   };
-  bool row_buffer = false;
+  bool open_page = false;
   bool json = false;
 
   for (int i = 1; i < argc; ++i) {
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(a, "--no-conversion") == 0) {
       opts.controller.enabled = false;
     } else if (std::strcmp(a, "--row-buffer") == 0) {
-      row_buffer = true;
+      open_page = true;
     } else if (std::strcmp(a, "--json") == 0) {
       json = true;
     } else if (parse_flag(a, "--scheme", scheme_name) ||
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
     config::apply_device(dev, cfg);
     cfg.instructions_per_core = instructions;
     cfg.seed = seed;
-    if (row_buffer) cfg.enable_open_page();
+    cfg.open_page = open_page;
     cfg.trace_events = stats::trace_ring_capacity_from_env();
     if (!config_path.empty()) {
       config::apply_cpu_overrides(config::RawConfig::load(config_path),
