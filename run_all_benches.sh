@@ -14,7 +14,9 @@
 # serial speedups, the process-wide kernel tier, host core count, a
 # thread-scaling curve (bench_paper
 # wall-clock at READDUO_THREADS in {1,2,4,8}, capped at the host core
-# count, scheme and sampler builds included), and a "service" section: the
+# count, scheme and sampler builds included), a service thread-scaling
+# curve (readduo_load --requests=2000000 --seed=7 wall-clock at
+# READDUO_THREADS in {1,2,4}, same cap), and a "service" section: the
 # READDUO_METRICS summary of one fixed-seed readduo_load run (service-level
 # p50/p95/p99, DESIGN.md §11).
 # BENCH_pr24.json was produced this way; it is the perf gate's baseline.
@@ -45,10 +47,11 @@ harness_log=$(mktemp)
 bench_times=$(mktemp)
 kernel_json=$(mktemp)
 scaling_times=$(mktemp)
+service_scaling_times=$(mktemp)
 service_json=$(mktemp)
 service_net_json=$(mktemp)
 trap 'rm -f "$harness_log" "$bench_times" "$kernel_json" "$scaling_times" \
-            "$service_json" "$service_net_json"' EXIT
+            "$service_scaling_times" "$service_json" "$service_net_json"' EXIT
 
 benches="bench_paper"
 # bench_micro times the hot-path kernels and regenerates no paper
@@ -97,13 +100,30 @@ if [ -n "$json_out" ]; then
   done
 fi
 
-# Service-level latency sample for the JSON summary: one fixed-seed
-# readduo_load run. The virtual-time percentiles are deterministic for
-# the (seed, flags) pair; only the wall-clock fields vary per host.
+# Service thread-scaling curve: the in-process service at fixed worker
+# counts, one 2M-request run each (widths above the core count skipped).
+# The service's wake path is what grows with the worker count, so a wake
+# that reaches more workers than the one with work shows as a rising curve.
 if [ -n "$json_out" ]; then
   if [ ! -x ./build/tools/readduo_load ]; then
     cmake --build build --target readduo_load -j
   fi
+  for t in 1 2 4; do
+    if [ "$t" -gt "$(nproc)" ]; then continue; fi
+    echo "##### service thread scaling: readduo_load READDUO_THREADS=$t #####"
+    scale_start=$(now_ms)
+    READDUO_THREADS=$t ./build/tools/readduo_load --requests=2000000 \
+        --seed=7 --report-every=0 > /dev/null
+    scale_end=$(now_ms)
+    echo "----- readduo_load threads=$t: $(( scale_end - scale_start )) ms"
+    echo "$t $(( scale_end - scale_start ))" >> "$service_scaling_times"
+  done
+fi
+
+# Service-level latency sample for the JSON summary: one fixed-seed
+# readduo_load run. The virtual-time percentiles are deterministic for
+# the (seed, flags) pair; only the wall-clock fields vary per host.
+if [ -n "$json_out" ]; then
   echo "##### service: readduo_load #####"
   svc_start=$(now_ms)
   ./build/tools/readduo_load --requests=200000 --report-every=0 --seed=7 \
@@ -181,6 +201,7 @@ if [ -n "$json_out" ]; then
       -v kernelfile="$kernel_json" \
       -v scalingfile="$scaling_times" \
       -v scalingbench="$scaling_bench" \
+      -v servicescalingfile="$service_scaling_times" \
       -v servicefile="$service_json" \
       -v servicenetfile="$service_net_json" '
   BEGIN {
@@ -197,6 +218,13 @@ if [ -n "$json_out" ]; then
       split(line, a, " ")
       sct[++nsc] = a[1]
       scms[a[1]] = a[2]
+    }
+    # The same for the readduo_load points.
+    nss = 0
+    while ((getline line < servicescalingfile) > 0) {
+      split(line, a, " ")
+      sst[++nss] = a[1]
+      ssms[a[1]] = a[2]
     }
     # The readduo_load summary is already a JSON object (one key per
     # line); it is inlined verbatim under "service" with re-indentation.
@@ -243,6 +271,14 @@ if [ -n "$json_out" ]; then
     printf "    \"wall_ms\": {"
     for (i = 1; i <= nsc; ++i) {
       printf "\"%s\": %d%s", sct[i], scms[sct[i]], i < nsc ? ", " : ""
+    }
+    printf "}\n"
+    printf "  },\n"
+    printf "  \"service_thread_scaling\": {\n"
+    printf "    \"run\": \"readduo_load --requests=2000000 --seed=7\",\n"
+    printf "    \"wall_ms\": {"
+    for (i = 1; i <= nss; ++i) {
+      printf "\"%s\": %d%s", sst[i], ssms[sst[i]], i < nss ? ", " : ""
     }
     printf "}\n"
     printf "  },\n"

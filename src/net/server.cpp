@@ -253,7 +253,6 @@ void Server::handle_frame(Conn& c, const Frame& f) {
       WireServiceInfo info;
       info.shards = svc_->num_shards();
       info.queue = cfg_.service.queue_capacity;
-      info.batch = cfg_.service.batch_size;
       info.threads = svc_->worker_threads();
       reply(c, Status::kStats, f.id, encode_stats(svc_->stats(), info));
       return;

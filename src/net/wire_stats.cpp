@@ -36,7 +36,6 @@ std::string encode_stats(const service::ServiceStats& st,
   put_u8(s, kStatsBlobVersion);
   put_u64(s, info.shards);
   put_u64(s, info.queue);
-  put_u64(s, info.batch);
   put_u64(s, info.threads);
   put_u64(s, st.submitted);
   put_u64(s, st.rejected);
@@ -64,7 +63,6 @@ bool decode_stats(std::string_view payload, service::ServiceStats& st,
   if (r.u8() != kStatsBlobVersion) return false;
   info.shards = r.u64();
   info.queue = r.u64();
-  info.batch = r.u64();
   info.threads = r.u64();
   st.submitted = r.u64();
   st.rejected = r.u64();

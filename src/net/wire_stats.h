@@ -8,7 +8,7 @@
 //
 // Layout (all little-endian, via the frame payload primitives):
 //   u8   blob version (kStatsBlobVersion)
-//   u64  shards, queue, batch, threads      (server config echo)
+//   u64  shards, queue, threads             (server config echo)
 //   u64  submitted, rejected, admitted, completed, scrubs,
 //        write_cancellations, scrub_rewrites_dropped, seq_held
 //   i64  virtual_time
@@ -25,14 +25,13 @@
 
 namespace rd::net {
 
-inline constexpr std::uint8_t kStatsBlobVersion = 1;
+inline constexpr std::uint8_t kStatsBlobVersion = 2;
 
 /// Server configuration echoed alongside the stats so a remote load
 /// generator can report the run's true shape.
 struct WireServiceInfo {
   std::uint64_t shards = 0;
   std::uint64_t queue = 0;
-  std::uint64_t batch = 0;
   std::uint64_t threads = 0;
 };
 

@@ -4,6 +4,17 @@
 
 namespace rd::readduo {
 
+namespace {
+
+/// P above this decreases T (the paper's 85 % rule).
+constexpr double kHighWatermark = 0.85;
+/// benefit/conversion ratio above which T increases ...
+constexpr double kBenefitHigh = 0.5;
+/// ... and below which T decreases (when conversions happened).
+constexpr double kBenefitLow = 0.05;
+
+}  // namespace
+
 ConversionController::ConversionController(Config cfg)
     : cfg_(cfg), t_(cfg.enabled ? cfg.initial_t : 0) {}
 
@@ -17,15 +28,15 @@ void ConversionController::record_read(bool untracked, bool hit_converted) {
   const double p = static_cast<double>(epoch_untracked_) /
                    static_cast<double>(epoch_total_);
   const unsigned floor = std::min(cfg_.floor_t, 100u);
-  if (p > cfg_.high_watermark) {
+  if (p > kHighWatermark) {
     // Converted data is not becoming tracked-and-read: back off.
     t_ = t_ >= floor + 10 ? t_ - 10 : floor;
   } else if (epoch_conversions_ > 0) {
     const double benefit = static_cast<double>(epoch_benefit_) /
                            static_cast<double>(epoch_conversions_);
-    if (benefit >= cfg_.benefit_high) {
+    if (benefit >= kBenefitHigh) {
       t_ = std::min(t_ + 10, 100u);
-    } else if (benefit < cfg_.benefit_low) {
+    } else if (benefit < kBenefitLow) {
       t_ = t_ >= floor + 10 ? t_ - 10 : floor;
     }
   }

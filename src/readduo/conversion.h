@@ -26,11 +26,6 @@ class ConversionController {
     bool enabled = true;
     unsigned initial_t = 50;          ///< starting percentage
     std::uint64_t epoch_reads = 4096; ///< reads per adjustment epoch
-    double high_watermark = 0.85;     ///< P above this decreases T
-    /// benefit/conversion ratio above which T increases ...
-    double benefit_high = 0.5;
-    /// ... and below which T decreases (when conversions happened).
-    double benefit_low = 0.05;
     /// T never drops below this probing floor while enabled: a trickle of
     /// conversions keeps measuring benefit, so workloads whose re-reads
     /// arrive later than one epoch (cyclic scans) can still ramp up.

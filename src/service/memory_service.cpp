@@ -12,7 +12,6 @@ namespace rd::service {
 MemoryService::MemoryService(const ServiceConfig& cfg) : cfg_(cfg) {
   RD_CHECK(cfg_.num_shards >= 1);
   RD_CHECK(cfg_.queue_capacity >= 1);
-  RD_CHECK(cfg_.batch_size >= 1);
   cfg_.sim.cpu.num_cores = 0;  // the service is the request source
   for (unsigned s = 0; s < cfg_.num_shards; ++s) {
     auto sh = std::make_unique<Shard>();
@@ -36,6 +35,7 @@ MemoryService::MemoryService(const ServiceConfig& cfg) : cfg_(cfg) {
       cfg_.worker_threads ? cfg_.worker_threads : parallel_thread_count();
   worker_count_ =
       std::min<unsigned>(std::max(1u, requested), cfg_.num_shards);
+  wakes_ = std::vector<WakeCounter>(worker_count_);
   workers_.reserve(worker_count_);
   for (unsigned w = 0; w < worker_count_; ++w) {
     workers_.emplace_back([this, w] { worker_main(w); });
@@ -44,26 +44,36 @@ MemoryService::MemoryService(const ServiceConfig& cfg) : cfg_(cfg) {
 
 MemoryService::~MemoryService() { stop(); }
 
-void MemoryService::signal() {
-  epoch_.fetch_add(1, std::memory_order_release);
-  { MutexLock g(state_mu_); }
-  state_cv_.notify_all();
+void MemoryService::wake(unsigned worker) {
+  // Release: a worker whose sample reads this bump sees every flag
+  // stored before it.
+  std::atomic<std::uint64_t>& n = wakes_[worker].n;
+  n.fetch_add(1, std::memory_order_release);
+  n.notify_one();
+}
+
+void MemoryService::wake_all() {
+  for (unsigned w = 0; w < worker_count_; ++w) wake(w);
 }
 
 bool MemoryService::submit(const Request& req) {
   RD_CHECK(req.id != 0);
-  Shard& sh = *shards_[shard_of(req.line)];
+  const unsigned s = shard_of(req.line);
+  Shard& sh = *shards_[s];
+  bool was_empty = false;
   {
     MutexLock g(sh.q_mu);
     if (sh.q.size() >= cfg_.queue_capacity) {
       rejected_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
+    was_empty = sh.q.empty();
     sh.q.push_back(req);
     ++sh.submitted;
     sh.pending.fetch_add(1, std::memory_order_relaxed);
   }
-  signal();
+  // A non-empty queue already woke its owner, which has not yet taken it.
+  if (was_empty) wake(s % worker_count_);
   return true;
 }
 
@@ -75,7 +85,7 @@ bool MemoryService::register_client(std::uint64_t client) {
   return fresh;
 }
 
-std::size_t MemoryService::release_ready() {
+void MemoryService::release_ready() {
   // The gate: nothing past the minimum active watermark may move. A
   // registered client that has not submitted yet has watermark -inf
   // (anything it sends later could sort anywhere), so it blocks all
@@ -84,69 +94,67 @@ std::size_t MemoryService::release_ready() {
   SeqKey floor{};
   for (const auto& [id, cs] : clients_) {
     if (cs.done) continue;
-    if (cs.last_seq == 0) return 0;
+    if (cs.last_seq == 0) return;
     const SeqKey wm{cs.last_arrival, id, cs.last_seq};
     if (!have_floor || wm < floor) {
       floor = wm;
       have_floor = true;
     }
   }
-  // No active client left: sequenced admission is closed, so workers may
-  // step the in-flight tail to completion (see seq_quiesce_).
-  seq_quiesce_.store(!clients_.empty() && !have_floor,
-                     std::memory_order_relaxed);
-  std::size_t released = 0;
   while (!merge_buf_.empty()) {
     const auto it = merge_buf_.begin();
     if (have_floor && floor < it->first) break;
     const Request& r = it->second;
-    Shard& sh = *shards_[shard_of(r.line)];
+    const unsigned s = shard_of(r.line);
+    Shard& sh = *shards_[s];
+    bool was_empty = false;
     {
       // seq_mu_ -> q_mu: pushing while holding seq_mu_ serializes
       // concurrent releasers, so the per-shard FIFO order equals the
       // merge order. Releases bypass the shard-queue capacity — the
       // per-client held bound is the backpressure.
       MutexLock g(sh.q_mu);
+      was_empty = sh.q.empty();
       sh.q.push_back(r);
       ++sh.submitted;
     }
+    if (was_empty) wake(s % worker_count_);
     --clients_.at(it->first.client).held;
     merge_buf_.erase(it);
-    ++released;
   }
-  return released;
+  // No active client left: sequenced admission is closed, so workers may
+  // step the in-flight tail to completion (see seq_quiesce_). Stored after
+  // the pushes it closes (see service_shard).
+  seq_quiesce_.store(!clients_.empty() && !have_floor,
+                     std::memory_order_release);
 }
 
 SubmitStatus MemoryService::submit_sequenced(std::uint64_t client,
                                              std::uint64_t seq,
                                              const Request& req) {
   RD_CHECK(req.id != 0);
-  std::size_t released = 0;
-  {
-    MutexLock g(seq_mu_);
-    const auto it = clients_.find(client);
-    RD_CHECK_MSG(it != clients_.end(), "submit_sequenced: unknown client");
-    ClientState& cs = it->second;
-    if (cs.done || seq <= cs.last_seq ||
-        (seq == cs.last_seq + 1 && req.arrival.v < cs.last_arrival.v)) {
-      return SubmitStatus::kBadSeq;
-    }
-    if (seq > cs.last_seq + 1) return SubmitStatus::kOutOfOrder;
-    if (cs.held >= cfg_.queue_capacity) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      return SubmitStatus::kQueueFull;
-    }
-    cs.last_seq = seq;
-    cs.last_arrival = req.arrival;
-    ++cs.held;
-    merge_buf_.emplace(SeqKey{req.arrival, client, seq}, req);
-    // Count toward quiescence from acceptance: drain() must cover
-    // requests still held in the merge buffer.
-    shards_[shard_of(req.line)]->pending.fetch_add(
-        1, std::memory_order_relaxed);
-    released = release_ready();
+  MutexLock g(seq_mu_);
+  const auto it = clients_.find(client);
+  RD_CHECK_MSG(it != clients_.end(), "submit_sequenced: unknown client");
+  ClientState& cs = it->second;
+  if (cs.done || seq <= cs.last_seq ||
+      (seq == cs.last_seq + 1 && req.arrival.v < cs.last_arrival.v)) {
+    return SubmitStatus::kBadSeq;
   }
-  if (released > 0) signal();
+  if (seq > cs.last_seq + 1) return SubmitStatus::kOutOfOrder;
+  if (cs.held >= cfg_.queue_capacity) {
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return SubmitStatus::kQueueFull;
+  }
+  cs.last_seq = seq;
+  cs.last_arrival = req.arrival;
+  ++cs.held;
+  merge_buf_.emplace(SeqKey{req.arrival, client, seq}, req);
+  // Count toward quiescence from acceptance: drain() must cover
+  // requests still held in the merge buffer.
+  shards_[shard_of(req.line)]->pending.fetch_add(1,
+                                                 std::memory_order_relaxed);
+  release_ready();
   return SubmitStatus::kAccepted;
 }
 
@@ -161,7 +169,7 @@ void MemoryService::client_done(std::uint64_t client) {
   }
   // Unconditional: even with nothing released, the last client_done may
   // have flipped seq_quiesce_, and parked workers must see it.
-  signal();
+  wake_all();
 }
 
 std::vector<MemoryService::Completion> MemoryService::take_completions() {
@@ -169,18 +177,20 @@ std::vector<MemoryService::Completion> MemoryService::take_completions() {
   return std::exchange(completions_, {});
 }
 
-bool MemoryService::service_shard(Shard& sh) {
-  // Pop one batch. Each shard has exactly one servicing worker, so the
-  // submission queue is MPSC: producers contend on q_mu, this is the
-  // only consumer.
-  std::vector<Request> batch;
+bool MemoryService::service_shard(Shard& sh, std::vector<Request>& batch) {
+  // Read the quiescing flags before taking the queue. Each is stored
+  // (release) after the pushes it closes, so a queue taken after reading
+  // it holds them all, and the drain chunk below never steps a shard past
+  // the arrival of a request still on its way in.
+  const bool quiescing = draining_.load(std::memory_order_acquire) ||
+                         stop_.load(std::memory_order_acquire) ||
+                         seq_quiesce_.load(std::memory_order_acquire);
+  // Take the whole queue. Each shard has exactly one servicing worker, so
+  // the submission queue is MPSC: producers contend on q_mu, this is the
+  // only consumer. `batch` arrives empty and leaves its capacity behind.
   {
     MutexLock g(sh.q_mu);
-    const std::size_t n = std::min(cfg_.batch_size, sh.q.size());
-    batch.assign(sh.q.begin(),
-                 sh.q.begin() + static_cast<std::ptrdiff_t>(n));
-    sh.q.erase(sh.q.begin(),
-               sh.q.begin() + static_cast<std::ptrdiff_t>(n));
+    batch.swap(sh.q);
   }
 
   bool progressed = false;
@@ -191,7 +201,7 @@ bool MemoryService::service_shard(Shard& sh) {
     memsim::Simulator& sim = *sh.sim;
     for (const Request& r : batch) {
       // external_* steps the simulator across the arrival gap first, so
-      // the background scrub engine ticks between batches for free.
+      // the background scrub engine ticks between visits for free.
       if (r.is_write) {
         while (!sim.external_write(r.id, r.line, r.arrival)) {
           // Bounded bank write queue: make progress and retry. This
@@ -204,10 +214,7 @@ bool MemoryService::service_shard(Shard& sh) {
       }
       ++sh.admitted;
     }
-    if (batch.empty() && sh.completed < sh.admitted &&
-        (draining_.load(std::memory_order_relaxed) ||
-         stop_.load(std::memory_order_relaxed) ||
-         seq_quiesce_.load(std::memory_order_relaxed))) {
+    if (batch.empty() && sh.completed < sh.admitted && quiescing) {
       // Quiescing with requests still in flight: run the event loop a
       // bounded chunk at a time. In-flight scrub senses and rewrites
       // complete along the way; future scrub ticks are processed as
@@ -221,17 +228,20 @@ bool MemoryService::service_shard(Shard& sh) {
     sh.completed += harvested;
     progressed = progressed || !batch.empty() || harvested > 0;
   }
+  batch.clear();
   if (harvested > 0) {
     if (cfg_.retain_completions) {
       MutexLock g(comp_mu_);
       completions_.insert(completions_.end(), done.begin(), done.end());
     }
-    sh.pending.fetch_sub(harvested, std::memory_order_relaxed);
+    if (sh.pending.fetch_sub(harvested, std::memory_order_acq_rel) ==
+        harvested) {
+      sh.pending.notify_all();  // drain() may be parked on it
+    }
+    // With no service locks held: the hook may poke file descriptors or
+    // condition variables of its own.
+    if (cfg_.completion_hook) cfg_.completion_hook();
   }
-  if (progressed) signal();
-  // After signal(), with no service locks held: the hook may poke file
-  // descriptors or condition variables of its own.
-  if (harvested > 0 && cfg_.completion_hook) cfg_.completion_hook();
   return progressed;
 }
 
@@ -243,52 +253,35 @@ std::uint64_t MemoryService::owned_pending(unsigned worker) const {
   return n;
 }
 
-std::uint64_t MemoryService::total_pending() const {
-  std::uint64_t n = 0;
-  for (const auto& sh : shards_) {
-    n += sh->pending.load(std::memory_order_relaxed);
-  }
-  return n;
-}
-
 void MemoryService::worker_main(unsigned worker) {
+  std::atomic<std::uint64_t>& counter = wakes_[worker].n;
+  std::vector<Request> batch;
   for (;;) {
-    const std::uint64_t seen = epoch_.load(std::memory_order_acquire);
+    const std::uint64_t seen = counter.load(std::memory_order_acquire);
     bool progressed = false;
     for (unsigned s = worker; s < shards_.size(); s += worker_count_) {
-      progressed = service_shard(*shards_[s]) || progressed;
+      progressed = service_shard(*shards_[s], batch) || progressed;
     }
     if (progressed) continue;
     if (stop_.load(std::memory_order_relaxed) && owned_pending(worker) == 0) {
       return;
     }
-    {
-      MutexLock lk(state_mu_);
-      // While quiescing, a worker with in-flight requests keeps stepping
-      // (the drain-chunk branch in service_shard counts as progress), so
-      // this wait only parks workers with genuinely nothing to do. The
-      // predicate is open-coded: every term is an atomic, and a lambda
-      // would be analyzed as an unannotated function (see CondVar).
-      while (!(stop_.load(std::memory_order_relaxed) ||
-               epoch_.load(std::memory_order_acquire) != seen ||
-               ((draining_.load(std::memory_order_relaxed) ||
-                 seq_quiesce_.load(std::memory_order_relaxed)) &&
-                owned_pending(worker) > 0))) {
-        state_cv_.wait(state_mu_);
-      }
-    }
-    if (stop_.load(std::memory_order_relaxed) && owned_pending(worker) == 0) {
-      return;
-    }
+    // Every owned queue was empty after this pass's swap, and while
+    // quiescing a shard with requests in flight counts as progress, so
+    // this parks only a worker with nothing to do until a push into an
+    // empty queue or a quiescing flag bumps `counter` past `seen`.
+    counter.wait(seen, std::memory_order_acquire);
   }
 }
 
 void MemoryService::drain() {
-  draining_.store(true, std::memory_order_relaxed);
-  signal();
-  {
-    MutexLock lk(state_mu_);
-    while (total_pending() != 0) state_cv_.wait(state_mu_);
+  draining_.store(true, std::memory_order_release);
+  wake_all();
+  for (const auto& sh : shards_) {
+    std::uint64_t n = 0;
+    while ((n = sh->pending.load(std::memory_order_acquire)) != 0) {
+      sh->pending.wait(n, std::memory_order_acquire);
+    }
   }
   draining_.store(false, std::memory_order_relaxed);
 }
@@ -307,8 +300,8 @@ void MemoryService::stop() {
     release_ready();
   }
   drain();
-  stop_.store(true, std::memory_order_relaxed);
-  signal();
+  stop_.store(true, std::memory_order_release);
+  wake_all();
   for (std::thread& t : workers_) t.join();
   workers_.clear();
   stopped_ = true;

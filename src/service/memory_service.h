@@ -4,18 +4,18 @@
 // memsim::Simulator (banks, queues, scheme policy, background scrub
 // engine) driven incrementally via step(). Clients submit requests
 // carrying a *virtual* arrival time into bounded per-shard MPSC queues;
-// worker threads (READDUO_THREADS, capped at the shard count) pop
-// batches and admit them into their shards' bank queues, stepping each
-// simulator across the arrival gaps so scrub keeps ticking between
-// batches.
+// worker threads (READDUO_THREADS, capped at the shard count) take a
+// shard's whole queue per visit and admit it into the shard's bank
+// queues, stepping each simulator across the arrival gaps so scrub keeps
+// ticking between visits.
 //
 // Determinism contract (same rule as PR 1's mc_ler): a shard's final
 // state is a pure function of (its seed, its admitted request sequence).
 // Requests are admitted in per-shard FIFO order at their virtual arrival
 // times, and worker threads never share a shard, so per-shard results
-// are bit-identical across thread counts, batch sizes, and wall-clock
-// scheduling; with a single submitting client the whole service is
-// bit-identical across repeats.
+// are bit-identical across thread counts and wall-clock scheduling; with
+// a single submitting client the whole service is bit-identical across
+// repeats.
 //
 // Multi-client admission (the wire front end, DESIGN.md §12): each
 // client labels its requests with a monotonically increasing sequence
@@ -34,13 +34,18 @@
 // for quiescence checks. Lock order: seq_mu_ -> shard q_mu (the merge
 // buffer releases into shard queues while holding seq_mu_, which is what
 // makes the release order deterministic); otherwise strictly
-// one-at-a-time — no code path holds two shard mutexes, or a shard
-// mutex and state_mu_, simultaneously. comp_mu_ is a leaf.
+// one-at-a-time — no code path holds two shard mutexes simultaneously.
+// comp_mu_ is a leaf.
+//
+// Wakes are lock-free. Each worker parks on its own wake counter, which
+// it samples before each pass over its shards; a producer that pushes
+// into an empty queue bumps the owner's counter, so a wake can only be
+// missed by a pass that sees the push. drain() parks on each shard's
+// pending count, which the worker notifies when it reaches zero.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -62,8 +67,6 @@ struct ServiceConfig {
   unsigned num_shards = 4;
   /// Bound of each shard's submission queue (admission backpressure).
   std::size_t queue_capacity = 4096;
-  /// Max requests a worker admits per shard visit.
-  std::size_t batch_size = 256;
   /// Worker threads; 0 = parallel_thread_count(). Capped at num_shards.
   unsigned worker_threads = 0;
   /// Per-shard simulator configuration. cpu.num_cores is forced to 0
@@ -194,7 +197,7 @@ class MemoryService {
     std::unique_ptr<readduo::Scheme> scheme;
 
     Mutex q_mu;  ///< submission-side capability
-    std::deque<Request> q RD_GUARDED_BY(q_mu);
+    std::vector<Request> q RD_GUARDED_BY(q_mu);
     std::uint64_t submitted RD_GUARDED_BY(q_mu) = 0;
 
     Mutex sim_mu;  ///< simulation-side capability
@@ -205,8 +208,8 @@ class MemoryService {
     std::uint64_t completed RD_GUARDED_BY(sim_mu) = 0;
 
     /// submitted - completed, maintained lock-free so quiescence checks
-    /// (cv predicates) never touch the shard mutexes. Lock order is
-    /// strictly shard mutex -> nothing; state_mu_ -> nothing.
+    /// never touch the shard mutexes; drain() waits on it and the worker
+    /// notifies it when it reaches zero.
     std::atomic<std::uint64_t> pending{0};
   };
 
@@ -232,35 +235,35 @@ class MemoryService {
     bool done = false;
   };
 
+  /// A worker's wake counter, on its own cache line.
+  struct alignas(64) WakeCounter {
+    std::atomic<std::uint64_t> n{0};
+  };
+
   /// Release every merge-buffer entry at or before the minimum active
   /// watermark into the shard queues (bypassing the shard-queue bound),
   /// in key order, under seq_mu_ — concurrent callers therefore push in
-  /// a single global order. Also refreshes seq_quiesce_. Returns the
-  /// number released.
-  std::size_t release_ready() RD_REQUIRES(seq_mu_);
+  /// a single global order. Also refreshes seq_quiesce_.
+  void release_ready() RD_REQUIRES(seq_mu_);
 
   void worker_main(unsigned worker);
-  /// Admit one batch / step one drain chunk; true if progress was made.
-  bool service_shard(Shard& sh) RD_EXCLUDES(sh.q_mu, sh.sim_mu);
+  /// Admit the shard's whole queue (swapped into `batch`, the worker's
+  /// scratch) / step one drain chunk; true if progress was made.
+  bool service_shard(Shard& sh, std::vector<Request>& batch)
+      RD_EXCLUDES(sh.q_mu, sh.sim_mu);
   std::uint64_t owned_pending(unsigned worker) const;
-  std::uint64_t total_pending() const;
-  /// Bump the work epoch and wake sleepers; the empty critical section
-  /// closes the lost-wakeup window against cv predicate evaluation.
-  void signal() RD_EXCLUDES(state_mu_);
+  /// Bump a worker's wake counter and wake it if it is parked.
+  void wake(unsigned worker);
+  /// Wake every worker: the quiescing flags changed.
+  void wake_all();
 
   ServiceConfig cfg_;
   std::vector<std::unique_ptr<Shard>> shards_;
   unsigned worker_count_ = 1;
   Ns scrub_period_{0};  ///< set in the constructor, immutable afterwards
+  std::vector<WakeCounter> wakes_;  ///< one per worker, sized in the ctor
   std::vector<std::thread> workers_;
 
-  /// Condition-protocol mutex: it orders sleep/wake against the atomic
-  /// flags below (see signal()) and guards no plain fields, so nothing
-  /// carries RD_GUARDED_BY(state_mu_).
-  // lint: allow(guarded-field) condition-protocol mutex; every flag it orders is an annotated atomic
-  mutable Mutex state_mu_;
-  mutable CondVar state_cv_;
-  std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> rejected_{0};
   std::atomic<bool> draining_{false};
   /// True while every registered sequenced client is done: no further

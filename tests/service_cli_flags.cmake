@@ -14,7 +14,6 @@ set(BAD_LOAD_FLAGS
     --requests=0
     --requests=12x
     --queue=4x
-    --batch=0
     --report-every=1.5
     --clients=0
     --clients=257
@@ -35,7 +34,6 @@ set(BAD_SERVE_FLAGS
     --queue=4x
     --shards=-1
     --seed=abc
-    --batch=0
     --max-frame=63
     --max-frame=1k
     --wbuf=23
@@ -82,7 +80,7 @@ endforeach()
 
 # The edges of every range are valid: the run must go ahead.
 execute_process(COMMAND ${LOAD} --requests=2000 --report-every=0 --seed=0
-                        --shards=1 --queue=1 --batch=1 --rps=2.5e6
+                        --shards=1 --queue=1 --rps=2.5e6
                         --write-fraction=0
                 RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)

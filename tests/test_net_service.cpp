@@ -40,7 +40,6 @@ service::ServiceConfig small_service(
   service::ServiceConfig cfg;
   cfg.num_shards = 4;
   cfg.queue_capacity = 1024;
-  cfg.batch_size = 64;
   cfg.worker_threads = threads;
   cfg.sim.seed = 7;
   cfg.scheme = scheme;

@@ -289,7 +289,7 @@ TEST(StatsBlob, RoundTrip) {
   st.virtual_time = Ns{123456789};
   st.metrics.lat(stats::ReqClass::kRRead).record(Ns{100});
   st.metrics.lat(stats::ReqClass::kDemandWrite).record(Ns{900});
-  const WireServiceInfo info{4, 4096, 256, 2};
+  const WireServiceInfo info{4, 4096, 2};
 
   service::ServiceStats back;
   WireServiceInfo binfo;
@@ -311,7 +311,7 @@ TEST(StatsBlob, RoundTrip) {
 
 TEST(StatsBlob, RejectsTruncationAndGarbage) {
   service::ServiceStats st;
-  const WireServiceInfo info{1, 1, 1, 1};
+  const WireServiceInfo info{1, 1, 1};
   const std::string blob = encode_stats(st, info);
   service::ServiceStats back;
   WireServiceInfo binfo;

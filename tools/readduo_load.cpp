@@ -82,7 +82,6 @@ void usage(const char* argv0) {
       "  --seed=<n>             RNG seed (default 42)\n"
       "  --shards=<n>           chips, 1..1024 (default 4)\n"
       "  --queue=<n>            per-shard submission queue bound\n"
-      "  --batch=<n>            admission batch size\n"
       "  --report-every=<n>     live report every n completions\n"
       "                         (default 100000; 0 = quiet)\n"
       "  --summary=<file>       also write the final JSON to <file>\n"
@@ -277,7 +276,6 @@ void report(const LoadRun& lr, const service::ServiceStats& st,
       .add("shards", shape.shards)
       .add("threads", shape.threads)
       .add("queue", shape.queue)
-      .add("batch", shape.batch)
       .add("seed", lr.seed)
       .add("rps_virtual", lr.rps)
       .add("write_fraction", lr.write_fraction)
@@ -423,7 +421,6 @@ int main(int argc, char** argv) {
   service::ServiceConfig cfg;
   std::uint64_t shards = cfg.num_shards;
   std::uint64_t queue = cfg.queue_capacity;
-  std::uint64_t batch = cfg.batch_size;
   std::uint64_t clients = lr.clients;
   std::uint64_t window = lr.window;
   const cli::CountFlag numeric_flags[] = {
@@ -431,7 +428,6 @@ int main(int argc, char** argv) {
       {"--seed", 0, ULLONG_MAX, &lr.seed},
       {"--shards", 1, cli::kMaxShards, &shards},
       {"--queue", 1, SIZE_MAX, &queue},
-      {"--batch", 1, SIZE_MAX, &batch},
       {"--report-every", 0, ULLONG_MAX, &report_every},
       {"--clients", 1, cli::kMaxClients, &clients},
       {"--window", 1, SIZE_MAX, &window},
@@ -509,7 +505,6 @@ int main(int argc, char** argv) {
   cfg.workload = w;
   cfg.num_shards = static_cast<unsigned>(shards);
   cfg.queue_capacity = static_cast<std::size_t>(queue);
-  cfg.batch_size = static_cast<std::size_t>(batch);
 
   service::MemoryService svc(cfg);
   // The scrub engines tick across idle virtual time too, so a low --rps
@@ -533,9 +528,9 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "[load] scheme=%s workload=%s shards=%u threads=%u queue=%zu "
-      "batch=%zu rps=%.0f write_fraction=%.3f requests=%llu seed=%llu\n",
+      "rps=%.0f write_fraction=%.3f requests=%llu seed=%llu\n",
       lr.scheme.c_str(), lr.workload.c_str(), svc.num_shards(),
-      svc.worker_threads(), cfg.queue_capacity, cfg.batch_size, lr.rps,
+      svc.worker_threads(), cfg.queue_capacity, lr.rps,
       lr.write_fraction, static_cast<unsigned long long>(lr.requests),
       static_cast<unsigned long long>(lr.seed));
 
@@ -581,8 +576,7 @@ int main(int argc, char** argv) {
                "service lost requests: completed != submitted");
 
   report(lr, st,
-         {svc.num_shards(), cfg.queue_capacity, cfg.batch_size,
-          svc.worker_threads()},
+         {svc.num_shards(), cfg.queue_capacity, svc.worker_threads()},
          wall, [&](stats::JsonWriter& j) {
            j.add("backpressure_spins", backpressure_spins);
          });

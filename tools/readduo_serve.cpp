@@ -59,7 +59,6 @@ void usage(const char* argv0) {
       "  --seed=<n>        RNG seed (default 42)\n"
       "  --shards=<n>      chips, 1..1024 (default 4)\n"
       "  --queue=<n>       per-client admission bound\n"
-      "  --batch=<n>       admission batch size\n"
       "  --max-frame=<n>   largest frame payload (>= 64; default 1 MiB)\n"
       "  --wbuf=<n>        per-connection write bound (>= 24; default 4 MiB)\n"
       "  --conns=<n>       accepted-connection cap (>= 1; default 64)\n"
@@ -82,7 +81,6 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 42;
   std::uint64_t shards = cfg.service.num_shards;
   std::uint64_t queue = cfg.service.queue_capacity;
-  std::uint64_t batch = cfg.service.batch_size;
   std::uint64_t max_frame = cfg.max_payload;
   std::uint64_t wbuf = cfg.write_buf_limit;
   std::uint64_t conns = cfg.max_conns;
@@ -91,7 +89,6 @@ int main(int argc, char** argv) {
       {"--seed", 0, ULLONG_MAX, &seed},
       {"--shards", 1, cli::kMaxShards, &shards},
       {"--queue", 1, SIZE_MAX, &queue},
-      {"--batch", 1, SIZE_MAX, &batch},
       {"--max-frame", net::kMinMaxPayload, SIZE_MAX, &max_frame},
       {"--wbuf", net::kHeaderSize, SIZE_MAX, &wbuf},
       {"--conns", 1, SIZE_MAX, &conns},
@@ -139,7 +136,6 @@ int main(int argc, char** argv) {
   cfg.service.workload = trace::workload_by_name(workload);
   cfg.service.num_shards = static_cast<unsigned>(shards);
   cfg.service.queue_capacity = static_cast<std::size_t>(queue);
-  cfg.service.batch_size = static_cast<std::size_t>(batch);
 
   net::Server server(cfg);
   server.start();
@@ -151,11 +147,11 @@ int main(int argc, char** argv) {
   std::printf("READDUO_SERVE listening %s\n", server.address().c_str());
   std::printf(
       "[serve] scheme=%s device=%s workload=%s shards=%u threads=%u "
-      "queue=%zu batch=%zu seed=%llu%s\n",
+      "queue=%zu seed=%llu%s\n",
       scheme.c_str(), config::active_device().name.c_str(),
       workload.c_str(), server.service().num_shards(),
       server.service().worker_threads(), cfg.service.queue_capacity,
-      cfg.service.batch_size, static_cast<unsigned long long>(seed),
+      static_cast<unsigned long long>(seed),
       oneshot ? " oneshot" : "");
   std::fflush(stdout);
 
